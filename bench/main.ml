@@ -256,7 +256,7 @@ type exec_obs = {
 }
 
 let observe (kind : Llvm_exec.Engine.kind) (m : Ir.modul) : exec_obs =
-  let r, p = Llvm_exec.Engine.run_main ~fuel:1_000_000_000 ~profiling:true kind m in
+  let r, counts = Llvm_exec.Engine.run_main ~fuel:1_000_000_000 ~profiling:true kind m in
   let status =
     match r.Llvm_exec.Interp.status with
     | `Returned v -> Fmt.str "returned %a" Llvm_exec.Interp.pp_rtval v
@@ -269,7 +269,7 @@ let observe (kind : Llvm_exec.Engine.kind) (m : Ir.modul) : exec_obs =
     o_instrs = r.Llvm_exec.Interp.instructions;
     o_profile =
       List.sort compare
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) p.Llvm_exec.Interp.counts []) }
+        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []) }
 
 type exec_row = {
   e_name : string;
@@ -469,16 +469,18 @@ let lifelong () =
     say "tiered engine promoted to bytecode: %s"
       (String.concat ", "
          (List.map (fun (f, n) -> Fmt.str "%s (at %d entries)" f n) ps)));
-  let hot = Llvm_linker.Lifelong.hot_functions exe report in
+  let profile = report.Llvm_linker.Lifelong.profile in
+  let hot = Llvm_profile.Profile.hot_functions profile exe.Llvm_linker.Lifelong.program in
   say "hottest functions:";
   List.iteri
     (fun k (name, count) -> if k < 5 then say "  %-24s %8d entries" name count)
     hot;
-  let reopt = Llvm_linker.Lifelong.reoptimize_with_profile exe report in
+  (* the idle-time reoptimizer, fed this one run: a fleet of one *)
+  let before_instrs = Ir.module_instr_count exe.Llvm_linker.Lifelong.program in
+  let exe, stats = Llvm_linker.Lifelong.reoptimize_with_aggregate exe profile in
   say "idle-time reoptimizer: inlined %d hot call sites (%d -> %d instrs)"
-    reopt.Llvm_linker.Lifelong.inlined_hot_calls
-    reopt.Llvm_linker.Lifelong.before_instrs
-    reopt.Llvm_linker.Lifelong.after_instrs;
+    stats.Llvm_transforms.Pgo.inlined before_instrs
+    (Ir.module_instr_count exe.Llvm_linker.Lifelong.program);
   let report2 = Llvm_linker.Lifelong.run_in_the_field ~fuel:200_000_000 exe in
   let after = report2.Llvm_linker.Lifelong.result.Llvm_exec.Interp.instructions in
   say "field run 2: %d instructions executed (%.1f%% fewer)" after

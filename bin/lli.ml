@@ -46,31 +46,16 @@ let run input fuel profile emit_profile use_profile engine =
     in
     print_string r.Interp.output;
     Fmt.pr "@.; executed %d instructions@." r.Interp.instructions;
+    let run_profile = lazy (Engine.profile e) in
     (match emit_profile with
     | None -> ()
     | Some path ->
-      let p =
-        Llvm_profile.Profile.of_run m
-          ~block_counts:e.Engine.mach.Interp.block_counts
-          ~call_counts:e.Engine.mach.Interp.call_counts
-      in
+      let p = Lazy.force run_profile in
       Llvm_profile.Profile.save path p;
       Fmt.pr "; profile: %a -> %s@." Llvm_profile.Profile.pp p path);
     if profile then begin
       Fmt.pr "; hottest functions:@.";
-      let prof = { Interp.counts = e.Engine.mach.Interp.block_counts } in
-      let hot =
-        List.filter_map
-          (fun f ->
-            if Llvm_ir.Ir.is_declaration f then None
-            else
-              let n = Interp.func_count prof f in
-              if n > 0 then Some (f.Llvm_ir.Ir.fname, n) else None)
-          m.Llvm_ir.Ir.mfuncs
-        (* count descending, ties by name so output is stable *)
-        |> List.sort (fun (na, a) (nb, b) ->
-               if a <> b then compare b a else compare na nb)
-      in
+      let hot = Llvm_profile.Profile.hot_functions (Lazy.force run_profile) m in
       List.iteri
         (fun k (name, count) ->
           if k < 10 then Fmt.pr ";   %-24s %8d entries@." name count)

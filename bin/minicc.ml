@@ -15,7 +15,7 @@ let run input output level =
     | Llvm_minic.Codegen.Error msg -> Tool_common.fail "%s: %s" input msg
   in
   Tool_common.verify_or_die m;
-  if level > 0 then Llvm_transforms.Pipelines.optimize_module ~level m;
+  Llvm_transforms.Pipelines.optimize_module ~level m;
   Tool_common.verify_or_die m;
   let text = Llvm_ir.Printer.module_to_string m in
   match output with
@@ -27,7 +27,7 @@ let run input output level =
 
 let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT.c")
 let output = Arg.(value & opt (some string) None & info [ "o" ] ~docv:"OUTPUT")
-let level = Arg.(value & opt int 0 & info [ "O" ] ~docv:"LEVEL")
+let level = Arg.(value & opt Tool_common.opt_level 0 & info [ "O" ] ~docv:"LEVEL")
 
 let cmd =
   Cmd.v

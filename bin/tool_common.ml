@@ -20,6 +20,16 @@ let load_module (path : string) : Llvm_ir.Ir.modul =
   | Ok m -> m
   | Error msg -> fail "%s" msg
 
+(* The -O LEVEL argument: the levels [Pipelines.passes] defines.  Any
+   other value is a usage error. *)
+let opt_level : int Cmdliner.Arg.conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some l when l >= 0 && l <= 3 -> Ok l
+    | _ -> Error (`Msg (Fmt.str "invalid optimization level %S, expected 0..3" s))
+  in
+  Cmdliner.Arg.conv (parse, Fmt.int)
+
 let verify_or_die (m : Llvm_ir.Ir.modul) : unit =
   match Llvm_ir.Verify.verify_module m with
   | [] -> ()

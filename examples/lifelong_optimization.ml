@@ -83,14 +83,19 @@ let () =
   List.iteri
     (fun k (name, count) ->
       if k < 4 then Fmt.pr "  %-16s %8d@." name count)
-    (Llvm_linker.Lifelong.hot_functions exe report);
+    (Llvm_profile.Profile.hot_functions report.Llvm_linker.Lifelong.profile
+       exe.Llvm_linker.Lifelong.program);
 
-  (* 5. idle-time reoptimization driven by that profile *)
-  let reopt = Llvm_linker.Lifelong.reoptimize_with_profile exe report in
+  (* 5. idle-time reoptimization driven by that profile: one run is a
+     fleet of one *)
+  let before = Llvm_ir.Ir.module_instr_count exe.Llvm_linker.Lifelong.program in
+  let exe, stats =
+    Llvm_linker.Lifelong.reoptimize_with_aggregate exe
+      report.Llvm_linker.Lifelong.profile
+  in
   Fmt.pr "idle-time reoptimizer: %d hot call sites inlined (%d -> %d instrs)@."
-    reopt.Llvm_linker.Lifelong.inlined_hot_calls
-    reopt.Llvm_linker.Lifelong.before_instrs
-    reopt.Llvm_linker.Lifelong.after_instrs;
+    stats.Llvm_transforms.Pgo.inlined before
+    (Llvm_ir.Ir.module_instr_count exe.Llvm_linker.Lifelong.program);
 
   (* 6. the next run is faster, with identical behaviour *)
   let report2 = Llvm_linker.Lifelong.run_in_the_field exe in

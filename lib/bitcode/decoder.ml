@@ -14,8 +14,29 @@ type dec = {
   m : modul;
 }
 
-let read_type_table (d : dec) (count : int) : unit =
+(* Every count in the format is followed by that many elements of at
+   least one byte each, so a count that is negative (an overflowed
+   varint) is malformed and one larger than the bytes remaining means
+   the image is truncated — checked before anything is allocated from
+   it. *)
+let read_count (r : reader) : int =
+  let n = read_varint r in
+  if n < 0 then raise (Malformed (Printf.sprintf "bad count %d" n));
+  if n > String.length r.src - r.pos then raise (Malformed "truncated");
+  n
+
+(* Table lookup by a decoded index. *)
+let lookup (what : string) (table : 'a array) (k : int) : 'a =
+  if k < 0 || k >= Array.length table then
+    raise (Malformed (Printf.sprintf "%s index %d out of range" what k));
+  table.(k)
+
+let read_type (d : dec) : Ltype.t = lookup "type" d.type_table (read_varint d.r)
+
+let read_type_table (d : dec) : unit =
+  let count = read_count d.r in
   let types = Array.make count Ltype.Void in
+  let elt () = lookup "type" types (read_varint d.r) in
   for k = 0 to count - 1 do
     let tag = read_varint d.r in
     let ty =
@@ -24,21 +45,20 @@ let read_type_table (d : dec) (count : int) : unit =
       else if tag = t_integer then Ltype.Integer (int_kind_of_code (read_varint d.r))
       else if tag = t_float then Ltype.Float
       else if tag = t_double then Ltype.Double
-      else if tag = t_pointer then Ltype.Pointer types.(read_varint d.r)
+      else if tag = t_pointer then Ltype.Pointer (elt ())
       else if tag = t_array then begin
         let n = read_varint d.r in
-        let elt = types.(read_varint d.r) in
-        Ltype.Array (n, elt)
+        Ltype.Array (n, elt ())
       end
       else if tag = t_struct then begin
-        let n = read_varint d.r in
-        Ltype.Struct (List.init n (fun _ -> types.(read_varint d.r)))
+        let n = read_count d.r in
+        Ltype.Struct (List.init n (fun _ -> elt ()))
       end
       else if tag = t_function then begin
-        let ret = types.(read_varint d.r) in
+        let ret = elt () in
         let varargs = read_varint d.r = 1 in
-        let n = read_varint d.r in
-        let params = List.init n (fun _ -> types.(read_varint d.r)) in
+        let n = read_count d.r in
+        let params = List.init n (fun _ -> elt ()) in
         Ltype.Function (ret, params, varargs)
       end
       else if tag = t_named then Ltype.Named (read_string d.r)
@@ -54,30 +74,30 @@ let rec read_const (d : dec) : const =
   if tag = c_bool_false then Cbool false
   else if tag = c_bool_true then Cbool true
   else if tag = c_int then begin
-    let ty = d.type_table.(read_varint d.r) in
+    let ty = read_type d in
     Cint (ty, unzigzag (read_varint64 d.r))
   end
   else if tag = c_float then begin
-    let ty = d.type_table.(read_varint d.r) in
+    let ty = read_type d in
     Cfloat (ty, read_f64 d.r)
   end
-  else if tag = c_null then Cnull d.type_table.(read_varint d.r)
-  else if tag = c_undef then Cundef d.type_table.(read_varint d.r)
-  else if tag = c_zero then Czero d.type_table.(read_varint d.r)
+  else if tag = c_null then Cnull (read_type d)
+  else if tag = c_undef then Cundef (read_type d)
+  else if tag = c_zero then Czero (read_type d)
   else if tag = c_array then begin
-    let elt = d.type_table.(read_varint d.r) in
-    let n = read_varint d.r in
+    let elt = read_type d in
+    let n = read_count d.r in
     Carray (elt, List.init n (fun _ -> read_const d))
   end
   else if tag = c_struct then begin
-    let ty = d.type_table.(read_varint d.r) in
-    let n = read_varint d.r in
+    let ty = read_type d in
+    let n = read_count d.r in
     Cstruct (ty, List.init n (fun _ -> read_const d))
   end
-  else if tag = c_gvar then Cgvar d.globals.(read_varint d.r)
-  else if tag = c_func then Cfunc d.funcs.(read_varint d.r)
+  else if tag = c_gvar then Cgvar (lookup "global" d.globals (read_varint d.r))
+  else if tag = c_func then Cfunc (lookup "function" d.funcs (read_varint d.r))
   else if tag = c_cast then begin
-    let ty = d.type_table.(read_varint d.r) in
+    let ty = read_type d in
     Ccast (ty, read_const d)
   end
   else raise (Malformed (Printf.sprintf "bad constant tag %d" tag))
@@ -87,15 +107,15 @@ let read_body (d : dec) (f : func) : unit =
   let values : value list ref = ref [] in
   let push v = values := v :: !values in
   List.iter (fun a -> push (Varg a)) f.fargs;
-  let npool = read_varint d.r in
+  let npool = read_count d.r in
   for _ = 1 to npool do
     let tag = read_varint d.r in
     if tag = v_const then push (Vconst (read_const d))
-    else if tag = v_global then push (Vglobal d.globals.(read_varint d.r))
-    else if tag = v_function then push (Vfunc d.funcs.(read_varint d.r))
+    else if tag = v_global then push (Vglobal (lookup "global" d.globals (read_varint d.r)))
+    else if tag = v_function then push (Vfunc (lookup "function" d.funcs (read_varint d.r)))
     else raise (Malformed "bad pool tag")
   done;
-  let nblocks = read_varint d.r in
+  let nblocks = read_count d.r in
   (* read all instructions, creating shells; operand ids resolved after *)
   let pending : (instr * int array) list ref = ref [] in
   let blocks = ref [] in
@@ -104,7 +124,7 @@ let read_body (d : dec) (f : func) : unit =
     let blk = mk_block ~name:bname () in
     append_block f blk;
     blocks := blk :: !blocks;
-    let ninstrs = read_varint d.r in
+    let ninstrs = read_count d.r in
     for _ = 1 to ninstrs do
       let first = read_byte d.r in
       let wide = first = wide_escape_opcode in
@@ -112,7 +132,7 @@ let read_body (d : dec) (f : func) : unit =
         if wide then begin
           let opc = read_byte d.r in
           let tyi = read_varint d.r in
-          let n = read_varint d.r in
+          let n = read_count d.r in
           (opc, tyi, Array.init n (fun _ -> read_varint d.r))
         end
         else begin
@@ -149,7 +169,7 @@ let read_body (d : dec) (f : func) : unit =
         end
       in
       let op = opcode_of_code opc in
-      let ty_field = d.type_table.(tyi) in
+      let ty_field = lookup "type" d.type_table tyi in
       let ity, alloc_ty =
         match op with
         | Malloc | Alloca -> (Ltype.Pointer ty_field, Some ty_field)
@@ -166,14 +186,14 @@ let read_body (d : dec) (f : func) : unit =
   let table = Array.of_list (List.rev !values) in
   List.iter
     (fun (i, ids) ->
-      set_operands i (Array.map (fun id -> table.(id)) ids))
+      set_operands i (Array.map (lookup "value" table) ids))
     !pending;
   (* symbol table *)
-  let nnames = read_varint d.r in
+  let nnames = read_count d.r in
   for _ = 1 to nnames do
     let id = read_varint d.r in
     let name = read_string d.r in
-    match table.(id) with
+    match lookup "value" table id with
     | Vinstr i -> i.iname <- name
     | Varg a -> a.aname <- name
     | _ -> ()
@@ -190,35 +210,34 @@ let decode (src : string) : modul =
     { r; type_table = [||]; globals = [||]; funcs = [||];
       m = mk_module "decoded" }
   in
-  let ntypes = read_varint r in
-  read_type_table d ntypes;
+  read_type_table d;
   d.m.mname <- read_string r;
   (* global headers *)
-  let nglobals = read_varint r in
+  let nglobals = read_count r in
   let ginit_flags = Array.make nglobals false in
   d.globals <-
     Array.init nglobals (fun k ->
         let name = read_string r in
         let flags = read_varint r in
-        let ty = d.type_table.(read_varint r) in
+        let ty = read_type d in
         ginit_flags.(k) <- flags land 4 <> 0;
         mk_gvar
           ~linkage:(if flags land 2 <> 0 then Internal else External)
           ~constant:(flags land 1 <> 0) ~name ~ty ());
   Array.iter (fun g -> add_gvar d.m g) d.globals;
   (* function headers *)
-  let nfuncs = read_varint r in
+  let nfuncs = read_count r in
   let fdefined = Array.make nfuncs false in
   d.funcs <-
     Array.init nfuncs (fun k ->
         let name = read_string r in
         let flags = read_varint r in
-        let ret = d.type_table.(read_varint r) in
-        let nparams = read_varint r in
+        let ret = read_type d in
+        let nparams = read_count r in
         let params =
           List.init nparams (fun _ ->
               let pname = read_string r in
-              let pty = d.type_table.(read_varint r) in
+              let pty = read_type d in
               (pname, pty))
         in
         fdefined.(k) <- flags land 4 = 0;
@@ -227,10 +246,10 @@ let decode (src : string) : modul =
           ~varargs:(flags land 2 <> 0) ~name ~return:ret ~params ());
   Array.iter (fun f -> add_func d.m f) d.funcs;
   (* named types *)
-  let nnamed = read_varint r in
+  let nnamed = read_count r in
   for _ = 1 to nnamed do
     let n = read_string r in
-    let ty = d.type_table.(read_varint r) in
+    let ty = read_type d in
     define_type d.m n ty
   done;
   (* global initializers *)

@@ -27,6 +27,8 @@
    operand ids ("a 64-bit or larger encoding, as needed", section
    4.1.3). *)
 
+exception Malformed of string
+
 let wide_escape_opcode = 63
 
 let magic = "LLVM"
@@ -73,7 +75,9 @@ let opcode_code (op : Llvm_ir.Ir.opcode) : int =
   index 0 Llvm_ir.Ir.all_opcodes
 
 let opcode_of_code (k : int) : Llvm_ir.Ir.opcode =
-  List.nth Llvm_ir.Ir.all_opcodes k
+  match List.nth_opt Llvm_ir.Ir.all_opcodes k with
+  | Some op -> op
+  | None -> raise (Malformed (Printf.sprintf "bad opcode %d" k))
 
 let int_kind_code : Llvm_ir.Ltype.int_kind -> int = function
   | Sbyte -> 0
@@ -94,7 +98,7 @@ let int_kind_of_code : int -> Llvm_ir.Ltype.int_kind = function
   | 5 -> Uint
   | 6 -> Long
   | 7 -> Ulong
-  | _ -> invalid_arg "bad integer kind"
+  | k -> raise (Malformed (Printf.sprintf "bad integer kind %d" k))
 
 (* -- primitive writers ---------------------------------------------------- *)
 
@@ -162,8 +166,6 @@ let write_f64 (b : Buffer.t) (f : float) =
 
 type reader = { src : string; mutable pos : int }
 
-exception Malformed of string
-
 let read_byte (r : reader) : int =
   if r.pos >= String.length r.src then raise (Malformed "truncated");
   let c = Char.code r.src.[r.pos] in
@@ -188,7 +190,7 @@ let read_varint64 (r : reader) : int64 =
 
 let read_string (r : reader) : string =
   let n = read_varint r in
-  if r.pos + n > String.length r.src then raise (Malformed "truncated string");
+  if n < 0 || n > String.length r.src - r.pos then raise (Malformed "truncated string");
   let s = String.sub r.src r.pos n in
   r.pos <- r.pos + n;
   s

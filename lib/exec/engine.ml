@@ -142,23 +142,24 @@ let compile_all (e : t) : int * int =
 
 (* -- Entry points ---------------------------------------------------------- *)
 
-let empty_profile () : profile = { counts = Hashtbl.create 1 }
+(* The run's profile in persistent, name-keyed form (section 3.5): the
+   machine's block and call-target counts mapped through the module it
+   executed.  Empty unless profiling was on. *)
+let profile (e : t) : Llvm_profile.Profile.t =
+  Llvm_profile.Profile.of_run e.mach.modul ~block_counts:e.mach.block_counts
+    ~call_counts:e.mach.call_counts
 
 (* [run_main] builds the machine, runs main, and reports traps and
    exit()s raised anywhere — including from global-initializer
    materialization during [create] — as a [run_result] rather than an
    exception. *)
 let run_main ?fuel ?hot_threshold ?(profiling = false) ?profile (kind : kind)
-    (m : modul) : run_result * profile =
+    (m : modul) : run_result * (int, int) Hashtbl.t =
+  let failed status = ({ status; output = ""; instructions = 0 }, Hashtbl.create 1) in
   match create ?hot_threshold ~profiling ?profile kind m with
-  | exception Memory.Trap msg ->
-    ({ status = `Trapped msg; output = ""; instructions = 0 }, empty_profile ())
-  | exception Exit_program code ->
-    ({ status = `Exited code; output = ""; instructions = 0 }, empty_profile ())
+  | exception Memory.Trap msg -> failed (`Trapped msg)
+  | exception Exit_program code -> failed (`Exited code)
   | e -> (
     match find_func m "main" with
-    | Some main ->
-      (run_function ?fuel e.mach main [], { counts = e.mach.block_counts })
-    | None ->
-      ( { status = `Trapped "no main function"; output = ""; instructions = 0 },
-        empty_profile () ))
+    | Some main -> (run_function ?fuel e.mach main [], e.mach.block_counts)
+    | None -> failed (`Trapped "no main function"))

@@ -68,9 +68,17 @@ val fast_ops : t -> int
     instructions compiled). *)
 val compile_all : t -> int * int
 
+(** The run so far as a persistent, name-keyed profile
+    ({!Llvm_profile.Profile.of_run} over the machine's block and
+    call-target counts).  Empty unless profiling is on. *)
+val profile : t -> Llvm_profile.Profile.t
+
 (** Build the machine, run [main], and report traps and [exit()]s
     raised anywhere — including during global-initializer
-    materialization — as a result rather than an exception. *)
+    materialization — as a result rather than an exception.  Also
+    returns the run's per-block-id execution counts, the strictest form
+    for comparing runs of one module across tiers (empty unless
+    profiling is on, or when the machine could not be built). *)
 val run_main :
   ?fuel:int ->
   ?hot_threshold:int ->
@@ -78,4 +86,4 @@ val run_main :
   ?profile:Llvm_profile.Profile.t ->
   kind ->
   Llvm_ir.Ir.modul ->
-  Interp.run_result * Interp.profile
+  Interp.run_result * (int, int) Hashtbl.t

@@ -696,28 +696,6 @@ let run_main ?fuel (m : modul) : run_result =
   | None ->
     { status = `Trapped "no main function"; output = ""; instructions = 0 }
 
-(* -- Profile extraction (section 3.5) ----------------------------------------- *)
-
-type profile = { counts : (int, int) Hashtbl.t }
-
-let run_main_with_profile ?fuel (m : modul) : run_result * profile =
-  let mach = create m in
-  mach.profiling <- true;
-  let result =
-    match find_func m "main" with
-    | Some main -> run_function ?fuel mach main []
-    | None ->
-      { status = `Trapped "no main function"; output = ""; instructions = 0 }
-  in
-  (result, { counts = mach.block_counts })
-
-let block_count (p : profile) (b : block) : int =
-  Option.value ~default:0 (Hashtbl.find_opt p.counts b.bid)
-
-(* Execution frequency of a function = executions of its entry block. *)
-let func_count (p : profile) (f : func) : int =
-  if is_declaration f then 0 else block_count p (entry_block f)
-
 let pp_rtval fmt = function
   | Rvoid -> Fmt.string fmt "void"
   | Rbool b -> Fmt.bool fmt b

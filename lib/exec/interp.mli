@@ -118,17 +118,4 @@ val run_function :
 (** Run [main] on a fresh machine. *)
 val run_main : ?fuel:int -> Llvm_ir.Ir.modul -> run_result
 
-(** {1 Profiling (paper section 3.5)} *)
-
-type profile = { counts : (int, int) Hashtbl.t }
-
-val run_main_with_profile :
-  ?fuel:int -> Llvm_ir.Ir.modul -> run_result * profile
-
-(** Executions of a basic block during the profiled run. *)
-val block_count : profile -> Llvm_ir.Ir.block -> int
-
-(** Entry count of a function (= executions of its entry block). *)
-val func_count : profile -> Llvm_ir.Ir.func -> int
-
 val pp_rtval : Format.formatter -> rtval -> unit

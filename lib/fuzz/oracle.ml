@@ -135,7 +135,7 @@ type obs = {
 }
 
 let observe ?profile (kind : Llvm_exec.Engine.kind) (m : modul) : obs =
-  let r, p = Llvm_exec.Engine.run_main ~fuel ~profiling:true ?profile kind m in
+  let r, counts = Llvm_exec.Engine.run_main ~fuel ~profiling:true ?profile kind m in
   let fuel_out = ref false in
   let status =
     match r.Llvm_exec.Interp.status with
@@ -151,9 +151,7 @@ let observe ?profile (kind : Llvm_exec.Engine.kind) (m : modul) : obs =
     ob_instrs = r.Llvm_exec.Interp.instructions;
     ob_profile =
       List.sort compare
-        (Hashtbl.fold
-           (fun k v acc -> (k, v) :: acc)
-           p.Llvm_exec.Interp.counts []);
+        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []);
     ob_fuel_out = !fuel_out }
 
 (* Behaviour only (status + output): the module may have been
@@ -324,13 +322,11 @@ let train_profile (m : modul) : Llvm_profile.Profile.t option =
     let e =
       Llvm_exec.Engine.create ~profiling:true Llvm_exec.Engine.Interp_tier t
     in
-    let mach = e.Llvm_exec.Engine.mach in
     (match find_func t "main" with
-    | Some main -> ignore (Llvm_exec.Interp.run_function ~fuel mach main [])
+    | Some main ->
+      ignore (Llvm_exec.Interp.run_function ~fuel e.Llvm_exec.Engine.mach main [])
     | None -> ());
-    Llvm_profile.Profile.of_run t
-      ~block_counts:mach.Llvm_exec.Interp.block_counts
-      ~call_counts:mach.Llvm_exec.Interp.call_counts
+    Llvm_exec.Engine.profile e
   with
   | p -> Some p
   | exception _ -> None

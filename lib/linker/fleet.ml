@@ -68,11 +68,7 @@ let field_run ?(fuel = default_fuel) ?(kind = Llvm_exec.Engine.Tiered)
       { Llvm_exec.Interp.status = `Trapped "no main function"; output = "";
         instructions = 0 }
   in
-  let p =
-    Profile.of_run m ~block_counts:mach.Llvm_exec.Interp.block_counts
-      ~call_counts:mach.Llvm_exec.Interp.call_counts
-  in
-  (result, p, Llvm_exec.Engine.deopts e)
+  (result, Llvm_exec.Engine.profile e, Llvm_exec.Engine.deopts e)
 
 let rec ensure_dir (dir : string) : unit =
   if not (Sys.file_exists dir) then begin

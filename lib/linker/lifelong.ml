@@ -22,17 +22,10 @@ type executable = {
 
 type run_report = {
   result : Llvm_exec.Interp.run_result;
-  profile : Llvm_exec.Interp.profile;
+  profile : Llvm_profile.Profile.t; (* this run's profile: a fleet of one *)
   promoted : (string * int) list;
       (* functions the tiered engine compiled to bytecode mid-run, with
          the entry count that triggered each promotion *)
-}
-
-type reoptimization = {
-  hot_functions : (string * int) list; (* entry counts from the field *)
-  inlined_hot_calls : int;
-  before_instrs : int;
-  after_instrs : int;
 }
 
 (* Compile-and-link: the static half of the pipeline. *)
@@ -61,82 +54,17 @@ let run_in_the_field ?fuel ?profile (exe : executable) : run_report =
         instructions = 0 }
   in
   { result;
-    profile =
-      { Llvm_exec.Interp.counts =
-          e.Llvm_exec.Engine.mach.Llvm_exec.Interp.block_counts };
+    profile = Llvm_exec.Engine.profile e;
     promoted = Llvm_exec.Engine.promotions e }
-
-let hot_functions (exe : executable) (report : run_report) :
-    (string * int) list =
-  List.filter_map
-    (fun f ->
-      if is_declaration f then None
-      else
-        let n = Llvm_exec.Interp.func_count report.profile f in
-        if n > 0 then Some (f.fname, n) else None)
-    exe.program.mfuncs
-  (* count descending, ties by name, so reports are stable across runs *)
-  |> List.sort (fun (na, a) (nb, b) ->
-         if a <> b then compare b a else compare na nb)
 
 (* The idle-time reoptimizer (section 3.6): "a modified version of the
    link-time interprocedural optimizer, but with a greater emphasis on
-   profile-driven ... optimizations".  Here: call sites residing in hot
-   blocks are inlined regardless of the static inliner's size budget,
-   then the usual cleanup pipeline reruns. *)
-let reoptimize_with_profile ?(hot_threshold = 100) (exe : executable)
-    (report : run_report) : reoptimization =
-  let m = exe.program in
-  let before_instrs = module_instr_count m in
-  let hot = hot_functions exe report in
-  let inlined = ref 0 in
-  let continue_ = ref true in
-  let rounds = ref 0 in
-  while !continue_ && !rounds < 4 do
-    continue_ := false;
-    incr rounds;
-    List.iter
-      (fun caller ->
-        if not (is_declaration caller) then begin
-          let site = ref None in
-          iter_instrs
-            (fun i ->
-              if !site = None && (i.iop = Call || i.iop = Invoke) then
-                match (i.iparent, call_callee i) with
-                | Some blk, Vfunc callee
-                  when (not (is_declaration callee))
-                       && (not (callee == caller))
-                       && Llvm_exec.Interp.block_count report.profile blk
-                          >= hot_threshold
-                       && instr_count callee <= 400 ->
-                  (* recursive callees are cloned once, not expanded *)
-                  let cg = Llvm_analysis.Callgraph.compute m in
-                  if not (Llvm_analysis.Callgraph.is_recursive cg callee) then
-                    site := Some i
-                | _ -> ())
-            caller;
-          match !site with
-          | Some i ->
-            if Inline.inline_call_site caller i then begin
-              incr inlined;
-              continue_ := true
-            end
-          | None -> ()
-        end)
-      m.mfuncs
-  done;
-  ignore (Pass.run_sequence Pipelines.per_module m);
-  ignore (Pass.run_pass Dge.pass m);
-  { hot_functions = hot;
-    inlined_hot_calls = !inlined;
-    before_instrs;
-    after_instrs = module_instr_count m }
-
-(* The fleet-scale half of the reoptimizer: a merged cross-run
-   aggregate ({!Fleet.simulate}) drives speculative indirect-call
-   promotion plus profile-guided inlining, then the cleanup pipeline
-   reruns and the executable's persistent bitcode is refreshed — the
-   next field runs download the reoptimized image. *)
+   profile-driven ... optimizations".  A merged cross-run aggregate
+   ({!Fleet.simulate}) — or a single run's profile, a fleet of one —
+   drives speculative indirect-call promotion plus profile-guided
+   inlining, then the cleanup pipeline reruns and the executable's
+   persistent bitcode is refreshed: the next field runs download the
+   reoptimized image. *)
 let reoptimize_with_aggregate ?min_count ?min_share (exe : executable)
     (p : Llvm_profile.Profile.t) : executable * Llvm_transforms.Pgo.stats =
   let stats = Pgo.optimize ?min_count ?min_share p exe.program in

@@ -13,17 +13,10 @@ type executable = {
 
 type run_report = {
   result : Llvm_exec.Interp.run_result;
-  profile : Llvm_exec.Interp.profile;
+  profile : Llvm_profile.Profile.t;  (** this run's profile *)
   promoted : (string * int) list;
       (** functions the tiered engine compiled to bytecode mid-run, with
           the entry count that triggered each promotion *)
-}
-
-type reoptimization = {
-  hot_functions : (string * int) list;
-  inlined_hot_calls : int;
-  before_instrs : int;
-  after_instrs : int;
 }
 
 (** Link, internalize, optionally run link-time IPO, and generate the
@@ -37,16 +30,9 @@ val build : ?ipo:bool -> Llvm_ir.Ir.modul list -> executable
 val run_in_the_field :
   ?fuel:int -> ?profile:Llvm_profile.Profile.t -> executable -> run_report
 
-val hot_functions : executable -> run_report -> (string * int) list
-
-(** The idle-time reoptimizer: inline call sites residing in
-    profile-hot blocks (entry count >= [hot_threshold]) regardless of
-    the static inliner's size budget, then rerun the cleanup pipeline. *)
-val reoptimize_with_profile :
-  ?hot_threshold:int -> executable -> run_report -> reoptimization
-
-(** The fleet-scale reoptimizer: a merged cross-run aggregate
-    ({!Fleet.simulate}) drives speculative call promotion with deopt
+(** The idle-time reoptimizer: a merged cross-run aggregate
+    ({!Fleet.simulate}), or one run's [run_report.profile] as a fleet
+    of one, drives speculative call promotion with deopt
     guards plus profile-guided inlining ({!Llvm_transforms.Pgo}), the
     cleanup pipeline reruns, and the persistent bitcode and native
     images are refreshed. *)

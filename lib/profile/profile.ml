@@ -147,6 +147,17 @@ let func_weight (p : t) (f : func) : int =
   if is_declaration f then 0
   else block_weight p ~func:f.fname ~block:(entry_block f).bname
 
+(* The hot-function ranking every report uses: [m]'s functions that ran,
+   by entry weight, count descending and ties by name so reports are
+   stable across runs. *)
+let hot_functions (p : t) (m : modul) : (string * int) list =
+  List.filter_map
+    (fun f ->
+      let n = func_weight p f in
+      if n > 0 then Some (f.fname, n) else None)
+    m.mfuncs
+  |> List.sort (fun (na, a) (nb, b) -> if a <> b then compare b a else compare na nb)
+
 (* Observed callees of a call site, hottest first (count desc, then
    name, so the choice is deterministic). *)
 let call_targets (p : t) ~(func : string) ~(block : string) ~(index : int) :

@@ -54,6 +54,10 @@ val block_weight : t -> func:string -> block:string -> int
 (** Entry-block weight of a function (0 for declarations). *)
 val func_weight : t -> Llvm_ir.Ir.func -> int
 
+(** [m]'s functions with a non-zero {!func_weight}, hottest first
+    (count descending, then name). *)
+val hot_functions : t -> Llvm_ir.Ir.modul -> (string * int) list
+
 (** Observed callees of a call site, hottest first (deterministic:
     count descending, then name). *)
 val call_targets :

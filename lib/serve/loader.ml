@@ -25,33 +25,28 @@ let sniff (data : string) : source =
   if String.length data >= 4 && String.sub data 0 4 = "LLVM" then Bitcode
   else Asm
 
-let of_bytes ~(name : string) (data : string) :
+(* The one sniff/decode/parse match.  [label] prefixes error messages;
+   [name] names a parsed textual module (bitcode carries its own). *)
+let load ~(label : string) ~(name : string) (data : string) :
     (Llvm_ir.Ir.modul, string) result =
   match sniff data with
   | Bitcode -> (
     try Ok (Llvm_bitcode.Decoder.decode data)
     with Llvm_bitcode.Decoder.Malformed msg ->
-      Error (Fmt.str "%s: malformed bitcode: %s" name msg))
+      Error (Fmt.str "%s: malformed bitcode: %s" label msg))
   | Asm -> (
     try Ok (Llvm_asm.Parser.parse_module ~name data) with
     | Llvm_asm.Parser.Parse_error (msg, line)
     | Llvm_asm.Lexer.Lex_error (msg, line) ->
-      Error (Fmt.str "%s:%d: %s" name line msg))
+      Error (Fmt.str "%s:%d: %s" label line msg))
 
-(* Same sniffing as [of_bytes], but errors carry the full path while
-   the module keeps its conventional basename name. *)
+let of_bytes ~(name : string) (data : string) :
+    (Llvm_ir.Ir.modul, string) result =
+  load ~label:name ~name data
+
+(* Errors carry the full path while the module keeps its conventional
+   basename name. *)
 let of_file (path : string) : (Llvm_ir.Ir.modul, string) result =
   match read_file path with
   | exception Sys_error e -> Error e
-  | data -> (
-    match sniff data with
-    | Bitcode -> (
-      try Ok (Llvm_bitcode.Decoder.decode data)
-      with Llvm_bitcode.Decoder.Malformed msg ->
-        Error (Fmt.str "%s: malformed bitcode: %s" path msg))
-    | Asm -> (
-      try Ok (Llvm_asm.Parser.parse_module ~name:(Filename.basename path) data)
-      with
-      | Llvm_asm.Parser.Parse_error (msg, line)
-      | Llvm_asm.Lexer.Lex_error (msg, line) ->
-        Error (Fmt.str "%s:%d: %s" path line msg)))
+  | data -> load ~label:path ~name:(Filename.basename path) data

@@ -16,6 +16,8 @@ val sniff : string -> source
     ["name: malformed bitcode: ..."], for assembly ["name:line: ..."]). *)
 val of_bytes : name:string -> string -> (Llvm_ir.Ir.modul, string) result
 
-(** Read a file and {!of_bytes} it.  Unreadable files report the
-    [Sys_error] message (which embeds the path). *)
+(** Read a file and load it through the same match as {!of_bytes}:
+    errors carry the full path, a textual module is named by the
+    path's basename.  Unreadable files report the [Sys_error] message
+    (which embeds the path). *)
 val of_file : string -> (Llvm_ir.Ir.modul, string) result

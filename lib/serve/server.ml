@@ -130,43 +130,32 @@ let check_deadline (deadline : float option) : unit =
   | Some d when Unix.gettimeofday () > d -> raise Deadline_expired
   | _ -> ()
 
-(* Pass-by-pass pipeline execution.  [Pass.run_sequence] is a fold of
-   [run_pass], so running the same list here is behaviour-identical to
-   [Pipelines.optimize_module] — but between passes we get a seam to
-   check the deadline and to fire injected faults. *)
-let run_passes ~(deadline : float option)
-    (passes : Llvm_transforms.Pass.t list) (m : Ir.modul) : unit =
-  Faults.pipeline_start ();
-  List.iter
-    (fun p ->
-      check_deadline deadline;
-      ignore (Llvm_transforms.Pass.run_pass p m);
-      Faults.pass_boundary ())
-    passes
-
-let level_passes (l : int) : Llvm_transforms.Pass.t list =
-  let open Llvm_transforms.Pipelines in
-  match l with
-  | 0 -> []
-  | 1 -> per_function_cleanup
-  | 2 -> per_module
-  | _ -> per_module @ link_time_ipo
+(* The daemon's hooks on the one pass runner: the deadline is checked
+   before every pass, and an injected mid-pipeline crash fires after
+   each.  Callers invoke [Faults.pipeline_start] once before the run. *)
+let pass_hooks (deadline : float option) : Llvm_transforms.Pass.hook list =
+  [ { before = (fun _ _ -> check_deadline deadline);
+      after = (fun _ _ _ -> Faults.pass_boundary ()) } ]
 
 let run_pipeline ~(deadline : float option) (spec : Protocol.pipeline)
     (m : Ir.modul) : (unit, string) result =
-  match spec with
-  | Protocol.Level l ->
-    run_passes ~deadline (level_passes l) m;
-    Ok ()
-  | Protocol.Passes names ->
-    let rec resolve acc = function
-      | [] -> Ok (List.rev acc)
-      | name :: rest -> (
-        match Llvm_transforms.Pass.find name with
-        | None -> Error (Fmt.str "unknown pass %S" name)
-        | Some p -> resolve (p :: acc) rest)
-    in
-    Result.map (fun ps -> run_passes ~deadline ps m) (resolve [] names)
+  let rec resolve acc = function
+    | [] -> Ok (List.rev acc)
+    | name :: rest -> (
+      match Llvm_transforms.Pass.find name with
+      | None -> Error (Fmt.str "unknown pass %S" name)
+      | Some p -> resolve (p :: acc) rest)
+  in
+  let passes =
+    match spec with
+    | Protocol.Level l -> Ok (Llvm_transforms.Pipelines.passes ~level:l)
+    | Protocol.Passes names -> resolve [] names
+  in
+  Result.map
+    (fun ps ->
+      Faults.pipeline_start ();
+      ignore (Llvm_transforms.Pass.run_sequence ~hooks:(pass_hooks deadline) ps m))
+    passes
 
 (* -- Translation-validation witness ------------------------------------------- *)
 
@@ -298,7 +287,10 @@ let optimized_libs (t : t) ?deadline (mods : Ir.modul list)
     match Llvm_linker.Link.link ~name:"libs" mods with
     | exception Llvm_linker.Link.Link_error e -> Error ("link error: " ^ e)
     | libm -> (
-      run_passes ~deadline Llvm_transforms.Pipelines.link_time_ipo libm;
+      Faults.pipeline_start ();
+      ignore
+        (Llvm_transforms.Pass.run_sequence ~hooks:(pass_hooks deadline)
+           Llvm_transforms.Pipelines.link_time_ipo libm);
       match first_verify_error libm with
       | Some e -> Error ("library IPO produced an invalid module: " ^ e)
       | None ->
@@ -361,7 +353,10 @@ let handle_link (t : t) ~(deadline : float option) (l : Protocol.link_req) :
             | exception Llvm_linker.Link.Link_error e ->
               Protocol.Failed ("link error: " ^ e)
             | final -> (
-              run_passes ~deadline Llvm_transforms.Pipelines.per_module final;
+              Faults.pipeline_start ();
+              ignore
+                (Llvm_transforms.Pass.run_sequence ~hooks:(pass_hooks deadline)
+                   Llvm_transforms.Pipelines.per_module final);
               match first_verify_error final with
               | Some e ->
                 Protocol.Failed

@@ -3,8 +3,12 @@
    Optimizations are "built into libraries, making it easy for front-ends
    to use them" (paper section 3.2).  A pass is a named module
    transformation returning whether it changed anything; the manager runs
-   sequences, times individual passes (the measurements behind Table 2),
-   and exposes a registry for the opt tool. *)
+   sequences through one runner, and exposes a registry for the opt tool.
+
+   The runner takes a list of hooks fired around every pass.  Everything
+   that watches or polices a pipeline — the daemon's deadline check and
+   fault injection, opt's --time-passes — is a hook on that one loop, so
+   a pipeline runs the same way wherever it is run. *)
 
 open Llvm_ir
 
@@ -12,6 +16,11 @@ type t = {
   name : string;
   description : string;
   run : Ir.modul -> bool;
+}
+
+type hook = {
+  before : t -> Ir.modul -> unit;
+  after : t -> Ir.modul -> bool -> unit;
 }
 
 let make ~name ~description run = { name; description; run }
@@ -29,22 +38,28 @@ let function_pass ~name ~description (run_func : Ir.func -> bool) =
 
 let run_pass (p : t) (m : Ir.modul) : bool = p.run m
 
-(* Run a pass and report elapsed wall-clock seconds. *)
-let time_pass (p : t) (m : Ir.modul) : bool * float =
-  let t0 = Unix.gettimeofday () in
-  let changed = p.run m in
-  let t1 = Unix.gettimeofday () in
-  (changed, t1 -. t0)
+(* Direct recursion rather than [List.iter] with a closure: with no
+   hooks the runner allocates nothing per pass. *)
+let rec fire_before hooks p m =
+  match hooks with
+  | [] -> ()
+  | h :: rest -> h.before p m; fire_before rest p m
 
-let run_sequence (passes : t list) (m : Ir.modul) : bool =
-  List.fold_left (fun changed p -> run_pass p m || changed) false passes
+let rec fire_after hooks p m changed =
+  match hooks with
+  | [] -> ()
+  | h :: rest -> h.after p m changed; fire_after rest p m changed
 
-(* Iterate a sequence until no pass reports a change (bounded). *)
-let run_to_fixpoint ?(max_iters = 8) (passes : t list) (m : Ir.modul) : unit =
-  let rec go n =
-    if n < max_iters && run_sequence passes m then go (n + 1)
+let run_sequence ?(hooks = []) (passes : t list) (m : Ir.modul) : bool =
+  let rec go changed = function
+    | [] -> changed
+    | p :: rest ->
+      fire_before hooks p m;
+      let c = p.run m in
+      fire_after hooks p m c;
+      go (c || changed) rest
   in
-  go 0
+  go false passes
 
 (* -- Registry ----------------------------------------------------------- *)
 

@@ -34,11 +34,17 @@ let link_time_ipo =
     Rangeprop.pass; Constprop.pass; Dce.adce_pass; Dae.pass; Dge.pass;
     Deadtypes.pass ]
 
-let optimize_module ?(level = 2) (m : Llvm_ir.Ir.modul) : unit =
+(* The level table: the one place an optimization level becomes a pass
+   list. *)
+let o3 = per_module @ link_time_ipo
+
+let passes ~(level : int) : Pass.t list =
   match level with
-  | 0 -> ()
-  | 1 -> ignore (Pass.run_sequence per_function_cleanup m)
-  | 2 -> ignore (Pass.run_sequence per_module m)
-  | _ ->
-    ignore (Pass.run_sequence per_module m);
-    ignore (Pass.run_sequence link_time_ipo m)
+  | 0 -> []
+  | 1 -> per_function_cleanup
+  | 2 -> per_module
+  | 3 -> o3
+  | _ -> invalid_arg (Printf.sprintf "Pipelines.passes: level %d not in 0..3" level)
+
+let optimize_module ?(level = 2) (m : Llvm_ir.Ir.modul) : unit =
+  ignore (Pass.run_sequence (passes ~level) m)

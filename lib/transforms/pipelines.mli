@@ -10,6 +10,12 @@ val per_function_cleanup : Pass.t list
 val per_module : Pass.t list
 val link_time_ipo : Pass.t list
 
-(** [level]: 0 = nothing, 1 = cleanup, 2 = per-module, 3 = per-module
-    followed by the link-time interprocedural pipeline. *)
+(** The passes of optimization level [level]: 0 = none, 1 = cleanup,
+    2 = per-module, 3 = per-module followed by the link-time
+    interprocedural pipeline.
+    @raise Invalid_argument outside 0..3. *)
+val passes : level:int -> Pass.t list
+
+(** Run [passes ~level] (default 2) through {!Pass.run_sequence}.
+    @raise Invalid_argument outside 0..3. *)
 val optimize_module : ?level:int -> Llvm_ir.Ir.modul -> unit

@@ -103,6 +103,27 @@ let test_malformed_rejected () =
   let image, _ = Encoder.encode (Samples.add1_module ()) in
   fails (String.sub image 0 (String.length image - 3))
 
+(* Images whose counts and indices are out of range once made the
+   decoder raise [Invalid_argument] past the loader. *)
+let hostile_images =
+  [ ("negative type count", "LLVM\x01" ^ String.make 8 '\xff' ^ "\x7f");
+    ("pointer to type index 5 of 1", "LLVM\x01\x01\x05\x05");
+    ("global with type index 9", "LLVM\x01\x00\x00\x01\x01g\x00\x09") ]
+
+let test_hostile_images_stay_in_loader () =
+  List.iter
+    (fun (what, image) ->
+      match Llvm_serve.Loader.of_bytes ~name:"hostile" image with
+      | Ok _ -> Alcotest.failf "%s: decoded" what
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: declared error (%s)" what e)
+          true
+          (String.starts_with ~prefix:"hostile: malformed bitcode: " e)
+      | exception exn ->
+        Alcotest.failf "%s: escaped the loader: %s" what (Printexc.to_string exn))
+    hostile_images
+
 let test_execution_equivalence () =
   (* a module decoded from bitcode behaves identically *)
   let src =
@@ -147,6 +168,8 @@ let tests =
     Alcotest.test_case "one-word encodings dominate" `Quick test_one_word_dominates;
     Alcotest.test_case "size per instruction is small" `Quick test_size_reasonable;
     Alcotest.test_case "malformed images rejected" `Quick test_malformed_rejected;
+    Alcotest.test_case "hostile counts and indices stay in the loader" `Quick
+      test_hostile_images_stay_in_loader;
     Alcotest.test_case "decoded modules execute identically" `Quick
       test_execution_equivalence;
     qtest_encode_stable ]

@@ -21,7 +21,7 @@ type snap = {
   profile : (int * int) list;
 }
 
-let snapshot (r : Interp.run_result) (p : Interp.profile) : snap =
+let snapshot (r : Interp.run_result) (counts : (int, int) Hashtbl.t) : snap =
   let status =
     match r.Interp.status with
     | `Returned v -> Fmt.str "returned %a" Interp.pp_rtval v
@@ -34,7 +34,7 @@ let snapshot (r : Interp.run_result) (p : Interp.profile) : snap =
     instructions = r.Interp.instructions;
     profile =
       List.sort compare
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) p.Interp.counts []) }
+        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []) }
 
 let run_kind ?(fuel = fuel) (kind : Engine.kind) (m : Ir.modul) : snap =
   let r, p = Engine.run_main ~fuel ~profiling:true kind m in
@@ -185,9 +185,7 @@ let train_profile (src : string) : Llvm_profile.Profile.t =
   (match (Interp.run_function ~fuel e.Engine.mach main []).Interp.status with
   | `Returned _ | `Exited _ -> ()
   | _ -> Alcotest.fail "training run did not complete");
-  Llvm_profile.Profile.of_run m
-    ~block_counts:e.Engine.mach.Interp.block_counts
-    ~call_counts:e.Engine.mach.Interp.call_counts
+  Engine.profile e
 
 (* Promote under the trained profile and check: the module stays valid,
    the tiers still agree with each other, and behavior is identical to

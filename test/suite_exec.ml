@@ -163,15 +163,17 @@ let test_indirect_call () =
 let test_profile_counts () =
   let m = Samples.fact_module () in
   let b = Builder.for_module m in
-  let _main = Builder.start_function b m ~linkage:External "main" Ltype.int_ [] in
+  let main = Builder.start_function b m ~linkage:External "main" Ltype.int_ [] in
   let f = Option.get (find_func m "fact") in
   let r = Builder.build_call b (Vfunc f) [ Vconst (cint Ltype.Int 10L) ] in
   ignore (Builder.build_ret b (Some r));
-  let result, profile = Interp.run_main_with_profile m in
-  ignore (ret_int result);
+  let e = Llvm_exec.Engine.create ~profiling:true Llvm_exec.Engine.Interp_tier m in
+  ignore (ret_int (Interp.run_function e.Llvm_exec.Engine.mach main []));
+  let profile = Llvm_exec.Engine.profile e in
   let body = List.nth f.fblocks 2 in
-  check_int "loop body runs 10 times" 10 (Interp.block_count profile body);
-  check_int "fact entered once" 1 (Interp.func_count profile f)
+  check_int "loop body runs 10 times" 10
+    (Llvm_profile.Profile.block_weight profile ~func:"fact" ~block:body.bname);
+  check_int "fact entered once" 1 (Llvm_profile.Profile.func_weight profile f)
 
 let test_global_state () =
   (* A global counter incremented in a loop; checks global init + load/store. *)

@@ -144,14 +144,16 @@ let test_lifelong_pipeline () =
   (* first end-user run gathers a profile *)
   let report = Lifelong.run_in_the_field exe in
   let baseline_instrs = report.Lifelong.result.Llvm_exec.Interp.instructions in
-  let hot = Lifelong.hot_functions exe report in
+  let hot =
+    Llvm_profile.Profile.hot_functions report.Lifelong.profile exe.Lifelong.program
+  in
   Alcotest.(check bool) "hot_helper detected as hot" true
     (match List.assoc_opt "hot_helper" hot with
     | Some n -> n >= 400
     | None -> false);
-  (* idle-time reoptimization with the field profile *)
-  let reopt = Lifelong.reoptimize_with_profile exe report in
-  Alcotest.(check bool) "hot call inlined" true (reopt.Lifelong.inlined_hot_calls >= 1);
+  (* idle-time reoptimization with the field profile: a fleet of one *)
+  let exe, stats = Lifelong.reoptimize_with_aggregate exe report.Lifelong.profile in
+  Alcotest.(check bool) "hot call inlined" true (stats.Llvm_transforms.Pgo.inlined >= 1);
   (* second run: same behaviour, fewer executed instructions *)
   let report2 = Lifelong.run_in_the_field exe in
   Alcotest.(check string) "behaviour preserved"

@@ -286,6 +286,24 @@ let test_server_compile_differential () =
     (String.equal served1 served2);
   Alcotest.(check bool) "shard is reported" true (m2.Protocol.m_shard >= 0)
 
+let test_server_every_level_matches_direct () =
+  let server = Server.create () in
+  let payload = encode (sample_module ()) in
+  List.iter
+    (fun level ->
+      let served, _ =
+        expect_served
+          (Printf.sprintf "-O%d compile" level)
+          (Server.handle server (compile_req ~pipeline:(Protocol.Level level) payload))
+      in
+      let direct = Llvm_bitcode.Decoder.decode payload in
+      Llvm_transforms.Pipelines.optimize_module ~level direct;
+      Alcotest.(check bool)
+        (Printf.sprintf "-O%d: served = direct pipeline run" level)
+        true
+        (String.equal (encode direct) served))
+    [ 0; 1; 2; 3 ]
+
 let test_server_content_addressing () =
   (* the same program delivered as .ll text and as bitcode shares one
      cache line *)
@@ -873,6 +891,8 @@ let tests =
       test_protocol_oversize;
     Alcotest.test_case "server: compile differential" `Quick
       test_server_compile_differential;
+    Alcotest.test_case "server: every level matches a direct run" `Quick
+      test_server_every_level_matches_direct;
     Alcotest.test_case "server: content addressing across formats" `Quick
       test_server_content_addressing;
     Alcotest.test_case "server: pipeline specs key the cache" `Quick

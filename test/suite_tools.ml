@@ -125,10 +125,76 @@ let test_bugpoint_tool () =
       Alcotest.failf "bugpoint only reduced %d -> %d instructions" n0 n1
   end
 
+(* Run a command; return its exit code, stdout lines and stderr text. *)
+let capture fmt =
+  Fmt.kstr
+    (fun cmd ->
+      let out = tmp "capture.out" and err = tmp "capture.err" in
+      let code =
+        Sys.command (Printf.sprintf "%s > %s 2> %s" cmd (Filename.quote out) (Filename.quote err))
+      in
+      let lines = String.split_on_char '\n' (Llvm_serve.Loader.read_file out) in
+      (code, List.filter (( <> ) "") lines, Llvm_serve.Loader.read_file err))
+    fmt
+
+let test_opt_time_passes_covers_levels () =
+  if not (tools_available ()) then Alcotest.skip ()
+  else begin
+    write (tmp "timed.c") source;
+    check_ok (sh "%s %s -o %s" (bin "minicc") (tmp "timed.c") (tmp "timed.ll"));
+    let code, lines, _ =
+      capture "%s %s -O 3 --time-passes -o %s" (bin "opt") (tmp "timed.ll")
+        (tmp "timed_opt.ll")
+    in
+    Alcotest.(check int) "opt succeeds" 0 code;
+    let first_word l = List.hd (String.split_on_char ' ' l) in
+    Alcotest.(check (list string)) "one line per -O3 pass, in order"
+      (List.map
+         (fun p -> p.Llvm_transforms.Pass.name)
+         (Llvm_transforms.Pipelines.passes ~level:3))
+      (List.map first_word lines)
+  end
+
+let test_out_of_range_level_is_usage_error () =
+  if not (tools_available ()) then Alcotest.skip ()
+  else begin
+    write (tmp "level.c") source;
+    check_ok (sh "%s %s -o %s" (bin "minicc") (tmp "level.c") (tmp "level.ll"));
+    let expect_usage_error what (code, _, err) =
+      (* cmdliner's exit code for a command-line usage error *)
+      Alcotest.(check int) (what ^ " exits with a usage error") 124 code;
+      Alcotest.(check bool) (what ^ " names the level") true
+        (Astring_contains.contains err "invalid optimization level")
+    in
+    expect_usage_error "opt -O 7" (capture "%s %s -O 7" (bin "opt") (tmp "level.ll"));
+    expect_usage_error "minicc -O -1"
+      (capture "%s %s -O-1" (bin "minicc") (tmp "level.c"));
+    check_ok (sh "%s %s -O 0" (bin "opt") (tmp "level.ll"));
+    check_ok (sh "%s %s -O3" (bin "minicc") (tmp "level.c"))
+  end
+
+let test_opt_rejects_hostile_bitcode () =
+  if not (tools_available ()) then Alcotest.skip ()
+  else begin
+    let path = tmp "hostile.bc" in
+    write path ("LLVM\x01" ^ String.make 8 '\xff' ^ "\x7f");
+    let code, _, err = capture "%s %s -O 2" (bin "opt") path in
+    Alcotest.(check int) "opt fails cleanly" 1 code;
+    Alcotest.(check string) "declared error message"
+      (path ^ ": malformed bitcode: bad count -1\n")
+      err
+  end
+
 let tests =
   [ Alcotest.test_case "minicc/as/opt/dis/lli/llc pipeline" `Quick
       test_full_pipeline;
     Alcotest.test_case "llvm-link across units" `Quick test_link_tool;
     Alcotest.test_case "opt --list" `Quick test_opt_lists_passes;
+    Alcotest.test_case "opt --time-passes covers -O pipelines" `Quick
+      test_opt_time_passes_covers_levels;
+    Alcotest.test_case "out-of-range -O is a usage error" `Quick
+      test_out_of_range_level_is_usage_error;
+    Alcotest.test_case "opt rejects hostile bitcode" `Quick
+      test_opt_rejects_hostile_bitcode;
     Alcotest.test_case "llvm-fuzz clean run" `Quick test_llvm_fuzz_tool;
     Alcotest.test_case "bugpoint reduces >= 80%" `Quick test_bugpoint_tool ]

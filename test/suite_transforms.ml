@@ -464,6 +464,71 @@ let test_pipeline_preserves_samples () =
       Alcotest.(check string) ("pipeline preserves " ^ m.mname) before (snapshot opt))
     mains
 
+(* -- the pass runner's hooks ------------------------------------------------------ *)
+
+(* A pass that records its own runs and reports a fixed changed flag. *)
+let recording_pass log name changed =
+  Pass.make ~name ~description:"test" (fun _ ->
+      log := ("run " ^ name) :: !log;
+      changed)
+
+let test_hooks_fire_in_order () =
+  let log = ref [] in
+  let passes =
+    [ recording_pass log "a" true; recording_pass log "b" false;
+      recording_pass log "a" false ]
+  in
+  let hook tag =
+    { Pass.before = (fun p _ -> log := Printf.sprintf "%s before %s" tag p.Pass.name :: !log);
+      after =
+        (fun p _ changed ->
+          log := Printf.sprintf "%s after %s %b" tag p.Pass.name changed :: !log) }
+  in
+  let changed =
+    Pass.run_sequence ~hooks:[ hook "h1"; hook "h2" ] passes (mk_module "hooks")
+  in
+  Alcotest.(check bool) "some pass changed the module" true changed;
+  Alcotest.(check (list string)) "every hook fires once per pass, in order"
+    [ "h1 before a"; "h2 before a"; "run a"; "h1 after a true"; "h2 after a true";
+      "h1 before b"; "h2 before b"; "run b"; "h1 after b false"; "h2 after b false";
+      "h1 before a"; "h2 before a"; "run a"; "h1 after a false"; "h2 after a false" ]
+    (List.rev !log);
+  Alcotest.(check bool) "no hooks, same result" true
+    (Pass.run_sequence passes (mk_module "plain"))
+
+exception Stop
+
+let test_raising_before_hook_stops_run () =
+  let log = ref [] in
+  let passes = [ recording_pass log "a" true; recording_pass log "b" true ] in
+  (* the deadline contract: a before-hook that raises means the pass
+     it guards never runs *)
+  let stop_at_b =
+    { Pass.before = (fun p _ -> if p.Pass.name = "b" then raise Stop);
+      after = (fun _ _ _ -> ()) }
+  in
+  (match Pass.run_sequence ~hooks:[ stop_at_b ] passes (mk_module "stop") with
+  | _ -> Alcotest.fail "the hook's exception was swallowed"
+  | exception Stop -> ());
+  Alcotest.(check (list string)) "b never ran" [ "run a" ] (List.rev !log)
+
+let test_level_table () =
+  let names ps = List.map (fun p -> p.Pass.name) ps in
+  List.iter
+    (fun (level, expected) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "-O%d" level)
+        (names expected)
+        (names (Pipelines.passes ~level)))
+    [ (0, []); (1, Pipelines.per_function_cleanup); (2, Pipelines.per_module);
+      (3, Pipelines.per_module @ Pipelines.link_time_ipo) ];
+  List.iter
+    (fun level ->
+      match Pipelines.passes ~level with
+      | _ -> Alcotest.failf "level %d accepted" level
+      | exception Invalid_argument _ -> ())
+    [ -1; 4; 7 ]
+
 let tests =
   [ Alcotest.test_case "mem2reg promotes allocas" `Quick test_mem2reg_promotes;
     Alcotest.test_case "mem2reg keeps escaping allocas" `Quick test_mem2reg_skips_escaping;
@@ -485,7 +550,12 @@ let tests =
     Alcotest.test_case "tailrecelim builds loops" `Quick test_tailrec;
     Alcotest.test_case "adce removes dead code" `Quick test_adce;
     Alcotest.test_case "full pipeline preserves semantics" `Quick
-      test_pipeline_preserves_samples ]
+      test_pipeline_preserves_samples;
+    Alcotest.test_case "runner: hooks fire once per pass, in order" `Quick
+      test_hooks_fire_in_order;
+    Alcotest.test_case "runner: a raising before-hook stops the run" `Quick
+      test_raising_before_hook_stops_run;
+    Alcotest.test_case "pipelines: levels 0..3 only" `Quick test_level_table ]
 
 (* -- store-forward -------------------------------------------------------------- *)
 
