@@ -5,6 +5,9 @@
 type stats = {
   mutable one_word_instrs : int;
   mutable wide_instrs : int;
+  mutable pool_entries : int;
+      (** constants, globals and functions in the per-function operand
+          pools, summed over all function bodies *)
   mutable total_bytes : int;
 }
 
