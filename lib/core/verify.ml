@@ -20,37 +20,45 @@ type error = { where : string; what : string }
 
 let err where fmt = Fmt.kstr (fun what -> { where; what }) fmt
 
+(* Report a violation at [fname/part].  The location string is built
+   only when something fails: every request verifies at least once, and
+   almost every instruction and block passes. *)
+let fail_at errors fname part fmt =
+  Fmt.kstr
+    (fun what ->
+      errors := { where = Printf.sprintf "%s/%s" fname (part ()); what } :: !errors)
+    fmt
+
 let check_types table errors (fname : string) (i : instr) =
-  let push e = errors := e :: !errors in
-  let here = Printf.sprintf "%s/%s" fname (opcode_name i.iop) in
+  let fail fmt = fail_at errors fname (fun () -> opcode_name i.iop) fmt in
   let ty v = Ir.type_of table v in
   let eq a b = Ltype.equal table a b in
   match i.iop with
   | (Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr) ->
     if not (eq (ty i.operands.(0)) (ty i.operands.(1))) then
-      push (err here "binary operands disagree: %a vs %a" Ltype.pp
-              (ty i.operands.(0)) Ltype.pp (ty i.operands.(1)));
+      fail "binary operands disagree: %a vs %a" Ltype.pp
+        (ty i.operands.(0)) Ltype.pp (ty i.operands.(1));
     if not (eq i.ity (ty i.operands.(0))) then
-      push (err here "result type %a differs from operand type %a" Ltype.pp
-              i.ity Ltype.pp (ty i.operands.(0)))
+      fail "result type %a differs from operand type %a" Ltype.pp
+        i.ity Ltype.pp (ty i.operands.(0))
   | SetEQ | SetNE | SetLT | SetGT | SetLE | SetGE ->
     if not (eq (ty i.operands.(0)) (ty i.operands.(1))) then
-      push (err here "comparison operands disagree");
-    if i.ity <> Ltype.Bool then push (err here "comparison must yield bool")
+      fail "comparison operands disagree";
+    if i.ity <> Ltype.Bool then fail "comparison must yield bool"
   | Load -> (
     match Ltype.resolve table (ty i.operands.(0)) with
     | Ltype.Pointer p ->
       if not (eq p i.ity) then
-        push (err here "load result %a does not match pointee %a" Ltype.pp
-                i.ity Ltype.pp p)
-    | t -> push (err here "load from non-pointer %a" Ltype.pp t))
+        fail "load result %a does not match pointee %a" Ltype.pp
+          i.ity Ltype.pp p
+    | t -> fail "load from non-pointer %a" Ltype.pp t)
   | Store -> (
     match Ltype.resolve table (ty i.operands.(1)) with
     | Ltype.Pointer p ->
       if not (eq p (ty i.operands.(0))) then
-        push (err here "stored value %a does not match pointee %a" Ltype.pp
-                (ty i.operands.(0)) Ltype.pp p)
-    | t -> push (err here "store to non-pointer %a" Ltype.pp t))
+        fail "stored value %a does not match pointee %a" Ltype.pp
+          (ty i.operands.(0)) Ltype.pp p
+    | t -> fail "store to non-pointer %a" Ltype.pp t)
   | Gep -> (
     try
       let expect =
@@ -58,56 +66,56 @@ let check_types table errors (fname : string) (i : instr) =
           (Array.to_list (Array.sub i.operands 1 (Array.length i.operands - 1)))
       in
       if not (eq expect i.ity) then
-        push (err here "gep result %a should be %a" Ltype.pp i.ity Ltype.pp expect)
-    with Invalid_argument msg -> push (err here "%s" msg))
+        fail "gep result %a should be %a" Ltype.pp i.ity Ltype.pp expect
+    with Invalid_argument msg -> fail "%s" msg)
   | Select ->
     if ty i.operands.(0) <> Ltype.Bool then
-      push (err here "select condition must be bool");
+      fail "select condition must be bool";
     if not (eq (ty i.operands.(1)) (ty i.operands.(2))) then
-      push (err here "select arms disagree")
+      fail "select arms disagree"
   | Br ->
     if Array.length i.operands = 3 && ty i.operands.(0) <> Ltype.Bool then
-      push (err here "conditional branch needs a bool condition")
+      fail "conditional branch needs a bool condition"
   | Call | Invoke -> (
     match Ltype.resolve table (ty (call_callee i)) with
     | Ltype.Pointer fty -> (
       match Ltype.resolve table fty with
       | Ltype.Function (ret, params, varargs) ->
         if not (eq ret i.ity) then
-          push (err here "call result %a does not match return %a" Ltype.pp
-                  i.ity Ltype.pp ret);
+          fail "call result %a does not match return %a" Ltype.pp
+            i.ity Ltype.pp ret;
         let args = call_args i in
         let nparams = List.length params and nargs = List.length args in
         if nargs < nparams || ((not varargs) && nargs > nparams) then
-          push (err here "arity mismatch: %d args for %d params" nargs nparams);
+          fail "arity mismatch: %d args for %d params" nargs nparams;
         List.iteri
           (fun k param ->
             match List.nth_opt args k with
             | Some a when not (eq (ty a) param) ->
-              push (err here "argument %d has type %a, expected %a" k Ltype.pp
-                      (ty a) Ltype.pp param)
+              fail "argument %d has type %a, expected %a" k Ltype.pp
+                (ty a) Ltype.pp param
             | _ -> ())
           params
-      | t -> push (err here "callee is not a function: %a" Ltype.pp t))
-    | t -> push (err here "callee is not a function pointer: %a" Ltype.pp t))
+      | t -> fail "callee is not a function: %a" Ltype.pp t)
+    | t -> fail "callee is not a function pointer: %a" Ltype.pp t)
   | Phi ->
     List.iter
       (fun (v, _) ->
         if not (eq (ty v) i.ity) then
-          push (err here "phi incoming %a does not match %a" Ltype.pp (ty v)
-                  Ltype.pp i.ity))
+          fail "phi incoming %a does not match %a" Ltype.pp (ty v)
+            Ltype.pp i.ity)
       (phi_incoming i)
   | Cast ->
     if not (Ltype.is_first_class i.ity) && i.ity <> Ltype.Void then
-      push (err here "cast target must be first-class")
+      fail "cast target must be first-class"
   | Switch ->
     let cond_ty = Ltype.resolve table (ty i.operands.(0)) in
     (match cond_ty with
     | Ltype.Integer _ | Ltype.Bool -> ()
-    | t -> push (err here "switch condition must be an integer, got %a"
-                   Ltype.pp t));
+    | t -> fail "switch condition must be an integer, got %a"
+             Ltype.pp t);
     if Array.length i.operands < 2 || Array.length i.operands mod 2 <> 0 then
-      push (err here "switch needs a default and value/label case pairs")
+      fail "switch needs a default and value/label case pairs"
     else
       Array.iteri
         (fun k v ->
@@ -115,34 +123,34 @@ let check_types table errors (fname : string) (i : instr) =
             if k mod 2 = 0 then (
               (match v with
               | Vconst _ -> ()
-              | _ -> push (err here "switch case %d is not a constant" (k / 2 - 1)));
+              | _ -> fail "switch case %d is not a constant" (k / 2 - 1));
               if not (eq (ty v) cond_ty) then
-                push (err here "switch case %d has type %a, condition is %a"
-                        (k / 2 - 1) Ltype.pp (ty v) Ltype.pp cond_ty))
+                fail "switch case %d has type %a, condition is %a"
+                  (k / 2 - 1) Ltype.pp (ty v) Ltype.pp cond_ty)
             else
               match v with
               | Vblock _ -> ()
-              | _ -> push (err here "switch destination %d is not a label" (k / 2 - 1)))
+              | _ -> fail "switch destination %d is not a label" (k / 2 - 1))
         i.operands
   | Free -> (
     match Ltype.resolve table (ty i.operands.(0)) with
     | Ltype.Pointer _ -> ()
-    | t -> push (err here "free of non-pointer %a" Ltype.pp t))
+    | t -> fail "free of non-pointer %a" Ltype.pp t)
   | Malloc | Alloca -> (
     (match i.alloc_ty with
-    | None -> push (err here "%s without an allocated type" (opcode_name i.iop))
+    | None -> fail "%s without an allocated type" (opcode_name i.iop)
     | Some elt ->
       if not (eq i.ity (Ltype.Pointer elt)) then
-        push (err here "%s of %a must produce %a, got %a" (opcode_name i.iop)
-                Ltype.pp elt Ltype.pp (Ltype.Pointer elt) Ltype.pp i.ity));
+        fail "%s of %a must produce %a, got %a" (opcode_name i.iop)
+          Ltype.pp elt Ltype.pp (Ltype.Pointer elt) Ltype.pp i.ity);
     match i.operands with
     | [||] -> ()
     | [| count |] -> (
       match Ltype.resolve table (ty count) with
       | Ltype.Integer _ -> ()
-      | t -> push (err here "allocation count must be an integer, got %a"
-                     Ltype.pp t))
-    | _ -> push (err here "%s takes at most one count operand" (opcode_name i.iop)))
+      | t -> fail "allocation count must be an integer, got %a"
+               Ltype.pp t)
+    | _ -> fail "%s takes at most one count operand" (opcode_name i.iop))
   | Ret | Unwind -> ()
 
 let verify_func table errors (f : func) =
@@ -152,24 +160,24 @@ let verify_func table errors (f : func) =
   else begin
     List.iter
       (fun b ->
-        let here = Printf.sprintf "%s/%s" fname b.bname in
+        let fail fmt = fail_at errors fname (fun () -> b.bname) fmt in
         (match List.rev b.instrs with
-        | [] -> push (err here "empty basic block")
+        | [] -> fail "empty basic block"
         | last :: before ->
           if not (is_terminator last.iop) then
-            push (err here "block does not end in a terminator");
+            fail "block does not end in a terminator";
           List.iter
             (fun i ->
               if is_terminator i.iop then
-                push (err here "terminator %s in middle of block"
-                        (opcode_name i.iop)))
+                fail "terminator %s in middle of block"
+                  (opcode_name i.iop))
             before);
         (* Phis first, then non-phis. *)
         let seen_nonphi = ref false in
         List.iter
           (fun i ->
             if i.iop = Phi then begin
-              if !seen_nonphi then push (err here "phi after non-phi instruction")
+              if !seen_nonphi then fail "phi after non-phi instruction"
             end
             else seen_nonphi := true)
           b.instrs;
@@ -180,14 +188,14 @@ let verify_func table errors (f : func) =
             if i.iop = Phi then begin
               let incoming = List.map snd (phi_incoming i) in
               if List.length incoming <> List.length preds then
-                push (err here "phi has %d entries for %d predecessors"
-                        (List.length incoming) (List.length preds))
+                fail "phi has %d entries for %d predecessors"
+                  (List.length incoming) (List.length preds)
               else
                 List.iter
                   (fun p ->
                     if not (List.exists (fun q -> q == p) incoming) then
-                      push (err here "phi missing entry for predecessor %s"
-                              p.bname))
+                      fail "phi missing entry for predecessor %s"
+                        p.bname)
                   preds
             end)
           b.instrs;
@@ -196,7 +204,7 @@ let verify_func table errors (f : func) =
           (fun i ->
             (match i.iparent with
             | Some p when p == b -> ()
-            | _ -> push (err here "instruction with stale parent pointer"));
+            | _ -> fail "instruction with stale parent pointer");
             check_types table errors fname i)
           b.instrs)
       f.fblocks;

@@ -122,6 +122,21 @@ let test_verifier_rejects_missing_terminator () =
   ignore (Builder.build_alloca b Ltype.int_);
   check "rejected" true (Verify.verify_module m <> [])
 
+(* Errors name their place as function/opcode for type rules and
+   function/block for block structure. *)
+let test_verifier_error_locations () =
+  let errors m = List.map (Fmt.str "%a" Verify.pp_error) (Verify.verify_module m) in
+  let m = mk_module "bad" in
+  let b = Builder.for_module m in
+  let _f = Builder.start_function b m "f" Ltype.void [] in
+  let p = Builder.build_alloca b Ltype.int_ in
+  let i = mk_instr ~ty:Ltype.Void Store [ Vconst (cint Ltype.Long 1L); p ] in
+  append_instr (Builder.insertion_block b) i;
+  Alcotest.(check (list string)) "type rule"
+    [ "f/entry: block does not end in a terminator";
+      "f/store: stored value long does not match pointee int" ]
+    (errors m)
+
 (* A function with an entry block (insertion point) and a ret-terminated
    "dest" block, for terminator tests that need a label operand. *)
 let with_dest_block () =
@@ -300,6 +315,8 @@ let tests =
     Alcotest.test_case "verifier rejects ill-typed store" `Quick test_verifier_rejects_bad_store;
     Alcotest.test_case "verifier rejects missing terminator" `Quick
       test_verifier_rejects_missing_terminator;
+    Alcotest.test_case "verifier error locations" `Quick
+      test_verifier_error_locations;
     Alcotest.test_case "verifier rejects float switch condition" `Quick
       test_verifier_rejects_float_switch;
     Alcotest.test_case "verifier rejects switch case type mismatch" `Quick
