@@ -19,17 +19,59 @@
      fuzz      — differential fuzzing smoke: multi-oracle consistency
                  over generated modules and semantics-preserving mutants
                  (BENCH_fuzz.json; --quick for the CI variant)
-     micro     — bechamel microbenchmarks of representation operations *)
+     micro     — bechamel microbenchmarks of representation operations
+
+   A --quick run is a smoke gate, not a result: it writes its
+   BENCH_<name>.json under _bench/, leaving the committed full-run
+   files at the root alone. *)
 
 open Llvm_ir
 open Llvm_workloads
 
 let say fmt = Fmt.pr (fmt ^^ "@.")
 
+(* Wall time of [f], in seconds, on the monotonic clock. *)
 let time_it (f : unit -> 'a) : 'a * float =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9)
+
+let jint n = Json.Num (float_of_int n)
+let jnum x = Json.Num x
+let jbool b = Json.Bool b
+let jstr s = Json.Str s
+
+(* Write one run's record as BENCH_<name>.json, with the commit and
+   compiler it ran on appended as "env".  Each top-level key gets its
+   own line, as does each row of a top-level array, so the committed
+   files diff row by row.  A record whose "quick" field is true goes
+   under _bench/ instead of the root. *)
+let write_bench (name : string) (fields : (string * Json.t) list) : unit =
+  let file = Printf.sprintf "BENCH_%s.json" name in
+  let path =
+    if List.assoc_opt "quick" fields = Some (Json.Bool true) then begin
+      if not (Sys.file_exists "_bench") then Sys.mkdir "_bench" 0o755;
+      Filename.concat "_bench" file
+    end
+    else file
+  in
+  let env =
+    Json.Obj
+      [ ("commit", jstr (Measure.commit ())); ("ocaml", jstr Sys.ocaml_version) ]
+  in
+  let line (k, v) =
+    let v =
+      match v with
+      | Json.Arr (_ :: _ as rows) ->
+        "[\n    " ^ String.concat ",\n    " (List.map Json.to_string rows) ^ "\n  ]"
+      | v -> Json.to_string v
+    in
+    Printf.sprintf "  %s: %s" (Json.escape k) v
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        ("{\n" ^ String.concat ",\n" (List.map line (fields @ [ ("env", env) ])) ^ "\n}\n"));
+  say "wrote %s" path
 
 (* Compile a benchmark the way the paper's pipeline does: front-end to
    IR, link (single translation unit here), internalize. *)
@@ -271,55 +313,104 @@ let observe (kind : Llvm_exec.Engine.kind) (m : Ir.modul) : exec_obs =
       List.sort compare
         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []) }
 
-type exec_row = {
-  e_name : string;
-  interp_s : float;
-  bytecode_s : float;
-  compile_s : float;
-  compiled_instrs : int;
-  e_speedup : float;
-  e_instrs : int;
+(* What differs between two observations; the instruction count only
+   when [instrs]. *)
+let obs_diffs ?(instrs = true) (a : exec_obs) (b : exec_obs) : string list =
+  List.filter_map
+    (fun (what, same) -> if same then None else Some what)
+    [ ("status", a.o_status = b.o_status); ("output", a.o_output = b.o_output);
+      ("instruction count", (not instrs) || a.o_instrs = b.o_instrs);
+      ("profile", a.o_profile = b.o_profile) ]
+
+let mismatch name kind what =
+  Fmt.epr "MISMATCH %s [%s]: %s differs@." name (Llvm_exec.Engine.kind_name kind) what
+
+(* The three-tier agreement check: the bytecode and tiered engines must
+   each match [reference], the interpreter's observation of [m], on
+   everything.  Reports every difference; returns how many. *)
+let tier_mismatches (name : string) (reference : exec_obs) (m : Ir.modul) : int =
+  List.fold_left
+    (fun n kind ->
+      let diffs = obs_diffs reference (observe kind m) in
+      List.iter (mismatch name kind) diffs;
+      n + List.length diffs)
+    0
+    [ Llvm_exec.Engine.Bytecode_tier; Llvm_exec.Engine.Tiered ]
+
+(* The execution workloads: the Table-1 and disciplined programs
+   (quick-sized under --quick, flagged genprog), then the
+   exception-heavy programs. *)
+let exec_programs ~(quick : bool) : (string * bool * Ir.modul) list =
+  List.map
+    (fun p ->
+      let p = if quick then Spec.quick p else p in
+      (p.Genprog.p_name, true, Genprog.compile p))
+    (Spec.spec2000 @ Spec.disciplined)
+  @ List.map (fun (name, src) -> (name, false, Ehprog.compile name src)) Ehprog.programs
+
+(* How many times a timing runs [main]: a fixed count, or as many as
+   fit in a budget of [seconds] (at least one, at most [cap]), judged
+   from one calibration run on a fresh engine.  A quick run is a smoke
+   gate and always does one. *)
+type reps = Reps of int | Budget of float * int
+
+let budget ~quick seconds cap = if quick then Reps 1 else Budget (seconds, cap)
+
+type timing = {
+  per_rep_s : float;
   reps : int;
-  genprog : bool;
+  compile_s : float;  (* [compile_all], on the bytecode tier only *)
+  compiled_instrs : int;
+  deopts : int;  (* failed speculation guards, over every rep *)
 }
 
 let bench_fuel = 1_000_000_000
 
-let time_reps (kind : Llvm_exec.Engine.kind) (m : Ir.modul) (reps : int) :
-    float * float * int =
-  (* one machine for all reps: state evolves, but identically per tier *)
-  let e = Llvm_exec.Engine.create kind m in
-  let (_, compiled_instrs), compile_s =
-    match kind with
-    | Llvm_exec.Engine.Bytecode_tier ->
-      time_it (fun () -> Llvm_exec.Engine.compile_all e)
-    | _ -> ((0, 0), 0.0)
-  in
-  let main = Option.get (Ir.find_func m "main") in
-  let _, total =
-    time_it (fun () ->
-        for _ = 1 to reps do
-          ignore
-            (Llvm_exec.Interp.run_function ~fuel:bench_fuel
-               e.Llvm_exec.Engine.mach main [])
-        done)
-  in
-  (total /. float_of_int reps, compile_s, compiled_instrs)
+(* Time [main] of [m] on one engine of [kind] (specialized with
+   [profile] if given): every rep runs on the same machine, so state
+   evolves, but identically per tier.  Best of [trials], each the mean
+   of [reps] runs after a major collection, so GC pauses and scheduler
+   noise land on the discarded trials. *)
+let rec time_main ?profile ?(trials = 1) ~(reps : reps) (kind : Llvm_exec.Engine.kind)
+    (m : Ir.modul) : timing =
+  match reps with
+  | Budget (seconds, cap) ->
+    let t1 = (time_main ?profile ~reps:(Reps 1) kind m).per_rep_s in
+    let n = max 1 (min cap (int_of_float (seconds /. Float.max 1e-6 t1))) in
+    time_main ?profile ~trials ~reps:(Reps n) kind m
+  | Reps reps ->
+    let e = Llvm_exec.Engine.create ?profile kind m in
+    let (_, compiled_instrs), compile_s =
+      if kind = Llvm_exec.Engine.Bytecode_tier then
+        time_it (fun () -> Llvm_exec.Engine.compile_all e)
+      else ((0, 0), 0.0)
+    in
+    let main = Option.get (Ir.find_func m "main") in
+    let best = ref infinity in
+    for _ = 1 to trials do
+      Gc.full_major ();
+      let (), total =
+        time_it (fun () ->
+            for _ = 1 to reps do
+              ignore
+                (Llvm_exec.Interp.run_function ~fuel:bench_fuel e.Llvm_exec.Engine.mach
+                   main [])
+            done)
+      in
+      best := Float.min !best (total /. float_of_int reps)
+    done;
+    { per_rep_s = !best; reps; compile_s; compiled_instrs;
+      deopts = Llvm_exec.Engine.deopts e }
+
+let geomean (xs : float list) : float =
+  match xs with
+  | [] -> 1.0
+  | _ -> exp (List.fold_left (fun a x -> a +. log x) 0.0 xs /. float_of_int (List.length xs))
 
 let exec_bench ?(quick = false) () =
   say "Execution engine: interpreter vs bytecode tier (section 3.4)";
   if quick then say "(--quick: reduced workload sizes, correctness-focused)";
   say "";
-  let programs =
-    List.map
-      (fun p ->
-        let p = if quick then Spec.quick p else p in
-        (p.Genprog.p_name, true, Genprog.compile p))
-      (Spec.spec2000 @ Spec.disciplined)
-    @ List.map
-        (fun (name, src) -> (name, false, Ehprog.compile name src))
-        Ehprog.programs
-  in
   let mismatches = ref 0 in
   say "%-18s %10s %10s %10s %9s %12s" "Benchmark" "interp(s)" "bytecode(s)"
     "compile(s)" "speedup" "instrs";
@@ -328,83 +419,43 @@ let exec_bench ?(quick = false) () =
       (fun (name, genprog, m) ->
         (* correctness first: all three tiers must agree on everything *)
         let reference = observe Llvm_exec.Engine.Interp_tier m in
-        List.iter
-          (fun kind ->
-            let got = observe kind m in
-            let complain what =
-              Fmt.epr "MISMATCH %s [%s]: %s differs@." name
-                (Llvm_exec.Engine.kind_name kind)
-                what;
-              incr mismatches
-            in
-            if got.o_status <> reference.o_status then complain "status";
-            if got.o_output <> reference.o_output then complain "output";
-            if got.o_instrs <> reference.o_instrs then
-              complain "instruction count";
-            if got.o_profile <> reference.o_profile then complain "profile")
-          [ Llvm_exec.Engine.Bytecode_tier; Llvm_exec.Engine.Tiered ];
-        (* timing: pick reps from one interpreted run, reuse for both *)
-        let t1, _, _ = time_reps Llvm_exec.Engine.Interp_tier m 1 in
-        let reps =
-          if quick then 1
-          else max 1 (min 40 (int_of_float (0.2 /. Float.max 1e-6 t1)))
+        mismatches := !mismatches + tier_mismatches name reference m;
+        (* timing: reps calibrated on the interpreter, reused for bytecode *)
+        let interp =
+          time_main ~reps:(budget ~quick 0.2 40) Llvm_exec.Engine.Interp_tier m
         in
-        let interp_s, _, _ = time_reps Llvm_exec.Engine.Interp_tier m reps in
-        let bytecode_s, compile_s, compiled_instrs =
-          time_reps Llvm_exec.Engine.Bytecode_tier m reps
+        let bytecode =
+          time_main ~reps:(Reps interp.reps) Llvm_exec.Engine.Bytecode_tier m
         in
-        let speedup = interp_s /. Float.max 1e-9 bytecode_s in
-        say "%-18s %10.4f %10.4f %10.4f %8.2fx %12d" name interp_s bytecode_s
-          compile_s speedup reference.o_instrs;
-        { e_name = name; interp_s; bytecode_s; compile_s; compiled_instrs;
-          e_speedup = speedup; e_instrs = reference.o_instrs; reps; genprog })
-      programs
+        let speedup = interp.per_rep_s /. Float.max 1e-9 bytecode.per_rep_s in
+        say "%-18s %10.4f %10.4f %10.4f %8.2fx %12d" name interp.per_rep_s
+          bytecode.per_rep_s bytecode.compile_s speedup reference.o_instrs;
+        ( genprog, speedup, bytecode,
+          Json.Obj
+            [ ("name", jstr name); ("genprog", jbool genprog);
+              ("interp_s", jnum interp.per_rep_s); ("bytecode_s", jnum bytecode.per_rep_s);
+              ("compile_s", jnum bytecode.compile_s); ("speedup", jnum speedup);
+              ("instructions", jint reference.o_instrs); ("reps", jint interp.reps) ] ))
+      (exec_programs ~quick)
   in
-  let geomean rows =
-    match rows with
-    | [] -> 1.0
-    | _ ->
-      exp
-        (List.fold_left (fun a r -> a +. log r.e_speedup) 0.0 rows
-        /. float_of_int (List.length rows))
+  let gm_genprog =
+    geomean (List.filter_map (fun (g, s, _, _) -> if g then Some s else None) rows)
   in
-  let genprog_rows = List.filter (fun r -> r.genprog) rows in
-  let gm_genprog = geomean genprog_rows in
-  let gm_all = geomean rows in
+  let gm_all = geomean (List.map (fun (_, s, _, _) -> s) rows) in
   say "";
   say "geomean speedup: %.2fx on the genprog workloads, %.2fx overall"
     gm_genprog gm_all;
-  let total_compile = List.fold_left (fun a r -> a +. r.compile_s) 0.0 rows in
-  let total_instrs =
-    List.fold_left (fun a r -> a + r.compiled_instrs) 0 rows
-  in
-  say "bytecode compilation: %d IR instructions in %.4fs total" total_instrs
+  let total_compile = List.fold_left (fun a (_, _, b, _) -> a +. b.compile_s) 0.0 rows in
+  say "bytecode compilation: %d IR instructions in %.4fs total"
+    (List.fold_left (fun a (_, _, b, _) -> a + b.compiled_instrs) 0 rows)
     total_compile;
   if !mismatches > 0 then
     say "*** %d TIER MISMATCHES — the bytecode tier is wrong ***" !mismatches;
-  (* machine-readable record of the run *)
-  let oc = open_out "BENCH_exec.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"benchmarks\": [\n";
-  List.iteri
-    (fun k r ->
-      j
-        "    {\"name\": %S, \"genprog\": %b, \"interp_s\": %.6f, \
-         \"bytecode_s\": %.6f, \"compile_s\": %.6f, \"speedup\": %.3f, \
-         \"instructions\": %d, \"reps\": %d}%s\n"
-        r.e_name r.genprog r.interp_s r.bytecode_s r.compile_s r.e_speedup
-        r.e_instrs r.reps
-        (if k = List.length rows - 1 then "" else ","))
-    rows;
-  j "  ],\n";
-  j "  \"geomean_speedup_genprog\": %.3f,\n" gm_genprog;
-  j "  \"geomean_speedup_all\": %.3f,\n" gm_all;
-  j "  \"compile_total_s\": %.6f,\n" total_compile;
-  j "  \"quick\": %b,\n" quick;
-  j "  \"tiers_agree\": %b\n" (!mismatches = 0);
-  j "}\n";
-  close_out oc;
-  say "wrote BENCH_exec.json";
+  write_bench "exec"
+    [ ("benchmarks", Json.Arr (List.map (fun (_, _, _, j) -> j) rows));
+      ("geomean_speedup_genprog", jnum gm_genprog); ("geomean_speedup_all", jnum gm_all);
+      ("compile_total_s", jnum total_compile); ("quick", jbool quick);
+      ("tiers_agree", jbool (!mismatches = 0)) ];
   say "";
   if !mismatches > 0 then exit 1
 
@@ -529,17 +580,6 @@ let safecode () =
    range analysis let [Bytecode.compile] lower to unguarded fast
    variants. *)
 
-type ranges_row = {
-  g_name : string;
-  inserted : int;
-  eliminated : int;
-  guarded_s : float;
-  elim_s : float;
-  guarded_instrs : int;
-  elim_instrs : int;
-  g_fast_ops : int;
-}
-
 let ranges_bench ?(quick = false) () =
   say "Value-range analysis: bounds-check elimination and fast ops";
   if quick then say "(--quick: reduced workload sizes, correctness-focused)";
@@ -547,84 +587,56 @@ let ranges_bench ?(quick = false) () =
   say "%-14s %8s %10s %8s %10s %10s %8s %8s" "Benchmark" "inserted"
     "eliminated" "elim%" "guarded(s)" "elim(s)" "delta%" "fastops";
   let mismatches = ref 0 in
-  let all_kinds =
-    [ Llvm_exec.Engine.Interp_tier; Llvm_exec.Engine.Bytecode_tier;
-      Llvm_exec.Engine.Tiered ]
+  let pct part whole =
+    if whole = 0 then 100. else 100. *. float_of_int part /. float_of_int whole
   in
   let rows =
     List.map
       (fun p ->
         let p = if quick then Spec.quick p else p in
+        let name = p.Genprog.p_name in
         let m = build_benchmark p in
         ignore (Llvm_transforms.Pass.run_pass Llvm_transforms.Mem2reg.pass m);
         ignore (Llvm_transforms.Pass.run_pass Llvm_transforms.Gvn.pass m);
         let inserted = Llvm_transforms.Boundscheck.insert m in
-        let complain what kind =
-          Fmt.epr "MISMATCH %s [%s]: %s differs@." p.Genprog.p_name
-            (Llvm_exec.Engine.kind_name kind)
-            what;
-          incr mismatches
-        in
         (* guarded program: all three tiers agree on everything *)
         let reference = observe Llvm_exec.Engine.Interp_tier m in
-        List.iter
-          (fun kind ->
-            let got = observe kind m in
-            if got.o_status <> reference.o_status then complain "status" kind;
-            if got.o_output <> reference.o_output then complain "output" kind;
-            if got.o_instrs <> reference.o_instrs then
-              complain "instruction count" kind;
-            if got.o_profile <> reference.o_profile then complain "profile" kind)
-          (List.tl all_kinds);
-        let t1, _, _ = time_reps Llvm_exec.Engine.Interp_tier m 1 in
-        let reps =
-          if quick then 1
-          else max 1 (min 40 (int_of_float (0.2 /. Float.max 1e-6 t1)))
-        in
-        let guarded_s, _, _ =
-          time_reps Llvm_exec.Engine.Bytecode_tier m reps
+        mismatches := !mismatches + tier_mismatches name reference m;
+        let guarded =
+          time_main ~reps:(budget ~quick 0.2 40) Llvm_exec.Engine.Bytecode_tier m
         in
         (* eliminate, then recheck: tiers still agree, and the program
            behaves exactly as before minus the check calls (same status,
            output and block profile; fewer executed instructions) *)
         let eliminated = Llvm_transforms.Boundscheck.eliminate m in
         let after = observe Llvm_exec.Engine.Interp_tier m in
-        if after.o_status <> reference.o_status then
-          complain "status after elimination" Llvm_exec.Engine.Interp_tier;
-        if after.o_output <> reference.o_output then
-          complain "output after elimination" Llvm_exec.Engine.Interp_tier;
-        if after.o_profile <> reference.o_profile then
-          complain "profile after elimination" Llvm_exec.Engine.Interp_tier;
+        let changed = obs_diffs ~instrs:false reference after in
         List.iter
-          (fun kind ->
-            let got = observe kind m in
-            if got.o_status <> after.o_status then complain "status" kind;
-            if got.o_output <> after.o_output then complain "output" kind;
-            if got.o_instrs <> after.o_instrs then
-              complain "instruction count" kind;
-            if got.o_profile <> after.o_profile then complain "profile" kind)
-          (List.tl all_kinds);
-        let elim_s, _, _ = time_reps Llvm_exec.Engine.Bytecode_tier m reps in
+          (fun what -> mismatch name Llvm_exec.Engine.Interp_tier (what ^ " after elimination"))
+          changed;
+        mismatches := !mismatches + List.length changed + tier_mismatches name after m;
+        let elim =
+          time_main ~reps:(Reps guarded.reps) Llvm_exec.Engine.Bytecode_tier m
+        in
         let e = Llvm_exec.Engine.create Llvm_exec.Engine.Bytecode_tier m in
         ignore (Llvm_exec.Engine.compile_all e);
-        let g_fast_ops = Llvm_exec.Engine.fast_ops e in
-        let delta = 100. *. (1. -. (elim_s /. Float.max 1e-9 guarded_s)) in
-        say "%-14s %8d %10d %7.0f%% %10.4f %10.4f %7.1f%% %8d"
-          p.Genprog.p_name inserted eliminated
-          (if inserted = 0 then 100.
-           else 100. *. float_of_int eliminated /. float_of_int inserted)
-          guarded_s elim_s delta g_fast_ops;
-        { g_name = p.Genprog.p_name; inserted; eliminated; guarded_s; elim_s;
-          guarded_instrs = reference.o_instrs; elim_instrs = after.o_instrs;
-          g_fast_ops })
+        let fast_ops = Llvm_exec.Engine.fast_ops e in
+        let delta = 100. *. (1. -. (elim.per_rep_s /. Float.max 1e-9 guarded.per_rep_s)) in
+        say "%-14s %8d %10d %7.0f%% %10.4f %10.4f %7.1f%% %8d" name inserted eliminated
+          (pct eliminated inserted) guarded.per_rep_s elim.per_rep_s delta fast_ops;
+        ( (inserted, eliminated, fast_ops),
+          Json.Obj
+            [ ("name", jstr name); ("inserted", jint inserted); ("eliminated", jint eliminated);
+              ("guarded_s", jnum guarded.per_rep_s); ("eliminated_s", jnum elim.per_rep_s);
+              ("guarded_instrs", jint reference.o_instrs);
+              ("eliminated_instrs", jint after.o_instrs); ("fast_ops", jint fast_ops) ] ))
       Spec.spec2000
   in
-  let tot_i = List.fold_left (fun a r -> a + r.inserted) 0 rows in
-  let tot_e = List.fold_left (fun a r -> a + r.eliminated) 0 rows in
-  let tot_fast = List.fold_left (fun a r -> a + r.g_fast_ops) 0 rows in
-  let elim_pct =
-    if tot_i = 0 then 100. else 100. *. float_of_int tot_e /. float_of_int tot_i
-  in
+  let total f = List.fold_left (fun a (c, _) -> a + f c) 0 rows in
+  let tot_i = total (fun (i, _, _) -> i) in
+  let tot_e = total (fun (_, e, _) -> e) in
+  let tot_fast = total (fun (_, _, f) -> f) in
+  let elim_pct = pct tot_e tot_i in
   say "%-14s %8d %10d %7.0f%% %31s %8d" "total" tot_i tot_e elim_pct ""
     tot_fast;
   say "";
@@ -634,29 +646,11 @@ let ranges_bench ?(quick = false) () =
   if !mismatches > 0 then
     say "*** %d MISMATCHES — range-driven elimination is unsound ***"
       !mismatches;
-  let oc = open_out "BENCH_ranges.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"benchmarks\": [\n";
-  List.iteri
-    (fun k r ->
-      j
-        "    {\"name\": %S, \"inserted\": %d, \"eliminated\": %d, \
-         \"guarded_s\": %.6f, \"eliminated_s\": %.6f, \"guarded_instrs\": %d, \
-         \"eliminated_instrs\": %d, \"fast_ops\": %d}%s\n"
-        r.g_name r.inserted r.eliminated r.guarded_s r.elim_s r.guarded_instrs
-        r.elim_instrs r.g_fast_ops
-        (if k = List.length rows - 1 then "" else ","))
-    rows;
-  j "  ],\n";
-  j "  \"inserted_total\": %d,\n" tot_i;
-  j "  \"eliminated_total\": %d,\n" tot_e;
-  j "  \"eliminated_percent\": %.1f,\n" elim_pct;
-  j "  \"fast_ops_total\": %d,\n" tot_fast;
-  j "  \"quick\": %b,\n" quick;
-  j "  \"tiers_agree\": %b\n" (!mismatches = 0);
-  j "}\n";
-  close_out oc;
-  say "wrote BENCH_ranges.json";
+  write_bench "ranges"
+    [ ("benchmarks", Json.Arr (List.map snd rows)); ("inserted_total", jint tot_i);
+      ("eliminated_total", jint tot_e); ("eliminated_percent", jnum elim_pct);
+      ("fast_ops_total", jint tot_fast); ("quick", jbool quick);
+      ("tiers_agree", jbool (!mismatches = 0)) ];
   say "";
   if !mismatches > 0 || tot_e = 0 then exit 1
 
@@ -829,13 +823,6 @@ let micro () =
    pipeline runs, and self-tests the validation gate with the fuzzer's
    deliberately-wrong inject-sub-swap pass. *)
 
-let percentile (sorted : float array) (q : float) : float =
-  match Array.length sorted with
-  | 0 -> 0.0
-  | n ->
-    let k = int_of_float (q *. float_of_int (n - 1)) in
-    sorted.(min (n - 1) k)
-
 (* The synthetic fleet shared by serve_bench and chaos_bench: a
    universe of bitcode payloads (quick-profile Table-1 variants plus
    the exception-heavy programs), a fixed random rank permutation, a
@@ -940,6 +927,85 @@ let sample_fleet (fl : fleet) (rng : Rng.t) : string * string * bool =
   in
   fl.fl_universe.(fl.fl_perm.(search 0 (nuniv - 1)))
 
+(* One request of the fleet's mix on a zipf-drawn module: 70% compiles
+   (one in five at -O3, the rest at -O2), 15% lints, and 15% runs of an
+   exception-heavy program, which for any other module become -O2
+   compiles.  The flag is false for those stand-in compiles. *)
+let sample_request (fl : fleet) (rng : Rng.t) : Llvm_serve.Protocol.body * bool =
+  let module P = Llvm_serve.Protocol in
+  let _, payload, is_eh = sample_fleet fl rng in
+  let compile level =
+    P.Compile { c_payload = payload; c_pipeline = P.Level level; c_validate = false }
+  in
+  let dice = Rng.int rng 100 in
+  if dice < 70 then (compile (if Rng.chance rng 20 then 3 else 2), true)
+  else if dice < 85 then (P.Lint payload, true)
+  else if is_eh then
+    ( P.Run
+        { r_payload = payload; r_pipeline = P.Level 2; r_fuel = 10_000_000;
+          r_engine = Llvm_exec.Engine.Tiered },
+      true )
+  else (compile 2, false)
+
+(* The served-vs-direct differential, run on every [every]th compile
+   of the mix (skipping stand-in compiles unless [stand_ins]): the
+   served bytes must equal the encoding of a direct run of the same
+   pipeline on the same payload. *)
+type differential = {
+  every : int;
+  stand_ins : bool;
+  mutable compiles : int;
+  mutable checked : int;
+  mutable mismatches : int;
+}
+
+let differential ~every ~stand_ins =
+  { every; stand_ins; compiles = 0; checked = 0; mismatches = 0 }
+
+let check_differential (d : differential) ((body, drawn) : Llvm_serve.Protocol.body * bool)
+    (resp : (Llvm_serve.Protocol.response, 'e) result) : unit =
+  match body with
+  | Compile { c_payload; c_pipeline = Level level; _ } -> (
+    d.compiles <- d.compiles + 1;
+    match resp with
+    | Ok (Served { payload = got; _ })
+      when (drawn || d.stand_ins) && d.compiles mod d.every = 0 ->
+      d.checked <- d.checked + 1;
+      let m =
+        match Llvm_serve.Loader.of_bytes ~name:"diff" c_payload with
+        | Ok m -> m
+        | Error e -> Fmt.failwith "differential load: %s" e
+      in
+      Llvm_transforms.Pipelines.optimize_module ~level m;
+      if not (String.equal (fst (Llvm_bitcode.Encoder.encode m)) got) then begin
+        d.mismatches <- d.mismatches + 1;
+        Fmt.epr "DIFFERENTIAL MISMATCH: served bytes differ from direct -O%d run@." level
+      end
+    | _ -> ())
+  | _ -> ()
+
+(* The validation gate's self-test: a witnessed compile through the
+   fuzzer's deliberately wrong inject-sub-swap pass must be rejected. *)
+let injected_miscompile_rejected (server : Llvm_serve.Server.t) (payload : string) : bool =
+  (* make sure the deliberately-wrong pass is registered *)
+  let _ = Llvm_fuzz.Oracle.injected_bug_pass in
+  match
+    Llvm_serve.Server.handle server
+      (Llvm_serve.Protocol.req
+         (Llvm_serve.Protocol.Compile
+            { c_payload = payload;
+              c_pipeline = Llvm_serve.Protocol.Passes [ "inject-sub-swap" ];
+              c_validate = true }))
+  with
+  | Llvm_serve.Protocol.Rejected _ -> true
+  | _ -> false
+
+(* p50 and p99 of [latencies] (seconds), in ms, by the quantile rule the
+   end-to-end benchmark uses. *)
+let p50_p99_ms (latencies : float list) : float * float =
+  let a = Measure.sorted latencies in
+  (1000.0 *. Measure.cut a ~i:50 ~n:100, 1000.0 *. Measure.cut a ~i:99 ~n:100)
+
 let serve_bench ?(quick = false) () =
   say "Compilation-as-a-service: synthetic fleet replay (lib/serve)";
   if quick then say "(--quick: reduced fleet)";
@@ -948,19 +1014,10 @@ let serve_bench ?(quick = false) () =
   let fleet = build_fleet ~variants:(if quick then 2 else 4) rng in
   let universe = fleet.fl_universe in
   let nuniv = Array.length universe in
-  let perm = fleet.fl_perm in
-  let libsets = fleet.fl_libsets in
-  let sample_module () = sample_fleet fleet rng in
   let server = Llvm_serve.Server.create () in
   let sessions = if quick then 600 else 3000 in
   let latencies = ref [] in
   let failures = ref 0 in
-  let record t0 n =
-    let dt = (Unix.gettimeofday () -. t0) /. float_of_int (max 1 n) in
-    for _ = 1 to n do
-      latencies := dt :: !latencies
-    done
-  in
   let check_resp (r : Llvm_serve.Protocol.response) =
     match r with
     | Llvm_serve.Protocol.Served _ -> ()
@@ -977,92 +1034,42 @@ let serve_bench ?(quick = false) () =
       Fmt.epr "request shed by in-process server (unexpected)@.";
       incr failures
   in
-  (* differential gate: served bytes must match a direct pipeline run *)
-  let diff_checked = ref 0 and diff_mismatches = ref 0 in
-  let differential payload level (resp : Llvm_serve.Protocol.response) =
-    match resp with
-    | Llvm_serve.Protocol.Served { payload = got; _ } ->
-      incr diff_checked;
-      let m =
-        match Llvm_serve.Loader.of_bytes ~name:"diff" payload with
-        | Ok m -> m
-        | Error e -> Fmt.failwith "diff load: %s" e
-      in
-      Llvm_transforms.Pipelines.optimize_module ~level m;
-      let direct = fst (Llvm_bitcode.Encoder.encode m) in
-      if not (String.equal direct got) then begin
-        incr diff_mismatches;
-        Fmt.epr "DIFFERENTIAL MISMATCH: served bytes differ from direct -O%d run@."
-          level
-      end
-    | _ -> ()
+  let diff = differential ~every:53 ~stand_ins:false in
+  let (), elapsed =
+    time_it (fun () ->
+        for session = 1 to sessions do
+          for _ = 1 to 2 + Rng.int rng 4 do
+            let request = sample_request fleet rng in
+            let resp, dt =
+              time_it (fun () ->
+                  Llvm_serve.Server.handle server (Llvm_serve.Protocol.req (fst request)))
+            in
+            latencies := dt :: !latencies;
+            check_resp resp;
+            check_differential diff request (Ok resp)
+          done;
+          (* every 8th session: a queued batch of link requests sharing one
+             library set — the daemon path that runs IPO once per group *)
+          if session mod 8 = 0 then begin
+            let libs = [ Rng.pick rng fleet.fl_libsets ] in
+            let members = 4 in
+            let reqs =
+              List.init members (fun _ ->
+                  let _, payload, _ = sample_fleet fleet rng in
+                  Llvm_serve.Protocol.req
+                    (Llvm_serve.Protocol.Link
+                       { l_apps = [ payload ]; l_libs = libs; l_validate = false }))
+            in
+            let resps, dt =
+              time_it (fun () -> Llvm_serve.Server.handle_batch server reqs)
+            in
+            for _ = 1 to members do
+              latencies := (dt /. float_of_int members) :: !latencies
+            done;
+            List.iter check_resp resps
+          end
+        done)
   in
-  let handle body =
-    let t0 = Unix.gettimeofday () in
-    let resp = Llvm_serve.Server.handle server (Llvm_serve.Protocol.req body) in
-    record t0 1;
-    check_resp resp;
-    resp
-  in
-  let compile_count = ref 0 in
-  let t_start = Unix.gettimeofday () in
-  for session = 1 to sessions do
-    let nreq = 2 + Rng.int rng 4 in
-    for _ = 1 to nreq do
-      let name, payload, is_eh = sample_module () in
-      ignore name;
-      let dice = Rng.int rng 100 in
-      if dice < 70 then begin
-        let level = if Rng.chance rng 20 then 3 else 2 in
-        incr compile_count;
-        let resp =
-          handle
-            (Llvm_serve.Protocol.Compile
-               { c_payload = payload;
-                 c_pipeline = Llvm_serve.Protocol.Level level;
-                 c_validate = false })
-        in
-        if !compile_count mod 53 = 0 then differential payload level resp
-      end
-      else if dice < 85 then
-        ignore (handle (Llvm_serve.Protocol.Lint payload))
-      else if is_eh then
-        ignore
-          (handle
-             (Llvm_serve.Protocol.Run
-                { r_payload = payload;
-                  r_pipeline = Llvm_serve.Protocol.Level 2;
-                  r_fuel = 10_000_000;
-                  r_engine = Llvm_exec.Engine.Tiered }))
-      else begin
-        incr compile_count;
-        ignore
-          (handle
-             (Llvm_serve.Protocol.Compile
-                { c_payload = payload;
-                  c_pipeline = Llvm_serve.Protocol.Level 2;
-                  c_validate = false }))
-      end
-    done;
-    (* every 8th session: a queued batch of link requests sharing one
-       library set — the daemon path that runs IPO once per group *)
-    if session mod 8 = 0 then begin
-      let libs = [ Rng.pick rng libsets ] in
-      let members = 4 in
-      let reqs =
-        List.init members (fun _ ->
-            let _, payload, _ = sample_module () in
-            Llvm_serve.Protocol.req
-              (Llvm_serve.Protocol.Link
-                 { l_apps = [ payload ]; l_libs = libs; l_validate = false }))
-      in
-      let t0 = Unix.gettimeofday () in
-      let resps = Llvm_serve.Server.handle_batch server reqs in
-      record t0 members;
-      List.iter check_resp resps
-    end
-  done;
-  let elapsed = Unix.gettimeofday () -. t_start in
   (* validation phase: a few witnessed requests must all pass, and the
      fuzzer's deliberately wrong pass must be rejected on its request *)
   let validated = ref 0 and validation_ok = ref true in
@@ -1081,26 +1088,12 @@ let serve_bench ?(quick = false) () =
       | _ -> validation_ok := false)
     (List.filteri (fun i _ -> i < 5) (Array.to_list universe));
   let injected_rejected =
-    (* make sure the deliberately-wrong pass is registered *)
-    let _ = Llvm_fuzz.Oracle.injected_bug_pass in
-    let _, payload, _ = universe.(perm.(0)) in
-    match
-      Llvm_serve.Server.handle server
-        (Llvm_serve.Protocol.req
-           (Llvm_serve.Protocol.Compile
-              { c_payload = payload;
-                c_pipeline = Llvm_serve.Protocol.Passes [ "inject-sub-swap" ];
-                c_validate = true }))
-    with
-    | Llvm_serve.Protocol.Rejected _ -> true
-    | _ -> false
+    let _, payload, _ = universe.(fleet.fl_perm.(0)) in
+    injected_miscompile_rejected server payload
   in
-  let lats = Array.of_list !latencies in
-  Array.sort compare lats;
   let requests = Llvm_serve.Server.requests server in
   let throughput = float_of_int requests /. Float.max 1e-9 elapsed in
-  let p50 = percentile lats 0.50 *. 1000.0 in
-  let p99 = percentile lats 0.99 *. 1000.0 in
+  let p50, p99 = p50_p99_ms !latencies in
   let hit_rate = Llvm_serve.Server.hit_rate server in
   let cache = Llvm_serve.Server.cache server in
   say "universe: %d modules (%d genprog variants + %d eh), %d sessions" nuniv
@@ -1116,40 +1109,27 @@ let serve_bench ?(quick = false) () =
   say "link batching: %d groups shared one IPO pipeline run"
     (Llvm_serve.Server.batched_link_groups server);
   say "differential: %d served results checked against direct runs, %d mismatches"
-    !diff_checked !diff_mismatches;
+    diff.checked diff.mismatches;
   say "validation: %d witnessed requests ok=%b; inject-sub-swap rejected=%b"
     !validated !validation_ok injected_rejected;
   let clean =
-    !failures = 0 && !diff_mismatches = 0 && !diff_checked > 0
+    !failures = 0 && diff.mismatches = 0 && diff.checked > 0
     && hit_rate >= 0.5 && !validation_ok && injected_rejected
   in
-  let oc = open_out "BENCH_serve.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n";
-  j "  \"sessions\": %d,\n" sessions;
-  j "  \"universe\": %d,\n" nuniv;
-  j "  \"requests\": %d,\n" requests;
-  j "  \"elapsed_s\": %.3f,\n" elapsed;
-  j "  \"throughput_rps\": %.1f,\n" throughput;
-  j "  \"p50_ms\": %.4f,\n" p50;
-  j "  \"p99_ms\": %.4f,\n" p99;
-  j "  \"hit_rate\": %.4f,\n" hit_rate;
-  j "  \"hits\": %d,\n" (Llvm_serve.Cache.hits cache);
-  j "  \"misses\": %d,\n" (Llvm_serve.Cache.misses cache);
-  j "  \"evictions\": %d,\n" (Llvm_serve.Cache.evictions cache);
-  j "  \"entries\": %d,\n" (Llvm_serve.Cache.entries cache);
-  j "  \"batched_link_groups\": %d,\n"
-    (Llvm_serve.Server.batched_link_groups server);
-  j "  \"differential_checked\": %d,\n" !diff_checked;
-  j "  \"differential_mismatches\": %d,\n" !diff_mismatches;
-  j "  \"validated_requests\": %d,\n" !validated;
-  j "  \"injected_miscompile_rejected\": %b,\n" injected_rejected;
-  j "  \"failures\": %d,\n" !failures;
-  j "  \"quick\": %b,\n" quick;
-  j "  \"clean\": %b\n" clean;
-  j "}\n";
-  close_out oc;
-  say "wrote BENCH_serve.json";
+  write_bench "serve"
+    [ ("sessions", jint sessions); ("universe", jint nuniv); ("requests", jint requests);
+      ("elapsed_s", jnum elapsed); ("throughput_rps", jnum throughput);
+      ("p50_ms", jnum p50); ("p99_ms", jnum p99); ("hit_rate", jnum hit_rate);
+      ("hits", jint (Llvm_serve.Cache.hits cache));
+      ("misses", jint (Llvm_serve.Cache.misses cache));
+      ("evictions", jint (Llvm_serve.Cache.evictions cache));
+      ("entries", jint (Llvm_serve.Cache.entries cache));
+      ("batched_link_groups", jint (Llvm_serve.Server.batched_link_groups server));
+      ("differential_checked", jint diff.checked);
+      ("differential_mismatches", jint diff.mismatches);
+      ("validated_requests", jint !validated);
+      ("injected_miscompile_rejected", jbool injected_rejected);
+      ("failures", jint !failures); ("quick", jbool quick); ("clean", jbool clean) ];
   say "";
   if not clean then exit 1
 
@@ -1178,7 +1158,6 @@ let chaos_bench ?(quick = false) () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let rng = Rng.create 0xc4a05 in
   let fleet = build_fleet ~variants:(if quick then 2 else 3) rng in
-  let sample_module () = sample_fleet fleet rng in
   (* never-cached probe payloads: recovery is only proven by a compile
      that must reach a (respawned) worker *)
   let spares =
@@ -1237,167 +1216,123 @@ let chaos_bench ?(quick = false) () =
   let client_faults = ref 0 in
   let recovered = ref 0 and recovery_ms = ref [] in
   let pings = ref 0 and ping_failures = ref 0 in
-  let diff_checked = ref 0 and diff_mismatches = ref 0 in
+  let diff = differential ~every:20 ~stand_ins:true in
   let latencies = ref [] in
-  let compile_count = ref 0 in
   let retry i req =
     D.request_with_retry ~attempts:5 ~base_delay_ms:60 ~seed:i ~socket req
-  in
-  let differential payload level got =
-    incr diff_checked;
-    match Llvm_serve.Loader.of_bytes ~name:"diff" payload with
-    | Error e -> Fmt.failwith "chaos diff load: %s" e
-    | Ok m ->
-      Llvm_transforms.Pipelines.optimize_module ~level m;
-      if not (String.equal (fst (Llvm_bitcode.Encoder.encode m)) got) then begin
-        incr diff_mismatches;
-        Fmt.epr
-          "CHAOS MISMATCH: served bytes differ from direct -O%d run@." level
-      end
   in
   let probe_count = ref 0 in
   let recovery_probe i =
     incr probe_count;
     let payload = spares.(!probe_count mod Array.length spares) in
-    let t0 = Unix.gettimeofday () in
     match
-      retry i
-        (P.req ~deadline_ms:2000
-           (P.Compile
-              { c_payload = payload; c_pipeline = P.Level 2;
-                c_validate = false }))
+      time_it (fun () ->
+          retry i
+            (P.req ~deadline_ms:2000
+               (P.Compile
+                  { c_payload = payload; c_pipeline = P.Level 2;
+                    c_validate = false })))
     with
-    | Ok (P.Served _) ->
+    | Ok (P.Served _), dt ->
       incr recovered;
-      recovery_ms := ((Unix.gettimeofday () -. t0) *. 1000.0) :: !recovery_ms
+      recovery_ms := (dt *. 1000.0) :: !recovery_ms
     | _ -> ()
   in
-  let t_start = Unix.gettimeofday () in
-  for i = 1 to total do
-    if i mod 40 = 13 then begin
-      (* hostile client: torn frame, mid-frame stall, or garbage header *)
-      incr client_faults;
-      let body =
-        P.encode_request
-          (P.req
-             (P.Lint (let _, payload, _ = sample_module () in payload)))
-      in
-      (match D.connect ~socket with
-      | exception Unix.Unix_error _ -> ()
-      | fd ->
-        (match i mod 3 with
-        | 0 -> F.send_faulty F.Torn_frame fd body
-        | 1 -> F.send_faulty ~stall_ms:250 F.Stalled_frame fd body
-        | _ -> F.send_faulty F.Garbage_header fd body);
-        (* the daemon may answer (Timed_out / Failed) before dropping us *)
-        ignore (D.receive fd);
-        D.close fd)
-    end
-    else begin
-      let name, payload, is_eh = sample_module () in
-      ignore name;
-      let dice = Rng.int rng 100 in
-      let body =
-        if dice < 70 then begin
-          incr compile_count;
-          P.Compile
-            { c_payload = payload;
-              c_pipeline = P.Level (if Rng.chance rng 20 then 3 else 2);
-              c_validate = false }
-        end
-        else if dice < 85 then P.Lint payload
-        else if is_eh then
-          P.Run
-            { r_payload = payload; r_pipeline = P.Level 2;
-              r_fuel = 10_000_000; r_engine = Llvm_exec.Engine.Tiered }
-        else begin
-          incr compile_count;
-          P.Compile
-            { c_payload = payload; c_pipeline = P.Level 2;
-              c_validate = false }
-        end
-      in
-      let t0 = Unix.gettimeofday () in
-      let resp = retry i (P.req body) in
-      latencies := (Unix.gettimeofday () -. t0) :: !latencies;
-      (match resp with
-      | Ok (P.Served { payload = got; _ }) -> (
-        incr served;
-        match body with
-        | P.Compile { c_pipeline = P.Level level; _ }
-          when !compile_count mod 20 = 0 ->
-          differential payload level got
-        | _ -> ())
-      | Ok (P.Timed_out _) -> incr timeouts
-      | Ok (P.Failed e) ->
-        if
-          String.length e >= 14 && String.sub e 0 14 = "worker crashed"
-        then begin
-          incr crashes;
-          recovery_probe i
-        end
-        else begin
-          incr failed_other;
-          Fmt.epr "chaos: unexpected failure: %s@." e
-        end
-      | Ok (P.Busy _) -> incr busy_final
-      | Ok (P.Rejected why) ->
-        incr failed_other;
-        Fmt.epr "chaos: unexpected reject: %s@." why
-      | Error e ->
-        incr transport;
-        Fmt.epr "chaos: transport error: %s@." (D.error_to_string e))
-    end;
-    (* liveness probe: the daemon must answer even while faults rain *)
-    if i mod 25 = 0 then begin
-      incr pings;
-      match retry i (P.req P.Ping) with
-      | Ok (P.Served { payload = "pong"; _ }) -> ()
-      | _ -> incr ping_failures
-    end;
-    (* pipelined link pair sharing a library set: exercises batch drain
-       + worker affinity under faults *)
-    if i mod 75 = 0 then begin
-      let libs = [ Rng.pick rng fleet.fl_libsets ] in
-      match D.connect ~socket with
-      | exception Unix.Unix_error _ -> incr transport
-      | fd ->
-        let send_link () =
-          let _, payload, _ = sample_module () in
-          D.send fd
-            (P.req ~deadline_ms:2000
-               (P.Link { l_apps = [ payload ]; l_libs = libs;
-                         l_validate = false }))
-        in
-        send_link ();
-        send_link ();
-        for _ = 1 to 2 do
-          match D.receive fd with
-          | Ok (P.Served _) -> incr served
-          | Ok (P.Busy _) -> incr busy_final
-          | Ok (P.Timed_out _) -> incr timeouts
-          | Ok (P.Failed e)
-            when String.length e >= 14
-                 && String.sub e 0 14 = "worker crashed" ->
-            incr crashes
-          | Ok _ -> incr failed_other
-          | Error _ -> incr transport
-        done;
-        D.close fd;
-        (* recovery probes need their own connection *)
-        for _ = 1 to !crashes - !recovered do
-          recovery_probe i
-        done
-    end
-  done;
-  let elapsed = Unix.gettimeofday () -. t_start in
+  let (), elapsed =
+    time_it (fun () ->
+        for i = 1 to total do
+          if i mod 40 = 13 then begin
+            (* hostile client: torn frame, mid-frame stall, or garbage header *)
+            incr client_faults;
+            let body =
+              P.encode_request
+                (P.req (P.Lint (let _, payload, _ = sample_fleet fleet rng in payload)))
+            in
+            match D.connect ~socket with
+            | exception Unix.Unix_error _ -> ()
+            | fd ->
+              (match i mod 3 with
+              | 0 -> F.send_faulty F.Torn_frame fd body
+              | 1 -> F.send_faulty ~stall_ms:250 F.Stalled_frame fd body
+              | _ -> F.send_faulty F.Garbage_header fd body);
+              (* the daemon may answer (Timed_out / Failed) before dropping us *)
+              ignore (D.receive fd);
+              D.close fd
+          end
+          else begin
+            let request = sample_request fleet rng in
+            let resp, dt = time_it (fun () -> retry i (P.req (fst request))) in
+            latencies := dt :: !latencies;
+            check_differential diff request resp;
+            match resp with
+            | Ok (P.Served _) -> incr served
+            | Ok (P.Timed_out _) -> incr timeouts
+            | Ok (P.Failed e) ->
+              if String.length e >= 14 && String.sub e 0 14 = "worker crashed" then begin
+                incr crashes;
+                recovery_probe i
+              end
+              else begin
+                incr failed_other;
+                Fmt.epr "chaos: unexpected failure: %s@." e
+              end
+            | Ok (P.Busy _) -> incr busy_final
+            | Ok (P.Rejected why) ->
+              incr failed_other;
+              Fmt.epr "chaos: unexpected reject: %s@." why
+            | Error e ->
+              incr transport;
+              Fmt.epr "chaos: transport error: %s@." (D.error_to_string e)
+          end;
+          (* liveness probe: the daemon must answer even while faults rain *)
+          if i mod 25 = 0 then begin
+            incr pings;
+            match retry i (P.req P.Ping) with
+            | Ok (P.Served { payload = "pong"; _ }) -> ()
+            | _ -> incr ping_failures
+          end;
+          (* pipelined link pair sharing a library set: exercises batch drain
+             + worker affinity under faults *)
+          if i mod 75 = 0 then begin
+            let libs = [ Rng.pick rng fleet.fl_libsets ] in
+            match D.connect ~socket with
+            | exception Unix.Unix_error _ -> incr transport
+            | fd ->
+              let send_link () =
+                let _, payload, _ = sample_fleet fleet rng in
+                D.send fd
+                  (P.req ~deadline_ms:2000
+                     (P.Link { l_apps = [ payload ]; l_libs = libs; l_validate = false }))
+              in
+              send_link ();
+              send_link ();
+              for _ = 1 to 2 do
+                match D.receive fd with
+                | Ok (P.Served _) -> incr served
+                | Ok (P.Busy _) -> incr busy_final
+                | Ok (P.Timed_out _) -> incr timeouts
+                | Ok (P.Failed e)
+                  when String.length e >= 14 && String.sub e 0 14 = "worker crashed" ->
+                  incr crashes
+                | Ok _ -> incr failed_other
+                | Error _ -> incr transport
+              done;
+              D.close fd;
+              (* recovery probes need their own connection *)
+              for _ = 1 to !crashes - !recovered do
+                recovery_probe i
+              done
+          end
+        done)
+  in
   (* final stats snapshot from the daemon itself *)
   let daemon_stats =
     match retry 0 (P.req P.Stats) with
-    | Ok (P.Served { payload; _ }) -> payload
+    | Ok (P.Served { payload; _ }) -> (
+      try Json.of_string payload with Json.Parse_error _ -> jstr payload)
     | _ ->
       incr ping_failures;
-      "{}"
+      Json.Obj []
   in
   (* graceful finale: SIGTERM must land a clean exit and no stale socket *)
   Unix.kill daemon_pid Sys.sigterm;
@@ -1428,16 +1363,13 @@ let chaos_bench ?(quick = false) () =
   let fault_share =
     float_of_int faulted /. float_of_int (max 1 (answered + !client_faults))
   in
-  let lats = Array.of_list !latencies in
-  Array.sort compare lats;
-  let p50 = percentile lats 0.50 *. 1000.0 in
-  let p99 = percentile lats 0.99 *. 1000.0 in
-  let recov = Array.of_list !recovery_ms in
-  Array.sort compare recov;
+  let p50, p99 = p50_p99_ms !latencies in
   let mean_recovery =
-    if Array.length recov = 0 then 0.0
-    else Array.fold_left ( +. ) 0.0 recov /. float_of_int (Array.length recov)
+    match !recovery_ms with
+    | [] -> 0.0
+    | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
   in
+  let max_recovery = List.fold_left Float.max 0.0 !recovery_ms in
   say "%d requests in %.2fs (%.0f req/s), %d client-side frame faults" answered
     elapsed
     (float_of_int answered /. Float.max 1e-9 elapsed)
@@ -1449,50 +1381,31 @@ let chaos_bench ?(quick = false) () =
   say "fault share: %.2f%% of traffic (gate: >= 1%%)" (100.0 *. fault_share);
   say "recovery: %d/%d crashes followed by a successful fresh compile \
        (mean %.1fms, max %.1fms)"
-    !recovered !crashes mean_recovery
-    (if Array.length recov = 0 then 0.0 else recov.(Array.length recov - 1));
+    !recovered !crashes mean_recovery max_recovery;
   say "liveness: %d/%d pings answered" (!pings - !ping_failures) !pings;
-  say "differential: %d served compiles checked, %d mismatches" !diff_checked
-    !diff_mismatches;
+  say "differential: %d served compiles checked, %d mismatches" diff.checked
+    diff.mismatches;
   say "latency under faults: p50 %.2fms, p99 %.2fms" p50 p99;
   say "graceful shutdown: %b (exit 0, socket unlinked)" graceful;
   let clean =
-    !diff_mismatches = 0 && availability >= 0.99 && !recovered = !crashes
+    diff.mismatches = 0 && availability >= 0.99 && !recovered = !crashes
     && !ping_failures = 0 && graceful && fault_share >= 0.01
-    && !diff_checked > 0
+    && diff.checked > 0
   in
-  let oc = open_out "BENCH_chaos.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n";
-  j "  \"requests\": %d,\n" answered;
-  j "  \"elapsed_s\": %.3f,\n" elapsed;
-  j "  \"client_frame_faults\": %d,\n" !client_faults;
-  j "  \"served\": %d,\n" !served;
-  j "  \"timed_out\": %d,\n" !timeouts;
-  j "  \"worker_crashes_observed\": %d,\n" !crashes;
-  j "  \"busy_after_retries\": %d,\n" !busy_final;
-  j "  \"failed_other\": %d,\n" !failed_other;
-  j "  \"transport_errors\": %d,\n" !transport;
-  j "  \"availability\": %.4f,\n" availability;
-  j "  \"fault_share\": %.4f,\n" fault_share;
-  j "  \"recovered\": %d,\n" !recovered;
-  j "  \"recovery_mean_ms\": %.2f,\n" mean_recovery;
-  j "  \"recovery_max_ms\": %.2f,\n"
-    (if Array.length recov = 0 then 0.0 else recov.(Array.length recov - 1));
-  j "  \"pings\": %d,\n" !pings;
-  j "  \"ping_failures\": %d,\n" !ping_failures;
-  j "  \"differential_checked\": %d,\n" !diff_checked;
-  j "  \"differential_mismatches\": %d,\n" !diff_mismatches;
-  j "  \"p50_ms\": %.3f,\n" p50;
-  j "  \"p99_ms\": %.3f,\n" p99;
-  j "  \"graceful_shutdown\": %b,\n" graceful;
-  j "  \"deadline_ms\": %d,\n" deadline_ms;
-  j "  \"quick\": %b,\n" quick;
-  j "  \"daemon_stats\": %s,\n" daemon_stats;
-  j "  \"clean\": %b\n" clean;
-  j "}\n";
-  close_out oc;
-  say "wrote BENCH_chaos.json";
+  write_bench "chaos"
+    [ ("requests", jint answered); ("elapsed_s", jnum elapsed);
+      ("client_frame_faults", jint !client_faults); ("served", jint !served);
+      ("timed_out", jint !timeouts); ("worker_crashes_observed", jint !crashes);
+      ("busy_after_retries", jint !busy_final); ("failed_other", jint !failed_other);
+      ("transport_errors", jint !transport); ("availability", jnum availability);
+      ("fault_share", jnum fault_share); ("recovered", jint !recovered);
+      ("recovery_mean_ms", jnum mean_recovery); ("recovery_max_ms", jnum max_recovery);
+      ("pings", jint !pings); ("ping_failures", jint !ping_failures);
+      ("differential_checked", jint diff.checked);
+      ("differential_mismatches", jint diff.mismatches); ("p50_ms", jnum p50);
+      ("p99_ms", jnum p99); ("graceful_shutdown", jbool graceful);
+      ("deadline_ms", jint deadline_ms); ("quick", jbool quick);
+      ("daemon_stats", daemon_stats); ("clean", jbool clean) ];
   say "";
   if not clean then exit 1
 
@@ -1525,21 +1438,12 @@ let fuzz_bench ?(quick = false) () =
         fa.fa_oracle fa.fa_message
         (match fa.fa_repro with None -> "" | Some f -> " -> " ^ f))
     report.r_failures;
-  let oc = open_out "BENCH_fuzz.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n";
-  j "  \"seeds\": %d,\n" report.r_seeds;
-  j "  \"checks\": %d,\n" report.r_checks;
-  j "  \"passed\": %d,\n" report.r_passed;
-  j "  \"failed\": %d,\n" report.r_failed;
-  j "  \"skipped\": %d,\n" report.r_skipped;
-  j "  \"mutations\": %d,\n" report.r_mutations;
-  j "  \"elapsed_s\": %.2f,\n" elapsed;
-  j "  \"quick\": %b,\n" quick;
-  j "  \"clean\": %b\n" (report.r_failed = 0);
-  j "}\n";
-  close_out oc;
-  say "wrote BENCH_fuzz.json";
+  write_bench "fuzz"
+    [ ("seeds", jint report.r_seeds); ("checks", jint report.r_checks);
+      ("passed", jint report.r_passed); ("failed", jint report.r_failed);
+      ("skipped", jint report.r_skipped); ("mutations", jint report.r_mutations);
+      ("elapsed_s", jnum elapsed); ("quick", jbool quick);
+      ("clean", jbool (report.r_failed = 0)) ];
   say "";
   if report.r_failed > 0 then exit 1
 
@@ -1553,44 +1457,6 @@ let fuzz_bench ?(quick = false) () =
    optimized behaviour is bit-identical on a held-out input, and — on
    the full run — the geomean speedup over the unoptimized module
    clears 1.15x, with the deopt rate reported. *)
-
-type pgo_row = {
-  g_name : string;
-  g_base_s : float;
-  g_opt_s : float;
-  g_speedup : float;
-  g_promoted : int;
-  g_inlined : int;
-  g_sites : int; (* indirect sites in the fleet aggregate *)
-  g_icalls : int; (* indirect calls in one baseline run *)
-  g_deopts : int; (* failed guards in one optimized run *)
-  g_reps : int;
-}
-
-let time_reps_pgo ?profile ?(trials = 1) (m : Ir.modul) (reps : int) :
-    float * int =
-  (* bytecode tier for both sides: the ratio isolates what the
-     aggregate profile bought, not interpretation overhead.  Best of
-     [trials] (each averaging [reps] runs) with a major collection
-     before each trial, so GC pauses and scheduler noise land on the
-     discarded trials rather than in the ratio. *)
-  let e = Llvm_exec.Engine.create ?profile Llvm_exec.Engine.Bytecode_tier m in
-  ignore (Llvm_exec.Engine.compile_all e);
-  let main = Option.get (Ir.find_func m "main") in
-  let best = ref infinity in
-  for _ = 1 to trials do
-    Gc.full_major ();
-    let _, total =
-      time_it (fun () ->
-          for _ = 1 to reps do
-            ignore
-              (Llvm_exec.Interp.run_function ~fuel:bench_fuel
-                 e.Llvm_exec.Engine.mach main [])
-          done)
-    in
-    best := Float.min !best (total /. float_of_int reps)
-  done;
-  (!best, Llvm_exec.Engine.deopts e)
 
 (* The shipped binary: the statically optimized module (level 2), the
    thing a fleet actually runs and instruments.  Compilation is
@@ -1654,48 +1520,47 @@ let pgo_bench ?(quick = false) () =
             name;
           behaviour_ok := false
         end;
-        (* 4. timing, both sides on the bytecode tier *)
-        let t1, _ = time_reps_pgo (ship_pgo p) 1 in
-        let reps =
-          if quick then 1
-          else max 3 (min 300 (int_of_float (0.15 /. Float.max 1e-6 t1)))
-        in
+        (* 4. timing, both sides on the bytecode tier: the ratio isolates
+           what the aggregate profile bought, not interpretation overhead *)
         let trials = if quick then 1 else 3 in
-        let base_s, _ = time_reps_pgo ~trials (ship_pgo p) reps in
-        let opt_s, deopts_total =
-          time_reps_pgo ~trials ~profile:rep.aggregate opt reps
+        let base =
+          time_main ~trials ~reps:(budget ~quick 0.15 300) Llvm_exec.Engine.Bytecode_tier
+            (ship_pgo p)
         in
-        let deopts = deopts_total / max 1 (reps * trials) in
+        let pgo =
+          time_main ~trials ~reps:(Reps base.reps) ~profile:rep.aggregate
+            Llvm_exec.Engine.Bytecode_tier opt
+        in
+        let deopts = pgo.deopts / max 1 (base.reps * trials) in
         let icalls =
           (* indirect calls in one baseline run = guard executions in
              one optimized run (same input, deterministic program) *)
           Llvm_profile.Profile.total_calls base_prof
         in
-        let speedup = base_s /. Float.max 1e-9 opt_s in
+        let speedup = base.per_rep_s /. Float.max 1e-9 pgo.per_rep_s in
         let rate = float_of_int deopts /. float_of_int (max 1 icalls) in
-        say "%-14s %9.4f %9.4f %7.2fx %9d %8d %7d %7d %8.1f%%" name base_s
-          opt_s speedup stats.Llvm_transforms.Pgo.promoted stats.inlined
+        say "%-14s %9.4f %9.4f %7.2fx %9d %8d %7d %7d %8.1f%%" name base.per_rep_s
+          pgo.per_rep_s speedup stats.Llvm_transforms.Pgo.promoted stats.inlined
           icalls deopts (100.0 *. rate);
-        { g_name = name; g_base_s = base_s; g_opt_s = opt_s;
-          g_speedup = speedup; g_promoted = stats.promoted;
-          g_inlined = stats.inlined;
-          g_sites = Llvm_profile.Profile.call_sites rep.aggregate;
-          g_icalls = icalls; g_deopts = deopts; g_reps = reps })
+        ( (speedup, stats.promoted, icalls, deopts),
+          Json.Obj
+            [ ("name", jstr name); ("base_s", jnum base.per_rep_s);
+              ("pgo_s", jnum pgo.per_rep_s); ("speedup", jnum speedup);
+              ("promoted", jint stats.promoted); ("inlined", jint stats.inlined);
+              ("sites", jint (Llvm_profile.Profile.call_sites rep.aggregate));
+              ("indirect_calls", jint icalls); ("deopts", jint deopts);
+              ("reps", jint base.reps) ] ))
       (Spec.spec2000 @ Spec.disciplined)
   in
-  let gm =
-    exp
-      (List.fold_left (fun a r -> a +. log r.g_speedup) 0.0 rows
-      /. float_of_int (List.length rows))
-  in
-  let promoted = List.fold_left (fun a r -> a + r.g_promoted) 0 rows in
-  let icalls = List.fold_left (fun a r -> a + r.g_icalls) 0 rows in
-  let deopts = List.fold_left (fun a r -> a + r.g_deopts) 0 rows in
+  let gm = geomean (List.map (fun ((s, _, _, _), _) -> s) rows) in
+  let total f = List.fold_left (fun a (c, _) -> a + f c) 0 rows in
+  let promoted = total (fun (_, p, _, _) -> p) in
+  let icalls = total (fun (_, _, i, _) -> i) in
+  let deopts = total (fun (_, _, _, d) -> d) in
   let deopt_rate = float_of_int deopts /. float_of_int (max 1 icalls) in
+  let runs = List.fold_left (fun a (_, w) -> a + w) 0 schedule in
   say "";
-  say "fleet: %d simulated runs over %d distinct inputs per workload"
-    (List.fold_left (fun a (_, w) -> a + w) 0 schedule)
-    distinct;
+  say "fleet: %d simulated runs over %d distinct inputs per workload" runs distinct;
   say "geomean speedup: %.2fx; %d sites promoted; deopt rate %.1f%% (%d/%d)"
     gm promoted (100.0 *. deopt_rate) deopts icalls;
   (* quick runs gate on correctness only (CI boxes time noisily); the
@@ -1704,58 +1569,32 @@ let pgo_bench ?(quick = false) () =
     !behaviour_ok && promoted > 0 && ((not quick) || gm > 0.0)
     && (quick || gm >= 1.15)
   in
-  let oc = open_out "BENCH_pgo.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"workloads\": [\n";
-  List.iteri
-    (fun k r ->
-      j
-        "    {\"name\": %S, \"base_s\": %.6f, \"pgo_s\": %.6f, \"speedup\": \
-         %.3f, \"promoted\": %d, \"inlined\": %d, \"sites\": %d, \
-         \"indirect_calls\": %d, \"deopts\": %d, \"reps\": %d}%s\n"
-        r.g_name r.g_base_s r.g_opt_s r.g_speedup r.g_promoted r.g_inlined
-        r.g_sites r.g_icalls r.g_deopts r.g_reps
-        (if k = List.length rows - 1 then "" else ","))
-    rows;
-  j "  ],\n";
-  j "  \"geomean_speedup_genprog\": %.3f,\n" gm;
-  j "  \"simulated_runs_per_workload\": %d,\n"
-    (List.fold_left (fun a (_, w) -> a + w) 0 schedule);
-  j "  \"distinct_inputs\": %d,\n" distinct;
-  j "  \"sites_promoted\": %d,\n" promoted;
-  j "  \"deopts\": %d,\n" deopts;
-  j "  \"indirect_calls\": %d,\n" icalls;
-  j "  \"deopt_rate\": %.4f,\n" deopt_rate;
-  j "  \"behaviour_identical\": %b,\n" !behaviour_ok;
-  j "  \"quick\": %b,\n" quick;
-  j "  \"clean\": %b\n" clean;
-  j "}\n";
-  close_out oc;
-  say "wrote BENCH_pgo.json";
+  write_bench "pgo"
+    [ ("workloads", Json.Arr (List.map snd rows)); ("geomean_speedup_genprog", jnum gm);
+      ("simulated_runs_per_workload", jint runs); ("distinct_inputs", jint distinct);
+      ("sites_promoted", jint promoted); ("deopts", jint deopts);
+      ("indirect_calls", jint icalls); ("deopt_rate", jnum deopt_rate);
+      ("behaviour_identical", jbool !behaviour_ok); ("quick", jbool quick);
+      ("clean", jbool clean) ];
   say "";
   if not clean then exit 1
 
 (* -- Witness validation overhead -------------------------------------------- *)
 
-(* Regenerates BENCH_validate.json (previously orphaned): every
-   workload compiled at -O3 through the serving layer twice, plain and
-   with the translation-validation witness checked, plus the
-   inject-sub-swap rejection self-test.  Fresh server per request so
-   the cache cannot hide the validation cost. *)
+(* Regenerates BENCH_validate.json: every workload compiled at -O3
+   through the serving layer twice, plain and with the
+   translation-validation witness checked, plus the inject-sub-swap
+   rejection self-test.  Fresh server per request so the cache cannot
+   hide the validation cost. *)
 let validate_bench ?(quick = false) () =
   say "Translation validation: plain vs witness-validated -O3 compiles";
   if quick then say "(--quick: reduced workload sizes)";
   say "";
   let level = 3 in
-  let programs =
+  let payloads =
     List.map
-      (fun p ->
-        let p = if quick then Spec.quick p else p in
-        (p.Genprog.p_name, Genprog.compile p))
-      (Spec.spec2000 @ Spec.disciplined)
-    @ List.map
-        (fun (name, src) -> (name, Ehprog.compile name src))
-        Ehprog.programs
+      (fun (name, _, m) -> (name, fst (Llvm_bitcode.Encoder.encode m)))
+      (exec_programs ~quick)
   in
   let ok = ref true in
   let compile payload ~validate =
@@ -1786,28 +1625,15 @@ let validate_bench ?(quick = false) () =
   say "%-16s %10s %12s %9s" "Benchmark" "plain(s)" "validated(s)" "rejected";
   let rows =
     List.map
-      (fun (name, m) ->
-        let payload = fst (Llvm_bitcode.Encoder.encode m) in
+      (fun (name, payload) ->
         let plain_s, _ = compile payload ~validate:false in
         let validated_s, rejected = compile payload ~validate:true in
         say "%-16s %10.4f %12.4f %9d" name plain_s validated_s rejected;
         (name, plain_s, validated_s, rejected))
-      programs
+      payloads
   in
   let injected_rejected =
-    let _ = Llvm_fuzz.Oracle.injected_bug_pass in
-    let payload = fst (Llvm_bitcode.Encoder.encode (snd (List.hd programs))) in
-    let server = Llvm_serve.Server.create () in
-    match
-      Llvm_serve.Server.handle server
-        (Llvm_serve.Protocol.req
-           (Llvm_serve.Protocol.Compile
-              { c_payload = payload;
-                c_pipeline = Llvm_serve.Protocol.Passes [ "inject-sub-swap" ];
-                c_validate = true }))
-    with
-    | Llvm_serve.Protocol.Rejected _ -> true
-    | _ -> false
+    injected_miscompile_rejected (Llvm_serve.Server.create ()) (snd (List.hd payloads))
   in
   let plain = List.fold_left (fun a (_, p, _, _) -> a +. p) 0.0 rows in
   let validated = List.fold_left (fun a (_, _, v, _) -> a +. v) 0.0 rows in
@@ -1819,29 +1645,19 @@ let validate_bench ?(quick = false) () =
     (validated /. Float.max 1e-9 plain)
     rejected;
   say "inject-sub-swap rejected by the witness check: %b" injected_rejected;
-  let oc = open_out "BENCH_validate.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n";
-  j "  \"quick\": %b,\n" quick;
-  j "  \"workloads\": [\n";
-  List.iteri
-    (fun k (name, p, v, r) ->
-      j
-        "    {\"name\": %S, \"level\": %d, \"plain_s\": %.4f, \
-         \"validated_s\": %.4f, \"rejected\": %d}%s\n"
-        name level p v r
-        (if k = List.length rows - 1 then "" else ","))
-    rows;
-  j "  ],\n";
-  j "  \"plain_s\": %.4f,\n" plain;
-  j "  \"validated_s\": %.4f,\n" validated;
-  j "  \"overhead\": %.3f,\n" (validated /. Float.max 1e-9 plain);
-  j "  \"rejected\": %d,\n" rejected;
-  j "  \"injected_miscompile_rejected\": %b,\n" injected_rejected;
-  j "  \"clean\": %b\n" clean;
-  j "}\n";
-  close_out oc;
-  say "wrote BENCH_validate.json";
+  write_bench "validate"
+    [ ("quick", jbool quick);
+      ( "workloads",
+        Json.Arr
+          (List.map
+             (fun (name, p, v, r) ->
+               Json.Obj
+                 [ ("name", jstr name); ("level", jint level); ("plain_s", jnum p);
+                   ("validated_s", jnum v); ("rejected", jint r) ])
+             rows) );
+      ("plain_s", jnum plain); ("validated_s", jnum validated);
+      ("overhead", jnum (validated /. Float.max 1e-9 plain)); ("rejected", jint rejected);
+      ("injected_miscompile_rejected", jbool injected_rejected); ("clean", jbool clean) ];
   say "";
   if not clean then exit 1
 

@@ -25,7 +25,7 @@ let load_module (path : string) : Llvm_ir.Ir.modul =
 let opt_level : int Cmdliner.Arg.conv =
   let parse s =
     match int_of_string_opt s with
-    | Some l when l >= 0 && l <= 3 -> Ok l
+    | Some l when Llvm_transforms.Pipelines.is_level l -> Ok l
     | _ -> Error (`Msg (Fmt.str "invalid optimization level %S, expected 0..3" s))
   in
   Cmdliner.Arg.conv (parse, Fmt.int)

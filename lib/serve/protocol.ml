@@ -22,7 +22,7 @@ let pipeline_of_string (s : string) : (pipeline, string) result =
   let plen = String.length prefix in
   if String.length s >= 2 && s.[0] = 'O' then
     match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
-    | Some l when l >= 0 && l <= 3 -> Ok (Level l)
+    | Some l when Llvm_transforms.Pipelines.is_level l -> Ok (Level l)
     | _ -> Error (Printf.sprintf "bad optimization level %S" s)
   else if String.length s > plen && String.sub s 0 plen = prefix then
     Ok

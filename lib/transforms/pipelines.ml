@@ -38,6 +38,8 @@ let link_time_ipo =
    list. *)
 let o3 = per_module @ link_time_ipo
 
+let is_level (l : int) : bool = 0 <= l && l <= 3
+
 let passes ~(level : int) : Pass.t list =
   match level with
   | 0 -> []

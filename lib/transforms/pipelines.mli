@@ -10,6 +10,10 @@ val per_function_cleanup : Pass.t list
 val per_module : Pass.t list
 val link_time_ipo : Pass.t list
 
+(** Whether [l] is an optimization level, 0..3: the levels {!passes}
+    defines. *)
+val is_level : int -> bool
+
 (** The passes of optimization level [level]: 0 = none, 1 = cleanup,
     2 = per-module, 3 = per-module followed by the link-time
     interprocedural pipeline.

@@ -214,6 +214,25 @@ let test_protocol_roundtrip () =
   Alcotest.(check string) "passes spec" "passes:gvn,dce"
     (Protocol.pipeline_to_string (Protocol.Passes [ "gvn"; "dce" ]))
 
+(* The "O<l>" pipeline specs name exactly the levels Pipelines defines. *)
+let test_protocol_pipeline_levels () =
+  List.iter
+    (fun l ->
+      let spec = Printf.sprintf "O%d" l in
+      match Protocol.pipeline_of_string spec with
+      | Ok p -> Alcotest.(check string) (spec ^ " roundtrips") spec (Protocol.pipeline_to_string p)
+      | Error e -> Alcotest.failf "%s rejected: %s" spec e)
+    [ 0; 1; 2; 3 ];
+  List.iter
+    (fun spec ->
+      match Protocol.pipeline_of_string spec with
+      | Ok _ -> Alcotest.failf "%s accepted" spec
+      | Error e ->
+        Alcotest.(check string) (spec ^ " rejected")
+          (Printf.sprintf "bad optimization level %S" spec)
+          e)
+    [ "O4"; "O-1"; "Ox" ]
+
 let test_protocol_framing () =
   let r, w = Unix.pipe () in
   (* one frame in flight at a time, each smaller than any pipe buffer:
@@ -886,6 +905,8 @@ let tests =
     Alcotest.test_case "cache: shard assignment" `Quick
       test_cache_shard_assignment;
     Alcotest.test_case "protocol: roundtrips" `Quick test_protocol_roundtrip;
+    Alcotest.test_case "protocol: O0..O3 specs, no others" `Quick
+      test_protocol_pipeline_levels;
     Alcotest.test_case "protocol: framing" `Quick test_protocol_framing;
     Alcotest.test_case "protocol: oversized frame is not EOF" `Quick
       test_protocol_oversize;
