@@ -17,4 +17,5 @@ let () =
       ("fuzz", Suite_fuzz.tests);
       ("random", Suite_random.tests);
       ("serve", Suite_serve.tests);
-      ("tools", Suite_tools.tests) ]
+      ("tools", Suite_tools.tests);
+      ("bench", Suite_bench.tests) ]
