@@ -14,6 +14,7 @@ type t = {
   idom : (int, block) Hashtbl.t; (* block id -> immediate dominator *)
   rpo_index : (int, int) Hashtbl.t;
   order : block array; (* reverse postorder *)
+  children : (int, block list) Hashtbl.t; (* block id -> children, in RPO *)
 }
 
 let compute (f : func) : t =
@@ -62,7 +63,18 @@ let compute (f : func) : t =
         end)
       order
   done;
-  { entry; idom; rpo_index; order }
+  (* Walking the order backwards and consing leaves each child list in
+     reverse postorder. *)
+  let children = Hashtbl.create 64 in
+  for k = Array.length order - 1 downto 1 do
+    let b = order.(k) in
+    match Hashtbl.find_opt idom b.bid with
+    | Some d ->
+      let siblings = Option.value ~default:[] (Hashtbl.find_opt children d.bid) in
+      Hashtbl.replace children d.bid (b :: siblings)
+    | None -> ()
+  done;
+  { entry; idom; rpo_index; order; children }
 
 let idom (t : t) (b : block) : block option =
   match Hashtbl.find_opt t.idom b.bid with
@@ -84,10 +96,9 @@ let dominates (t : t) (a : block) (b : block) : bool =
 
 let strictly_dominates (t : t) a b = (not (a == b)) && dominates t a b
 
-(* Children in the dominator tree. *)
+(* Children in the dominator tree, in reverse postorder. *)
 let children (t : t) (b : block) : block list =
-  Array.to_list t.order
-  |> List.filter (fun c -> match idom t c with Some d -> d == b | None -> false)
+  Option.value ~default:[] (Hashtbl.find_opt t.children b.bid)
 
 (* Dominance frontier: DF(b) = blocks j with a pred dominated by b (or = b)
    where b does not strictly dominate j. *)

@@ -16,9 +16,10 @@
    copies and profiling hooks free, exactly like [Interp.exec_func]),
    and same block-execution profiles.
 
-   When given a [Llvm_analysis.Range] result, [compile] additionally
-   emits unguarded fast variants for accesses the interval analysis
-   proves safe: loads/stores through a gep of a statically-sized alloca
+   When given a (lazy) [Llvm_analysis.Range] result, [compile]
+   additionally emits unguarded fast variants for accesses the interval
+   analysis proves safe, forcing the analysis only when it meets such a
+   candidate: loads/stores through a gep of a statically-sized alloca
    whose byte-offset interval fits the allocation (skips the
    null/liveness/bounds checks in [Memory.locate]), and divisions whose
    divisor interval excludes zero (skips the division-by-zero guard).
@@ -133,7 +134,7 @@ let div_fast (kind : Ltype.int_kind) ~(rem : bool) (a : int64) (b : int64) :
       ((if rem then Int64.unsigned_rem else Int64.unsigned_div)
          (Int64.logand a mask) (Int64.logand b mask))
 
-let compile ?(ranges : Llvm_analysis.Range.t option)
+let compile ?(ranges : Llvm_analysis.Range.t Lazy.t option)
     ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : func) :
     compiled =
   if is_declaration f then
@@ -364,6 +365,7 @@ let compile ?(ranges : Llvm_analysis.Range.t option)
       | Vinstr g when g.iop = Gep -> (
         match (g.operands.(0), g.iparent) with
         | Vinstr a, Some gb when a.iop = Alloca -> (
+          let rng = Lazy.force rng in
           let exception Unprovable in
           try
             let elt_size = Ltype.size_of table (Option.get a.alloc_ty) in
@@ -431,7 +433,10 @@ let compile ?(ranges : Llvm_analysis.Range.t option)
                (Ltype.resolve table (Ir.type_of table i.operands.(0)), i.iparent)
              with
              | Ltype.Integer _, Some ib ->
-               not (Range.contains (Range.range_at rng ib i.operands.(1)) 0L)
+               not
+                 (Range.contains
+                    (Range.range_at (Lazy.force rng) ib i.operands.(1))
+                    0L)
              | _ -> false
              | exception (Ltype.Unresolved _ | Invalid_argument _) -> false)) ->
       incr n_fast;

@@ -87,11 +87,13 @@ val div_fast :
 
 (** Compile one defined function (traps on a declaration).  With
     [ranges], accesses and divisions the interval analysis proves safe
-    compile to the unguarded fast variants.  With [profile], blocks are
+    compile to the unguarded fast variants; the analysis is forced only
+    when the function has a candidate (a [Div]/[Rem] on integers, or a
+    load/store through a gep of an alloca).  With [profile], blocks are
     laid out hot-first (entry pinned) by aggregate weight — pure
     layout: semantics, fuel and profiles are unchanged. *)
 val compile :
-  ?ranges:Llvm_analysis.Range.t ->
+  ?ranges:Llvm_analysis.Range.t Lazy.t ->
   ?profile:Llvm_profile.Profile.t ->
   Interp.machine ->
   Llvm_ir.Ir.func ->

@@ -39,9 +39,9 @@ type t = {
   kind : kind;
   hot_threshold : int;
   compiled : (int, Bytecode.compiled) Hashtbl.t; (* func id -> bytecode *)
-  (* whole-module value ranges, computed once when the first function is
-     compiled; lets [Bytecode.compile] emit unguarded fast ops for
-     range-proven-safe loads, stores and divisions *)
+  (* whole-module value ranges, computed once when the first compiled
+     function has a candidate op; lets [Bytecode.compile] emit unguarded
+     fast ops for range-proven-safe loads, stores and divisions *)
   ranges : Llvm_analysis.Range.t Lazy.t;
   (* aggregate profile for hot/cold block layout in [Bytecode.compile] *)
   layout_profile : Llvm_profile.Profile.t option;
@@ -58,7 +58,7 @@ let get_compiled (e : t) (f : func) : Bytecode.compiled =
   | Some c -> c
   | None ->
     let c =
-      Bytecode.compile ~ranges:(Lazy.force e.ranges) ?profile:e.layout_profile
+      Bytecode.compile ~ranges:e.ranges ?profile:e.layout_profile
         e.mach f
     in
     Hashtbl.replace e.compiled f.fid c;

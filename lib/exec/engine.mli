@@ -21,8 +21,9 @@ type t = {
   hot_threshold : int;
   compiled : (int, Bytecode.compiled) Hashtbl.t;  (** func id -> bytecode *)
   ranges : Llvm_analysis.Range.t Lazy.t;
-      (** whole-module value ranges, forced when the first function is
-          compiled, so {!Bytecode.compile} can emit fast ops *)
+      (** whole-module value ranges, forced by {!Bytecode.compile} at
+          the first candidate for a fast op; never forced when no
+          compiled function has one *)
   layout_profile : Llvm_profile.Profile.t option;
       (** aggregate profile for hot/cold block layout *)
   mutable promotions : (string * int) list;

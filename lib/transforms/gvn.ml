@@ -18,33 +18,72 @@ let pure_op = function
   | Store | Phi | Call ->
     false
 
-let value_key (v : value) : string =
+(* Keys are structural: an opcode, a result type and one key per
+   operand.  SSA values key by their unique ids; constants key by their
+   structure together with their types, so [cast ulong -1 to double] and
+   [cast long -1 to double] stay apart.  Floats key by their bits, which
+   keeps [0.0] and [-0.0] apart too. *)
+type const_key =
+  | Kbool of bool
+  | Kint of Ltype.t * int64
+  | Kfloat of Ltype.t * int64
+  | Knull of Ltype.t
+  | Kundef of Ltype.t
+  | Kzero of Ltype.t
+  | Karray of Ltype.t * const_key list
+  | Kstruct of Ltype.t * const_key list
+  | Kgvar of int
+  | Kfunc_addr of int
+  | Kcast of Ltype.t * const_key
+
+type operand_key =
+  | Kconst of const_key
+  | Kinstr of int
+  | Karg of int
+  | Kglobal of int
+  | Kfunc of int
+  | Kblock of int
+
+let rec const_key (c : const) : const_key =
+  match c with
+  | Cbool b -> Kbool b
+  | Cint (t, v) -> Kint (t, v)
+  | Cfloat (t, f) -> Kfloat (t, Int64.bits_of_float f)
+  | Cnull t -> Knull t
+  | Cundef t -> Kundef t
+  | Czero t -> Kzero t
+  | Carray (t, cs) -> Karray (t, List.map const_key cs)
+  | Cstruct (t, cs) -> Kstruct (t, List.map const_key cs)
+  | Cgvar g -> Kgvar g.gid
+  | Cfunc f -> Kfunc_addr f.fid
+  | Ccast (t, c) -> Kcast (t, const_key c)
+
+let operand_key (v : value) : operand_key =
   match v with
-  | Vconst c -> Fmt.str "c:%a" Printer.pp_const c
-  | Vinstr i -> Printf.sprintf "i:%d" i.iid
-  | Varg a -> Printf.sprintf "a:%d" a.aid
-  | Vglobal g -> Printf.sprintf "g:%d" g.gid
-  | Vfunc f -> Printf.sprintf "f:%d" f.fid
-  | Vblock b -> Printf.sprintf "b:%d" b.bid
+  | Vconst c -> Kconst (const_key c)
+  | Vinstr i -> Kinstr i.iid
+  | Varg a -> Karg a.aid
+  | Vglobal g -> Kglobal g.gid
+  | Vfunc f -> Kfunc f.fid
+  | Vblock b -> Kblock b.bid
 
 let commutative = function
   | Add | Mul | And | Or | Xor | SetEQ | SetNE -> true
   | _ -> false
 
-let instr_key (i : instr) : string =
-  let ops = Array.to_list (Array.map value_key i.operands) in
-  let ops =
-    if commutative i.iop then List.sort compare ops else ops
-  in
-  Printf.sprintf "%s|%s|%s" (opcode_name i.iop) (Ltype.to_string i.ity)
-    (String.concat "," ops)
+type key = opcode * Ltype.t * operand_key list
+
+let instr_key (i : instr) : key =
+  let ops = Array.to_list (Array.map operand_key i.operands) in
+  let ops = if commutative i.iop then List.sort compare ops else ops in
+  (i.iop, i.ity, ops)
 
 let run_function (f : func) : bool =
   let dom = Dominance.compute f in
   let changed = ref false in
   (* scoped hash table: key -> available instr, with an undo log per
      dominator-tree scope *)
-  let available : (string, instr) Hashtbl.t = Hashtbl.create 256 in
+  let available : (key, instr) Hashtbl.t = Hashtbl.create 256 in
   let rec walk (b : block) =
     let undo = ref [] in
     List.iter

@@ -390,8 +390,47 @@ let test_dataflow_widening_irreducible () =
   check_bool "second cycle block widened" true
     (CounterFlow.after res bb = CounterLattice.Inf)
 
+(* [Dominance.children] reads a table filled once by [compute]; it must
+   return exactly what the definition gives: the reachable blocks whose
+   immediate dominator is [b], in reverse postorder. *)
+let test_dominator_children_match_definition () =
+  let by_definition dom f b =
+    List.filter
+      (fun c ->
+        match Dominance.idom dom c with Some d -> d == b | None -> false)
+      (Cfg.reverse_postorder f)
+  in
+  let functions = ref 0 and edges = ref 0 in
+  let check_module label (m : modul) =
+    List.iter
+      (fun f ->
+        if not (is_declaration f) then begin
+          incr functions;
+          let dom = Dominance.compute f in
+          List.iter
+            (fun b ->
+              let want = by_definition dom f b in
+              let got = Dominance.children dom b in
+              edges := !edges + List.length got;
+              if not (List.equal ( == ) want got) then
+                Alcotest.failf "%s: %s: children of %s differ" label f.fname
+                  b.bname)
+            f.fblocks
+        end)
+      m.mfuncs
+  in
+  List.iter (fun (label, m) -> check_module label m)
+    (Suite_bitcode.golden_corpus ());
+  for seed = 1 to 40 do
+    check_module (Printf.sprintf "irgen %d" seed) (Llvm_fuzz.Irgen.gen_module seed)
+  done;
+  check_bool "functions checked" true (!functions > 100);
+  check_bool "tree edges checked" true (!edges > 1000)
+
 let tests =
   [ Alcotest.test_case "dominator tree and frontiers" `Quick test_dominators;
+    Alcotest.test_case "dominator children match the idom definition" `Quick
+      test_dominator_children_match_definition;
     Alcotest.test_case "natural loops" `Quick test_loops;
     Alcotest.test_case "call graph and SCCs" `Quick test_callgraph;
     Alcotest.test_case "ssa checker catches violations" `Quick

@@ -159,7 +159,35 @@ let test_fast_ops_compiled_and_agree () =
   let e = Engine.create Engine.Bytecode_tier m in
   ignore (Engine.compile_all e);
   Alcotest.(check bool) "some guarded ops compiled to fast variants" true
-    (Engine.fast_ops e > 0)
+    (Engine.fast_ops e > 0);
+  Alcotest.(check bool) "candidates forced the range analysis" true
+    (Lazy.is_val e.Engine.ranges)
+
+(* The range analysis is forced only by a candidate for a fast op (an
+   integer division, or a load/store through a gep of an alloca), so
+   promoting functions that have none never computes it. *)
+let test_ranges_not_forced_without_candidates () =
+  let src =
+    {| int step(int x) { return x * 3 + 1; }
+       int main() {
+         int sum = 0;
+         for (int i = 0; i < 10; i++) sum = sum + step(i);
+         return sum;
+       } |}
+  in
+  let m = Llvm_minic.Codegen.compile_string src in
+  ignore (Llvm_transforms.Pass.run_pass Llvm_transforms.Mem2reg.pass m);
+  let e = Engine.create Engine.Tiered m in
+  let main = Option.get (Ir.find_func m "main") in
+  (match (Interp.run_function ~fuel e.Engine.mach main []).Interp.status with
+  | `Returned v ->
+    Alcotest.(check string) "result" "145" (Fmt.str "%a" Interp.pp_rtval v)
+  | _ -> Alcotest.fail "tiered run failed");
+  Alcotest.(check (list string)) "step promoted" [ "step" ]
+    (List.map fst (Engine.promotions e));
+  Alcotest.(check bool) "ranges never forced" false
+    (Lazy.is_val e.Engine.ranges);
+  Alcotest.(check int) "no fast ops" 0 (Engine.fast_ops e)
 
 let test_div_trap_in_all_tiers () =
   let src = {| int main() { int z = 0; return 10 / z; } |} in
@@ -288,6 +316,8 @@ let tests =
       test_interp_tier_never_compiles;
     Alcotest.test_case "range-proven fast ops compile and agree" `Quick
       test_fast_ops_compiled_and_agree;
+    Alcotest.test_case "ranges are not computed without fast-op candidates"
+      `Quick test_ranges_not_forced_without_candidates;
     Alcotest.test_case "division by zero traps in every tier" `Quick
       test_div_trap_in_all_tiers;
     Alcotest.test_case "speculation deopts when the target flips mid-run"

@@ -221,6 +221,26 @@ let test_gvn_merges () =
   let opt = check_pass_preserves Gvn.pass m in
   Alcotest.(check int) "one add remains" 1 (count_op opt Add)
 
+(* Casts of constants that print alike but have different types must
+   not merge: ulong -1 is 2^64-1 as a double, long -1 is -1.0. *)
+let test_gvn_keeps_typed_constants_apart () =
+  let m =
+    Llvm_asm.Parser.parse_module ~name:"gvn-typed-consts"
+      {|
+int %main() {
+entry:
+  %a = cast ulong -1 to double
+  %b = cast long -1 to double
+  %c = setlt double %b, 0.0
+  %r = cast bool %c to int
+  ret int %r
+}
+|}
+  in
+  Alcotest.(check string) "main returns 1 before gvn" "ret 1|" (snapshot m);
+  let opt = check_pass_preserves Gvn.pass m in
+  Alcotest.(check int) "both constant casts kept" 3 (count_op opt Cast)
+
 (* -- reassociate -------------------------------------------------------------- *)
 
 let test_reassociate () =
@@ -540,6 +560,8 @@ let tests =
       test_simplifycfg_constant_branch;
     Alcotest.test_case "simplifycfg folds constant switches" `Quick test_simplifycfg_switch;
     Alcotest.test_case "gvn merges redundant expressions" `Quick test_gvn_merges;
+    Alcotest.test_case "gvn keeps typed constants apart" `Quick
+      test_gvn_keeps_typed_constants_apart;
     Alcotest.test_case "reassociate merges constants" `Quick test_reassociate;
     Alcotest.test_case "inline integrates and deletes" `Quick test_inline_simple;
     Alcotest.test_case "inline through invoke sites" `Quick test_inline_invoke_site;
