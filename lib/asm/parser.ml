@@ -267,10 +267,10 @@ let get_block env name =
     Hashtbl.replace env.blocks name b;
     b
 
-let define_block env name =
+let define_block st env name =
   let b = get_block env name in
   if Hashtbl.mem env.defined_blocks name then
-    invalid_arg ("duplicate block label " ^ name);
+    error st ("duplicate block label " ^ name);
   Hashtbl.replace env.defined_blocks name ();
   append_block env.func b;
   b
@@ -585,9 +585,9 @@ let parse_body st (f : func) =
     match peek st with
     | Trbrace -> ignore (next st)
     | Tident name when peek2 st = Tcolon ->
+      current := Some (define_block st env name);
       ignore (next st);
       ignore (next st);
-      current := Some (define_block env name);
       go ()
     | Teof -> error st "unterminated function body"
     | _ ->

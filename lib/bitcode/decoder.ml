@@ -7,23 +7,12 @@ open Format
 exception Malformed = Format.Malformed
 
 type dec = {
-  r : reader;
+  r : Cursor.t;
   mutable type_table : Ltype.t array;
   mutable globals : gvar array;
   mutable funcs : func array;
   m : modul;
 }
-
-(* Every count in the format is followed by that many elements of at
-   least one byte each, so a count that is negative (an overflowed
-   varint) is malformed and one larger than the bytes remaining means
-   the image is truncated — checked before anything is allocated from
-   it. *)
-let read_count (r : reader) : int =
-  let n = read_varint r in
-  if n < 0 then raise (Malformed (Printf.sprintf "bad count %d" n));
-  if n > String.length r.src - r.pos then raise (Malformed "truncated");
-  n
 
 (* Table lookup by a decoded index. *)
 let lookup (what : string) (table : 'a array) (k : int) : 'a =
@@ -79,7 +68,7 @@ let rec read_const (d : dec) : const =
   end
   else if tag = c_float then begin
     let ty = read_type d in
-    Cfloat (ty, read_f64 d.r)
+    Cfloat (ty, Int64.float_of_bits (Cursor.i64_le d.r))
   end
   else if tag = c_null then Cnull (read_type d)
   else if tag = c_undef then Cundef (read_type d)
@@ -126,17 +115,19 @@ let read_body (d : dec) (f : func) : unit =
     blocks := blk :: !blocks;
     let ninstrs = read_count d.r in
     for _ = 1 to ninstrs do
-      let first = read_byte d.r in
+      let first = Cursor.byte d.r in
       let wide = first = wide_escape_opcode in
       let opc, tyi, op_ids =
         if wide then begin
-          let opc = read_byte d.r in
+          let opc = Cursor.byte d.r in
           let tyi = read_varint d.r in
           let n = read_count d.r in
           (opc, tyi, Array.init n (fun _ -> read_varint d.r))
         end
         else begin
-        let b1 = read_byte d.r and b2 = read_byte d.r and b3 = read_byte d.r in
+        let b1 = Cursor.byte d.r in
+        let b2 = Cursor.byte d.r in
+        let b3 = Cursor.byte d.r in
         let word =
           Int32.logor
             (Int32.shift_left (Int32.of_int first) 24)
@@ -200,11 +191,10 @@ let read_body (d : dec) (f : func) : unit =
   done
 
 let decode (src : string) : modul =
-  let r = { src; pos = 0 } in
   if String.length src < 5 || String.sub src 0 4 <> magic then
     raise (Malformed "bad magic");
-  r.pos <- 4;
-  let v = read_byte r in
+  let r = Cursor.create ~pos:4 ~fail:malformed src in
+  let v = Cursor.byte r in
   if v <> version then raise (Malformed "unsupported version");
   let d =
     { r; type_table = [||]; globals = [||]; funcs = [||];

@@ -287,7 +287,7 @@ let encode_body (e : enc) ~(strip : bool) (b : Buffer.t) (f : func) : unit =
           in
           match packed with
           | Some word ->
-            write_u32_be b word;
+            Buffer.add_int32_be b word;
             e.stats.one_word_instrs <- e.stats.one_word_instrs + 1
           | None ->
             (* compact wide form: escape byte, opcode byte, varints *)

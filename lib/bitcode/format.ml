@@ -135,81 +135,36 @@ let write_string (b : Buffer.t) (s : string) =
   write_varint b (String.length s);
   Buffer.add_string b s
 
-let write_u32 (b : Buffer.t) (v : int32) =
-  Buffer.add_char b (Char.chr (Int32.to_int (Int32.logand v 0xFFl)));
-  Buffer.add_char b
-    (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v 8) 0xFFl)));
-  Buffer.add_char b
-    (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v 16) 0xFFl)));
-  Buffer.add_char b
-    (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v 24) 0xFFl)))
-
-let write_u32_be (b : Buffer.t) (v : int32) =
-  Buffer.add_char b
-    (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v 24) 0xFFl)));
-  Buffer.add_char b
-    (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v 16) 0xFFl)));
-  Buffer.add_char b
-    (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v 8) 0xFFl)));
-  Buffer.add_char b (Char.chr (Int32.to_int (Int32.logand v 0xFFl)))
-
 let write_f64 (b : Buffer.t) (f : float) =
-  let bits = Int64.bits_of_float f in
-  for k = 0 to 7 do
-    Buffer.add_char b
-      (Char.chr
-         (Int64.to_int
-            (Int64.logand (Int64.shift_right_logical bits (8 * k)) 0xFFL)))
-  done
+  Buffer.add_int64_le b (Int64.bits_of_float f)
 
 (* -- primitive readers ------------------------------------------------------ *)
 
-type reader = { src : string; mutable pos : int }
+module Cursor = Llvm_ir.Cursor
 
-let read_byte (r : reader) : int =
-  if r.pos >= String.length r.src then raise (Malformed "truncated");
-  let c = Char.code r.src.[r.pos] in
-  r.pos <- r.pos + 1;
-  c
+let malformed : Cursor.error -> exn = function
+  | Truncated -> Malformed "truncated"
+  | Truncated_string -> Malformed "truncated string"
+  | Bad_count n -> Malformed (Printf.sprintf "bad count %d" n)
 
-let read_varint (r : reader) : int =
+let read_varint (r : Cursor.t) : int =
   let rec go shift acc =
-    let c = read_byte r in
+    let c = Cursor.byte r in
     let acc = acc lor ((c land 0x7F) lsl shift) in
     if c land 0x80 <> 0 then go (shift + 7) acc else acc
   in
   go 0 0
 
-let read_varint64 (r : reader) : int64 =
+let read_varint64 (r : Cursor.t) : int64 =
   let rec go shift acc =
-    let c = read_byte r in
+    let c = Cursor.byte r in
     let acc = Int64.logor acc (Int64.shift_left (Int64.of_int (c land 0x7F)) shift) in
     if c land 0x80 <> 0 then go (shift + 7) acc else acc
   in
   go 0 0L
 
-let read_string (r : reader) : string =
-  let n = read_varint r in
-  if n < 0 || n > String.length r.src - r.pos then raise (Malformed "truncated string");
-  let s = String.sub r.src r.pos n in
-  r.pos <- r.pos + n;
-  s
+(* Every count in the format is followed by that many elements of at
+   least one byte each, so [Cursor.count] bounds it by the bytes left. *)
+let read_count (r : Cursor.t) : int = Cursor.count r (read_varint r)
 
-let read_u32 (r : reader) : int32 =
-  let b0 = read_byte r and b1 = read_byte r and b2 = read_byte r and b3 = read_byte r in
-  Int32.logor
-    (Int32.of_int (b0 lor (b1 lsl 8) lor (b2 lsl 16)))
-    (Int32.shift_left (Int32.of_int b3) 24)
-
-let read_u32_be (r : reader) : int32 =
-  let b0 = read_byte r and b1 = read_byte r and b2 = read_byte r and b3 = read_byte r in
-  Int32.logor
-    (Int32.shift_left (Int32.of_int b0) 24)
-    (Int32.of_int ((b1 lsl 16) lor (b2 lsl 8) lor b3))
-
-let read_f64 (r : reader) : float =
-  let bits = ref 0L in
-  for k = 0 to 7 do
-    bits := Int64.logor !bits (Int64.shift_left (Int64.of_int (read_byte r)) (8 * k))
-  done;
-  Int64.float_of_bits !bits
+let read_string (r : Cursor.t) : string = Cursor.take r (read_varint r)

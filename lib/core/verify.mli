@@ -4,12 +4,12 @@
     per block (at the end), phis clustered at block heads with one
     incoming value per CFG predecessor, operand types obeying the
     instruction type rules of paper section 2.2, and unique module-level
-    names.  SSA dominance is checked separately by
+    names.  Operand counts and label slots are checked first, so any
+    module, however malformed, yields a list of errors rather than an
+    exception.  SSA dominance is checked separately by
     [Llvm_analysis.Ssa_check]. *)
 
 type error = { where : string; what : string }
-
-val verify_func : Ltype.table -> error list ref -> Ir.func -> unit
 
 (** All violations found in the module, in program order. *)
 val verify_module : Ir.modul -> error list

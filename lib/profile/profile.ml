@@ -249,42 +249,31 @@ let to_bytes (p : t) : string =
   Buffer.contents buf
 
 let of_bytes (s : string) : t =
-  let pos = ref 0 in
-  let need n =
-    if !pos + n > String.length s then raise (Corrupt "truncated profile")
-  in
+  let c = Cursor.create s ~fail:(fun _ -> Corrupt "truncated profile") in
   let get_int () =
-    need 8;
-    let v = Int64.to_int (String.get_int64_le s !pos) in
-    pos := !pos + 8;
+    let v = Int64.to_int (Cursor.i64_le c) in
     if v < 0 then raise (Corrupt "negative count");
     v
   in
-  let get_str () =
-    let n = get_int () in
-    need n;
-    let r = String.sub s !pos n in
-    pos := !pos + n;
-    r
-  in
-  need (String.length magic + 1);
-  if String.sub s 0 4 <> magic then raise (Corrupt "bad magic");
-  pos := 4;
-  let v = Char.code s.[!pos] in
-  incr pos;
+  (* Every entry a count announces takes at least sixteen bytes. *)
+  let get_count () = Cursor.count c (get_int ()) in
+  let get_str () = Cursor.take c (get_int ()) in
+  let header = Cursor.take c (String.length magic + 1) in
+  if String.sub header 0 4 <> magic then raise (Corrupt "bad magic");
+  let v = Char.code header.[4] in
   if v <> version then raise (Corrupt (Printf.sprintf "unknown version %d" v));
   let p = empty () in
   p.runs <- get_int ();
-  let nblocks = get_int () in
+  let nblocks = get_count () in
   for _ = 1 to nblocks do
     let k = get_str () in
     let n = get_int () in
     Hashtbl.replace p.blocks k n
   done;
-  let ncalls = get_int () in
+  let ncalls = get_count () in
   for _ = 1 to ncalls do
     let site = get_str () in
-    let ntargets = get_int () in
+    let ntargets = get_count () in
     let t = Hashtbl.create (max 4 ntargets) in
     for _ = 1 to ntargets do
       let callee = get_str () in
@@ -293,7 +282,7 @@ let of_bytes (s : string) : t =
     done;
     Hashtbl.replace p.calls site t
   done;
-  if !pos <> String.length s then raise (Corrupt "trailing bytes");
+  if not (Cursor.at_end c) then raise (Corrupt "trailing bytes");
   p
 
 let save (path : string) (p : t) : unit =

@@ -103,7 +103,9 @@ exception Oversized_frame of int
 
 val write_frame : Unix.file_descr -> string -> unit
 
-(** [None] on clean EOF at a frame boundary.
+(** {!read_frame_within} with no idle budget and no deadline: [None] on
+    EOF at a frame boundary or mid-frame.  It blocks in [read] and makes
+    no [select] call.
     @raise Oversized_frame on a header exceeding {!max_frame}. *)
 val read_frame : Unix.file_descr -> string option
 

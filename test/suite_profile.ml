@@ -167,16 +167,25 @@ let test_binary_round_trip () =
       (Printf.sprintf "seed %d: canonical bytes" seed)
       (Profile.to_bytes a) (Profile.to_bytes c)
   done;
-  (* corrupt inputs raise Corrupt, never return garbage *)
+  (* corrupt inputs raise Corrupt, never return garbage; the last two
+     once raised Invalid_argument (a string length near max_int) and
+     Out_of_memory (a target count of 2^40) *)
   let p = random_profile (Rng.create 42) in
   let bytes = Profile.to_bytes p in
+  let header ints =
+    let b = Buffer.create 64 in
+    Buffer.add_string b "LLPF\001";
+    List.iter (fun n -> Buffer.add_int64_le b (Int64.of_int n)) ints;
+    Buffer.contents b
+  in
   List.iter
     (fun mangled ->
       match Profile.of_bytes mangled with
       | exception Profile.Corrupt _ -> ()
       | _ -> Alcotest.fail "corrupt profile accepted")
     [ ""; "LLPX" ^ String.sub bytes 4 (String.length bytes - 4);
-      String.sub bytes 0 (String.length bytes - 1); bytes ^ "\x00" ]
+      String.sub bytes 0 (String.length bytes - 1); bytes ^ "\x00";
+      header [ 0; 1; max_int ]; header [ 0; 0; 1; 0; 1 lsl 40 ] ]
 
 let test_save_load_file () =
   let file = Filename.temp_file "llpf_test" ".llpf" in

@@ -185,6 +185,19 @@ let test_opt_rejects_hostile_bitcode () =
       err
   end
 
+(* A module that names an undefined type is reported by the verifier,
+   not by an uncaught [Ltype.Unresolved]. *)
+let test_opt_reports_undefined_type () =
+  if not (tools_available ()) then Alcotest.skip ()
+  else begin
+    let path = tmp "undefined_type.ll" in
+    write path "void %f(%T* %p) {\nentry:\n  store int 0, %T* %p\n  ret void\n}";
+    let code, _, err = capture "%s %s -O 2" (bin "opt") path in
+    Alcotest.(check int) "opt fails cleanly" 1 code;
+    Alcotest.(check string) "verifier message"
+      "f: undefined type %T\nmodule verification failed\n" err
+  end
+
 let tests =
   [ Alcotest.test_case "minicc/as/opt/dis/lli/llc pipeline" `Quick
       test_full_pipeline;
@@ -196,5 +209,7 @@ let tests =
       test_out_of_range_level_is_usage_error;
     Alcotest.test_case "opt rejects hostile bitcode" `Quick
       test_opt_rejects_hostile_bitcode;
+    Alcotest.test_case "opt reports an undefined type" `Quick
+      test_opt_reports_undefined_type;
     Alcotest.test_case "llvm-fuzz clean run" `Quick test_llvm_fuzz_tool;
     Alcotest.test_case "bugpoint reduces >= 80%" `Quick test_bugpoint_tool ]
