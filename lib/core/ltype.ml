@@ -84,14 +84,18 @@ let is_aggregate = function Array _ | Struct _ -> true | _ -> false
 
 exception Unresolved of string
 
-(* Follow [Named] links until a structural type appears. *)
-let rec resolve (table : table) t =
+(* Follow [Named] links until a structural type appears.  A chain with
+   more links than the table has entries is a cycle ([%T = %T]), which
+   resolves no better than an undefined name. *)
+let rec resolve_within (table : table) links t =
   match t with
   | Named n -> (
     match Hashtbl.find_opt table n with
-    | Some t' -> resolve table t'
-    | None -> raise (Unresolved n))
+    | Some t' when links > 0 -> resolve_within table (links - 1) t'
+    | _ -> raise (Unresolved n))
   | t -> t
+
+let resolve (table : table) t = resolve_within table (Hashtbl.length table) t
 
 (* -- Size and alignment model ------------------------------------------
 
@@ -158,8 +162,12 @@ let field_type table t idx =
 (* -- Structural equality up to Named resolution ------------------------
 
    Uses an assumption set so that recursive types compare without
-   divergence: once we assume [Named a = Named b] we do not re-expand. *)
+   divergence: once we assume [Named a = Named b] we do not re-expand.
+   Physically equal types are equal without building the set; the
+   bitcode decoder shares each type through its type table, so most of
+   the verifier's comparisons on a decoded module stop there. *)
 let equal table a b =
+  a == b ||
   let assumed = Hashtbl.create 8 in
   let rec eq a b =
     match (a, b) with

@@ -76,7 +76,8 @@ val is_aggregate : t -> bool
 exception Unresolved of string
 
 (** Follow [Named] links until a structural constructor appears.
-    @raise Unresolved when a name has no definition. *)
+    @raise Unresolved when a name has no definition, or its definitions
+    form a cycle of names. *)
 val resolve : table -> t -> t
 
 (** {1 Size and layout}
