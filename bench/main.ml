@@ -299,14 +299,7 @@ type exec_obs = {
 
 let observe (kind : Llvm_exec.Engine.kind) (m : Ir.modul) : exec_obs =
   let r, counts = Llvm_exec.Engine.run_main ~fuel:1_000_000_000 ~profiling:true kind m in
-  let status =
-    match r.Llvm_exec.Interp.status with
-    | `Returned v -> Fmt.str "returned %a" Llvm_exec.Interp.pp_rtval v
-    | `Unwound -> "unwound"
-    | `Exited c -> Fmt.str "exited %d" c
-    | `Trapped msg -> "trapped: " ^ msg
-  in
-  { o_status = status;
+  { o_status = Llvm_exec.Interp.status_to_string r.Llvm_exec.Interp.status;
     o_output = r.Llvm_exec.Interp.output;
     o_instrs = r.Llvm_exec.Interp.instructions;
     o_profile =

@@ -34,25 +34,3 @@ let unreachable_blocks (f : func) : block list =
   let reachable = reachable_set f in
   List.filter (fun b -> not (Hashtbl.mem reachable b.bid)) f.fblocks
 
-(* Map each block id to its index in reverse postorder. *)
-let rpo_numbering (f : func) : (int, int) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  List.iteri (fun k b -> Hashtbl.replace tbl b.bid k) (reverse_postorder f);
-  tbl
-
-(* An edge a->b is critical when a has several successors and b several
-   predecessors; phi-elimination in the code generator must split these. *)
-let critical_edges (f : func) : (block * block) list =
-  List.concat_map
-    (fun a ->
-      match terminator a with
-      | None -> []
-      | Some t ->
-        let succs = successors t in
-        if List.length succs < 2 then []
-        else
-          List.filter_map
-            (fun b ->
-              if List.length (predecessors b) >= 2 then Some (a, b) else None)
-            succs)
-    f.fblocks

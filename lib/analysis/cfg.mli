@@ -8,10 +8,3 @@ val postorder : Llvm_ir.Ir.func -> Llvm_ir.Ir.block list
 val reverse_postorder : Llvm_ir.Ir.func -> Llvm_ir.Ir.block list
 val reachable_set : Llvm_ir.Ir.func -> (int, unit) Hashtbl.t
 val unreachable_blocks : Llvm_ir.Ir.func -> Llvm_ir.Ir.block list
-
-(** Block id -> index in reverse postorder. *)
-val rpo_numbering : Llvm_ir.Ir.func -> (int, int) Hashtbl.t
-
-(** Edges from a multi-successor block to a multi-predecessor block;
-    phi elimination in the code generator must split these. *)
-val critical_edges : Llvm_ir.Ir.func -> (Llvm_ir.Ir.block * Llvm_ir.Ir.block) list

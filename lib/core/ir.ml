@@ -251,7 +251,6 @@ let normalize_int kind (v : int64) : int64 =
     else low
 
 let cint kind v = Cint (Ltype.Integer kind, normalize_int kind v)
-let cbool b = Cbool b
 let cint_of_ty ty v =
   match ty with
   | Ltype.Integer k -> cint k v

@@ -166,7 +166,6 @@ val type_of : Ltype.table -> value -> Ltype.t
 val normalize_int : Ltype.int_kind -> int64 -> int64
 
 val cint : Ltype.int_kind -> int64 -> const
-val cbool : bool -> const
 
 (** @raise Invalid_argument when the type is not integer or bool. *)
 val cint_of_ty : Ltype.t -> int64 -> const

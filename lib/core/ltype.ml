@@ -67,8 +67,6 @@ let int_bits = function
   | Long | Ulong -> 64
 
 let is_integer = function Integer _ -> true | _ -> false
-let is_floating = function Float | Double -> true | _ -> false
-let is_pointer = function Pointer _ -> true | _ -> false
 
 let is_arithmetic = function
   | Integer _ | Float | Double -> true
@@ -79,8 +77,6 @@ let is_arithmetic = function
 let is_first_class = function
   | Bool | Integer _ | Float | Double | Pointer _ -> true
   | Void | Array _ | Struct _ | Function _ | Named _ | Opaque _ -> false
-
-let is_aggregate = function Array _ | Struct _ -> true | _ -> false
 
 exception Unresolved of string
 

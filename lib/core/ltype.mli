@@ -61,15 +61,11 @@ val is_signed : int_kind -> bool
 val int_bits : int_kind -> int
 
 val is_integer : t -> bool
-val is_floating : t -> bool
-val is_pointer : t -> bool
 val is_arithmetic : t -> bool
 
 (** First-class values can live in SSA registers: bool, integers,
     floats and pointers (paper section 2.1). *)
 val is_first_class : t -> bool
-
-val is_aggregate : t -> bool
 
 (** Raised when a {!Named} or {!Opaque} type has no definition in the
     table being consulted. *)

@@ -245,6 +245,3 @@ let pp_module fmt (m : modul) =
 
 let module_to_string m = Fmt.str "%a" pp_module m
 let func_to_string table f = Fmt.str "%a" (pp_func table) f
-let instr_to_string table f i =
-  let n = name_function f in
-  Fmt.str "%a" (pp_instr table n) i

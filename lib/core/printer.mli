@@ -21,4 +21,3 @@ val pp_module : Format.formatter -> Ir.modul -> unit
 
 val module_to_string : Ir.modul -> string
 val func_to_string : Ltype.table -> Ir.func -> string
-val instr_to_string : Ltype.table -> Ir.func -> Ir.instr -> string

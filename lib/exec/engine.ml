@@ -26,12 +26,6 @@ let kind_name = function
   | Bytecode_tier -> "bytecode"
   | Tiered -> "tiered"
 
-let kind_of_string = function
-  | "interp" -> Some Interp_tier
-  | "bytecode" -> Some Bytecode_tier
-  | "tiered" -> Some Tiered
-  | _ -> None
-
 let default_hot_threshold = 8
 
 type t = {

@@ -12,7 +12,6 @@
 type kind = Interp_tier | Bytecode_tier | Tiered
 
 val kind_name : kind -> string
-val kind_of_string : string -> kind option
 val default_hot_threshold : int
 
 type t = {

@@ -702,3 +702,9 @@ let pp_rtval fmt = function
   | Rint (_, v) -> Fmt.pf fmt "%Ld" v
   | Rfloat (_, f) -> Fmt.float fmt f
   | Rptr p -> Fmt.pf fmt "0x%Lx" p
+
+let status_to_string = function
+  | `Returned v -> Fmt.str "returned %a" pp_rtval v
+  | `Unwound -> "unwound"
+  | `Exited c -> Fmt.str "exited %d" c
+  | `Trapped msg -> "trapped: " ^ msg

@@ -112,6 +112,12 @@ type run_result = {
   instructions : int;  (** dynamic instruction count *)
 }
 
+(** A run's status as the engines' differential checks compare it:
+    ["returned 42"], ["unwound"], ["exited 3"] or ["trapped: <why>"]. *)
+val status_to_string :
+  [ `Returned of rtval | `Unwound | `Exited of int | `Trapped of string ] ->
+  string
+
 val run_function :
   ?fuel:int -> machine -> Llvm_ir.Ir.func -> rtval list -> run_result
 

@@ -87,14 +87,6 @@ let locate (m : t) (addr : int64) (len : int) : Bytes.t * int =
       (Bytes.length a.bytes)
   else (a.bytes, off)
 
-let read_bytes (m : t) (addr : int64) (len : int) : Bytes.t =
-  let b, off = locate m addr len in
-  Bytes.sub b off len
-
-let write_bytes (m : t) (addr : int64) (src : Bytes.t) : unit =
-  let b, off = locate m addr (Bytes.length src) in
-  Bytes.blit src 0 b off (Bytes.length src)
-
 let get_int (b : Bytes.t) (off : int) ~(size : int) : int64 =
   match size with
   | 1 -> Int64.of_int (Char.code (Bytes.get b off))
@@ -159,10 +151,3 @@ let is_live (m : t) (addr : int64) : bool =
   match find_alloc m (id_of addr) with
   | Some a -> a.live
   | None -> false
-
-let live_allocations (m : t) : int =
-  let n = ref 0 in
-  for id = 1 to m.next_id - 1 do
-    if m.allocs.(id).live then incr n
-  done;
-  !n

@@ -30,8 +30,6 @@ val alloc : t -> ?on_stack:bool -> int -> int64
 val free : t -> int64 -> unit
 
 val release_stack : t -> int64 -> unit
-val read_bytes : t -> int64 -> int -> Bytes.t
-val write_bytes : t -> int64 -> Bytes.t -> unit
 
 (** Little-endian fixed-width integer accessors. *)
 val read_int : t -> int64 -> size:int -> int64
@@ -52,5 +50,3 @@ val read_cstring : t -> int64 -> string
 
 (** Is the allocation containing this address still live? *)
 val is_live : t -> int64 -> bool
-
-val live_allocations : t -> int

@@ -136,23 +136,14 @@ type obs = {
 
 let observe ?profile (kind : Llvm_exec.Engine.kind) (m : modul) : obs =
   let r, counts = Llvm_exec.Engine.run_main ~fuel ~profiling:true ?profile kind m in
-  let fuel_out = ref false in
-  let status =
-    match r.Llvm_exec.Interp.status with
-    | `Returned v -> Fmt.str "returned %a" Llvm_exec.Interp.pp_rtval v
-    | `Unwound -> "unwound"
-    | `Exited c -> Fmt.str "exited %d" c
-    | `Trapped msg ->
-      if msg = "out of fuel (infinite loop?)" then fuel_out := true;
-      "trapped: " ^ msg
-  in
-  { ob_status = status;
+  { ob_status = Llvm_exec.Interp.status_to_string r.Llvm_exec.Interp.status;
     ob_output = r.Llvm_exec.Interp.output;
     ob_instrs = r.Llvm_exec.Interp.instructions;
     ob_profile =
       List.sort compare
         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []);
-    ob_fuel_out = !fuel_out }
+    ob_fuel_out =
+      r.Llvm_exec.Interp.status = `Trapped "out of fuel (infinite loop?)" }
 
 (* Behaviour only (status + output): the module may have been
    transformed, so instruction counts and profiles are not comparable. *)

@@ -54,8 +54,6 @@ let create ?(shards = default_shards) ?(shard_bytes = default_shard_bytes) ()
             budget = max 1 shard_bytes; hits = 0; misses = 0; puts = 0;
             evictions = 0; oversize = 0; corrupt = 0 }) }
 
-let nshards (c : t) : int = Array.length c.shards
-
 (* FNV-1a 64: deterministic, portable, good spread on hex digests. *)
 let fnv1a (s : string) : int =
   let h = ref 0xcbf29ce484222325L in

@@ -18,7 +18,6 @@ val default_shards : int
 val default_shard_bytes : int
 
 val create : ?shards:int -> ?shard_bytes:int -> unit -> t
-val nshards : t -> int
 
 (** The shard a key maps to (deterministic). *)
 val shard_of : t -> string -> int

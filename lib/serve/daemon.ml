@@ -173,9 +173,6 @@ let breaker_of (cfg : config) : breaker =
     b_cooldown = float_of_int cfg.breaker_cooldown_ms /. 1000.0;
     b_results = Queue.create (); b_fails = 0; b_state = Closed }
 
-(* Only infrastructure failures count: crashes, hard kills, deadline
-   expiries.  Semantic failures (bad input, validation rejects) say
-   nothing about the daemon's health. *)
 let breaker_record (b : breaker) ~(failed : bool) : unit =
   Queue.push failed b.b_results;
   if failed then b.b_fails <- b.b_fails + 1;
@@ -183,7 +180,7 @@ let breaker_record (b : breaker) ~(failed : bool) : unit =
     if Queue.pop b.b_results then b.b_fails <- b.b_fails - 1;
   (match b.b_state with
   | Half_open ->
-    if failed then b.b_state <- Open (Unix.gettimeofday () +. b.b_cooldown)
+    if failed then b.b_state <- Open (Protocol.now () +. b.b_cooldown)
     else begin
       (* trial succeeded: close and forget the bad window *)
       b.b_state <- Closed;
@@ -195,7 +192,7 @@ let breaker_record (b : breaker) ~(failed : bool) : unit =
       Queue.length b.b_results >= b.b_min
       && float_of_int b.b_fails
          >= b.b_ratio *. float_of_int (Queue.length b.b_results)
-    then b.b_state <- Open (Unix.gettimeofday () +. b.b_cooldown)
+    then b.b_state <- Open (Protocol.now () +. b.b_cooldown)
   | Open _ -> ())
 
 (* What the breaker allows right now: [`Normal] service, a single
@@ -206,7 +203,7 @@ let breaker_gate (b : breaker) : [ `Normal | `Trial | `Degraded ] =
   | Closed -> `Normal
   | Half_open -> `Trial (* single-threaded: at most one trial in flight *)
   | Open until ->
-    if Unix.gettimeofday () >= until then begin
+    if Protocol.now () >= until then begin
       b.b_state <- Half_open;
       `Trial
     end
@@ -258,6 +255,18 @@ let with_effective_deadline (st : state) (req : Protocol.request) :
 let busy (st : state) : Protocol.response =
   Protocol.Busy { retry_after_ms = st.cfg.retry_after_ms }
 
+(* Record one work answer with the breaker and pass it on.  Only
+   infrastructure failures count: a crashed worker, or a deadline
+   expiry ([Timed_out], cooperative or a hard kill).  Semantic failures
+   (bad input, validation rejects) say nothing about the daemon's
+   health. *)
+let settle (st : state) ?(crashed = false) (resp : Protocol.response) :
+    Protocol.response =
+  breaker_record st.brk
+    ~failed:
+      (crashed || match resp with Protocol.Timed_out _ -> true | _ -> false);
+  resp
+
 (* Dispatch one work request to the pool, recording the outcome with
    the breaker and installing cacheable results in the front cache. *)
 let dispatch_to_pool (st : state) (pool : Worker.t)
@@ -270,25 +279,22 @@ let dispatch_to_pool (st : state) (pool : Worker.t)
          Timed_out should win whenever the pipeline reaches a pass
          boundary; the hard kill is for a worker that never does *)
       let budget = float_of_int req.Protocol.deadline_ms /. 1000.0 in
-      Some (Unix.gettimeofday () +. budget +. Float.max 0.05 (budget *. 0.5))
+      Some (Protocol.now () +. budget +. Float.max 0.05 (budget *. 0.5))
   in
   match Worker.dispatch pool ?hard ~route req with
   | Worker.Resp resp ->
-    (match key with
-    | Some key -> Server.install st.front ~key resp
-    | None -> ());
-    breaker_record st.brk
-      ~failed:(match resp with Protocol.Timed_out _ -> true | _ -> false);
-    resp
+    Option.iter (fun key -> Server.install st.front ~key resp) key;
+    settle st resp
   | Worker.Crashed ->
-    breaker_record st.brk ~failed:true;
-    Protocol.Failed "worker crashed mid-request (restarted)"
+    settle st ~crashed:true
+      (Protocol.Failed "worker crashed mid-request (restarted)")
   | Worker.Hard_timeout ->
     st.hard_timeouts <- st.hard_timeouts + 1;
-    breaker_record st.brk ~failed:true;
-    Protocol.Timed_out
-      (Printf.sprintf "hard deadline expired (%d ms budget); worker restarted"
-         req.Protocol.deadline_ms)
+    settle st
+      (Protocol.Timed_out
+         (Printf.sprintf
+            "hard deadline expired (%d ms budget); worker restarted"
+            req.Protocol.deadline_ms))
 
 (* Control requests are always answered directly by the daemon: they
    must work even when every worker is wedged or the breaker is open. *)
@@ -333,10 +339,7 @@ let process_work (st : state) (req : Protocol.request) : Protocol.response =
     | None ->
       (* in-process: Server.handle owns cache + deadline; only the
          deadline outcome feeds the breaker *)
-      let resp = Server.handle st.front req in
-      breaker_record st.brk
-        ~failed:(match resp with Protocol.Timed_out _ -> true | _ -> false);
-      resp
+      settle st (Server.handle st.front req)
     | Some pool -> (
       match Server.probe st.front req with
       | Server.Hit resp -> resp
@@ -384,14 +387,7 @@ let process_batch (st : state) (frames : string list) :
           plan
       in
       if List.length work >= 2 then begin
-        let answers = Server.handle_batch st.front work in
-        List.iter
-          (fun resp ->
-            breaker_record st.brk
-              ~failed:
-                (match resp with Protocol.Timed_out _ -> true | _ -> false))
-          answers;
-        Some (ref answers)
+        Some (ref (List.map (settle st) (Server.handle_batch st.front work)))
       end
       else None
     | _ -> None
@@ -430,18 +426,20 @@ let await_frame (st : state) (conn : Unix.file_descr) :
     [ `Frame of string | `Eof | `Idle | `Stalled | `Oversized of int ] =
   let frame_s = float_of_int st.cfg.frame_deadline_ms /. 1000.0 in
   let idle_until =
-    Unix.gettimeofday () +. (float_of_int st.cfg.idle_timeout_ms /. 1000.0)
+    Protocol.now () +. (float_of_int st.cfg.idle_timeout_ms /. 1000.0)
   in
   let rec wait () =
     if st.stopping then `Idle
     else
-      let slice = Float.min 0.25 (Float.max 0.01 (idle_until -. Unix.gettimeofday ())) in
+      let slice =
+        Float.min 0.25 (Float.max 0.01 (idle_until -. Protocol.now ()))
+      in
       match Protocol.read_frame_within ~idle:slice ~deadline:frame_s conn with
       | Protocol.Frame s -> `Frame s
       | Protocol.Eof -> `Eof
       | Protocol.Stalled -> `Stalled
       | Protocol.Idle ->
-        if Unix.gettimeofday () >= idle_until then `Idle else wait ()
+        if Protocol.now () >= idle_until then `Idle else wait ()
       | exception Protocol.Oversized_frame n -> `Oversized n
   in
   wait ()
@@ -466,41 +464,33 @@ let answer (conn : Unix.file_descr) (resp : Protocol.response) : unit =
   try Protocol.write_frame conn (Protocol.encode_response resp)
   with _ -> ()
 
+(* The last answer on a connection whose frame could not be read whole:
+   the stream cannot be re-synced after it, so the connection drops. *)
+let frame_error (st : state) (conn : Unix.file_descr) = function
+  | `Stalled ->
+    (* mid-frame stall: the frame blew the framing deadline *)
+    st.stalled_connections <- st.stalled_connections + 1;
+    answer conn
+      (Protocol.Timed_out
+         (Printf.sprintf "frame not completed within %d ms"
+            st.cfg.frame_deadline_ms))
+  | `Oversized len ->
+    answer conn
+      (Protocol.Failed
+         (Printf.sprintf "request frame of %d bytes exceeds the %d-byte limit"
+            len Protocol.max_frame))
+
 let serve_connection (st : state) (conn : Unix.file_descr) : stop =
   let rec loop () =
     match await_frame st conn with
     | `Eof | `Idle -> ()
-    | `Stalled ->
-      (* mid-frame stall: tell the client its frame blew the framing
-         deadline, then drop it — the stream cannot be re-synced *)
-      st.stalled_connections <- st.stalled_connections + 1;
-      answer conn
-        (Protocol.Timed_out
-           (Printf.sprintf "frame not completed within %d ms"
-              st.cfg.frame_deadline_ms))
-    | `Oversized len ->
-      answer conn
-        (Protocol.Failed
-           (Printf.sprintf
-              "request frame of %d bytes exceeds the %d-byte limit" len
-              Protocol.max_frame))
+    | (`Stalled | `Oversized _) as e -> frame_error st conn e
     | `Frame first -> (
       let frames, tail = drain_queued st conn first in
       List.iter (answer conn) (process_batch st frames);
       match tail with
       | `Eof -> ()
-      | `Stalled ->
-        st.stalled_connections <- st.stalled_connections + 1;
-        answer conn
-          (Protocol.Timed_out
-             (Printf.sprintf "frame not completed within %d ms"
-                st.cfg.frame_deadline_ms))
-      | `Oversized len ->
-        answer conn
-          (Protocol.Failed
-             (Printf.sprintf
-                "request frame of %d bytes exceeds the %d-byte limit" len
-                Protocol.max_frame))
+      | (`Stalled | `Oversized _) as e -> frame_error st conn e
       | `More -> if not st.stopping then loop ())
   in
   (try loop () with Unix.Unix_error _ -> ());

@@ -316,6 +316,10 @@ let write_frame (fd : Unix.file_descr) (body : string) : unit =
 
 (* -- Deadline-bounded framing -------------------------------------------------- *)
 
+(* The one clock of lib/serve, in seconds: monotonic, so a wall-clock
+   step can neither fire nor extend a deadline, a cooldown or a budget. *)
+let now () : float = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 (* The fix for the documented stall bug: a peer that sends a partial
    frame and then stalls must not stall the reader with it.  Waiting for
    the *first* byte of a frame is bounded by [idle] (a silent connection
@@ -336,7 +340,7 @@ let wait_readable (fd : Unix.file_descr) (until : float) : bool =
   let rec go () =
     let dt =
       if until = infinity then -1.0 (* select: negative = block *)
-      else until -. Unix.gettimeofday ()
+      else until -. now ()
     in
     if until <> infinity && dt <= 0.0 then false
     else
@@ -365,14 +369,14 @@ let read_exactly_within (fd : Unix.file_descr) (n : int) (until : float) :
 let read_frame_within ?(idle = infinity) ~(deadline : float)
     (fd : Unix.file_descr) : read_outcome =
   let idle_until =
-    if idle = infinity then infinity else Unix.gettimeofday () +. idle
+    if idle = infinity then infinity else now () +. idle
   in
   if (idle <> infinity || deadline <> infinity)
      && not (wait_readable fd idle_until)
   then Idle
   else
     (* a byte is pending: the whole frame now has [deadline] seconds *)
-    let until = Unix.gettimeofday () +. deadline in
+    let until = now () +. deadline in
     match read_exactly_within fd 4 until with
     | `Eof -> Eof
     | `Timeout -> Stalled

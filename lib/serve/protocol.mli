@@ -109,6 +109,11 @@ val write_frame : Unix.file_descr -> string -> unit
     @raise Oversized_frame on a header exceeding {!max_frame}. *)
 val read_frame : Unix.file_descr -> string option
 
+(** Seconds on the monotonic clock: every deadline, budget and cooldown
+    in the service (framing, request deadlines, worker hard kills, the
+    breaker, latency and uptime) is measured on it. *)
+val now : unit -> float
+
 (** Outcome of a deadline-bounded frame read. *)
 type read_outcome =
   | Frame of string

@@ -85,7 +85,7 @@ let create ?(config = default_config) () : t =
     lat = Array.make lat_buckets 0;
     lat_count = 0;
     lat_max_us = 0;
-    started = Unix.gettimeofday () }
+    started = Protocol.now () }
 
 let cache (t : t) : Cache.t = t.cache
 let hit_rate (t : t) : float = Cache.hit_rate t.cache
@@ -127,7 +127,7 @@ exception Deadline_expired
 
 let check_deadline (deadline : float option) : unit =
   match deadline with
-  | Some d when Unix.gettimeofday () > d -> raise Deadline_expired
+  | Some d when Protocol.now () > d -> raise Deadline_expired
   | _ -> ()
 
 (* The daemon's hooks on the one pass runner: the deadline is checked
@@ -170,14 +170,7 @@ let observe (fuel : int) (m : Ir.modul) : behaviour =
   | None -> No_main
   | Some _ ->
     let r, _ = Engine.run_main ~fuel Engine.Interp_tier m in
-    let status =
-      match r.Interp.status with
-      | `Returned v -> Fmt.str "returned %a" Interp.pp_rtval v
-      | `Unwound -> "unwound"
-      | `Exited c -> Fmt.str "exited %d" c
-      | `Trapped msg -> "trapped: " ^ msg
-    in
-    Ran (status, r.Interp.output)
+    Ran (Interp.status_to_string r.Interp.status, r.Interp.output)
 
 (* [reference] must be a freshly loaded module (the pipelines mutate in
    place); compares it against the optimized module. *)
@@ -195,9 +188,9 @@ let check_witness (t : t) ~(reference : Ir.modul) ~(optimized : Ir.modul) :
            (String.length o0) (String.length o1))
     else Ok ()
 
-(* -- Compile ------------------------------------------------------------------- *)
+(* -- Requests: one plan, one lookup, one miss tail ------------------------- *)
 
-let ms (t0 : float) : float = (Unix.gettimeofday () -. t0) *. 1000.0
+let ms (t0 : float) : float = (Protocol.now () -. t0) *. 1000.0
 
 let served (t : t) ~hit ~key ~pipeline_ms (payload : string) :
     Protocol.response =
@@ -207,57 +200,85 @@ let served (t : t) ~hit ~key ~pipeline_ms (payload : string) :
         { m_hit = hit; m_shard = Cache.shard_of t.cache key;
           m_pipeline_ms = pipeline_ms; m_bytes = String.length payload } }
 
-(* Cache key for a compile request; validated results live under their
-   own keys so a validating request can only ever hit an entry that
-   passed the witness. *)
-let compile_key ~(validate : bool) (digest : string)
-    (spec : Protocol.pipeline) : string =
-  digest ^ "|" ^ Protocol.pipeline_to_string spec
-  ^ if validate then "|v" else ""
+(* A cacheable request after its payloads are loaded and verified: the
+   cache [key], the worker-affinity [route] the daemon's probe hands
+   out, and what to do on a miss.  [build ~deadline] returns the bytes
+   to cache and the pipeline time in ms, or the response to send
+   instead. *)
+type plan = {
+  key : string;
+  route : string option;
+  build : deadline:float option -> (string * float, Protocol.response) result;
+}
 
-(* The compile core, shared with Run: returns the optimized bitcode for
-   (payload, spec), going through the cache. *)
-let compile_bytes (t : t) ~(deadline : float option) ~(validate : bool)
-    (payload : string) (spec : Protocol.pipeline) : Protocol.response =
+(* The miss tail shared by compile and link: the optimized module must
+   verify, the deadline is checked, and a validating request replays
+   the witness against a freshly loaded [reference] before the module
+   is encoded.  [pipeline_ms] stops before the witness.  [invalid] and
+   [what] keep each caller's Failed/Rejected text. *)
+let finish (t : t) ~(deadline : float option) ~(t0 : float) ~(validate : bool)
+    ~(invalid : string) ~(what : string)
+    ~(reference : unit -> (Ir.modul, string) result) (m : Ir.modul) :
+    (string * float, Protocol.response) result =
+  match first_verify_error m with
+  | Some e -> Error (Protocol.Failed (invalid ^ ": " ^ e))
+  | None -> (
+    let pipeline_ms = ms t0 in
+    check_deadline deadline;
+    let witness =
+      if not validate then Ok ()
+      else
+        match reference () with
+        | Error e -> Error e
+        | Ok reference -> check_witness t ~reference ~optimized:m
+    in
+    match witness with
+    | Error why ->
+      t.validation_rejects <- t.validation_rejects + 1;
+      Error
+        (Protocol.Rejected
+           (Fmt.str "translation validation failed for %s: %s" what why))
+    | Ok () -> Ok (fst (Llvm_bitcode.Encoder.encode m), pipeline_ms))
+
+(* Validated results live under their own keys ("|v"), for compile and
+   link alike: a validating request can only ever hit an entry that
+   passed the witness. *)
+let plan_compile (t : t) ~(validate : bool) (payload : string)
+    (spec : Protocol.pipeline) : (plan, string) result =
   let validate = validate || t.cfg.validate in
   match load_payload ~what:"compile request" payload with
-  | Error e -> Protocol.Failed e
-  | Ok (m, digest) -> (
-    let key = compile_key ~validate digest spec in
-    match Cache.find t.cache key with
-    | Some bytes -> served t ~hit:true ~key ~pipeline_ms:0.0 bytes
-    | None -> (
-      let t0 = Unix.gettimeofday () in
+  | Error e -> Error e
+  | Ok (m, digest) ->
+    let spec_s = Protocol.pipeline_to_string spec in
+    let build ~deadline =
+      let t0 = Protocol.now () in
       match run_pipeline ~deadline spec m with
-      | Error e -> Protocol.Failed e
-      | Ok () -> (
-        match first_verify_error m with
-        | Some e ->
-          Protocol.Failed
-            (Fmt.str "pipeline produced an invalid module (pass bug): %s" e)
-        | None ->
-          let pipeline_ms = ms t0 in
-          check_deadline deadline;
-          let witness =
-            if not validate then Ok ()
-            else
-              match Loader.of_bytes ~name:"reference" payload with
-              | Error e -> Error e (* unreachable: parsed once already *)
-              | Ok reference -> check_witness t ~reference ~optimized:m
-          in
-          (match witness with
-          | Error why ->
-            t.validation_rejects <- t.validation_rejects + 1;
-            Protocol.Rejected
-              (Fmt.str "translation validation failed for %s: %s"
-                 (Protocol.pipeline_to_string spec)
-                 why)
-          | Ok () ->
-            let bytes = fst (Llvm_bitcode.Encoder.encode m) in
-            Cache.put t.cache key bytes;
-            served t ~hit:false ~key ~pipeline_ms bytes))))
+      | Error e -> Error (Protocol.Failed e)
+      | Ok () ->
+        finish t ~deadline ~t0 ~validate
+          ~invalid:"pipeline produced an invalid module (pass bug)"
+          ~what:spec_s
+          ~reference:(fun () -> Loader.of_bytes ~name:"reference" payload)
+          m
+    in
+    Ok
+      { key = (digest ^ "|" ^ spec_s ^ if validate then "|v" else "");
+        route = Some digest;
+        build }
 
-(* -- Link ---------------------------------------------------------------------- *)
+let plan_lint (payload : string) : (plan, string) result =
+  match load_payload ~what:"lint request" payload with
+  | Error e -> Error e
+  | Ok (m, digest) ->
+    let build ~deadline:_ =
+      let t0 = Protocol.now () in
+      let diags = Llvm_analysis.Lint.run m in
+      let text =
+        String.concat "\n" (List.map Llvm_analysis.Lint.diag_to_json diags)
+      in
+      Ok (text, ms t0)
+    in
+    Ok { key = digest ^ "|lint"; route = Some digest; build }
 
 (* Load a list of payloads; the digest of the set is the digest of the
    concatenated member digests (order-sensitive: link order matters). *)
@@ -275,6 +296,11 @@ let load_set ~(what : string) (payloads : string list) :
   in
   go [] [] payloads
 
+let link ~(name : string) (mods : Ir.modul list) : (Ir.modul, string) result =
+  match Llvm_linker.Link.link ~name mods with
+  | exception Llvm_linker.Link.Link_error e -> Error ("link error: " ^ e)
+  | m -> Ok m
+
 (* One link-time IPO pipeline run per distinct library set, cached
    under the set digest.  [mods] are the freshly loaded library modules
    (consumed: the pipeline mutates in place); the caller loads them
@@ -284,9 +310,9 @@ let optimized_libs (t : t) ?deadline (mods : Ir.modul list)
     (libs_digest : string) : (Ir.modul, string) result =
   let key = libs_digest ^ "|libs-ipo" in
   let rebuild () =
-    match Llvm_linker.Link.link ~name:"libs" mods with
-    | exception Llvm_linker.Link.Link_error e -> Error ("link error: " ^ e)
-    | libm -> (
+    match link ~name:"libs" mods with
+    | Error e -> Error e
+    | Ok libm -> (
       Faults.pipeline_start ();
       ignore
         (Llvm_transforms.Pass.run_sequence ~hooks:(pass_hooks deadline)
@@ -308,97 +334,98 @@ let optimized_libs (t : t) ?deadline (mods : Ir.modul list)
       rebuild ())
   | None -> rebuild ()
 
-let link_key (apps_digest : string) (libs : string list) : string =
-  let tag = if libs = [] then "nolibs" else "libs" in
-  apps_digest ^ "|" ^ tag ^ "|link"
-
-let handle_link (t : t) ~(deadline : float option) (l : Protocol.link_req) :
-    Protocol.response =
-  if l.Protocol.l_apps = [] then Protocol.Failed "link request with no modules"
+(* Apps and libs are loaded once here: both digests fold into the key,
+   and the library modules feed the IPO pipeline on a miss.  The route
+   is the library set, so IPO runs once per set in one worker. *)
+let plan_link (t : t) (l : Protocol.link_req) : (plan, string) result =
+  let { Protocol.l_apps; l_libs; l_validate } = l in
+  let validate = l_validate || t.cfg.validate in
+  if l_apps = [] then Error "link request with no modules"
   else
-    let validate = l.Protocol.l_validate || t.cfg.validate in
-    match load_set ~what:"link apps" l.Protocol.l_apps with
-    | Error e -> Protocol.Failed e
+    match load_set ~what:"link apps" l_apps with
+    | Error e -> Error e
     | Ok (apps, apps_digest) -> (
-      (* libs are loaded once here: the digest is folded into the final
-         key, and the modules feed the IPO pipeline on a miss *)
-      match load_set ~what:"link libs" l.Protocol.l_libs with
-      | Error e -> Protocol.Failed e
-      | Ok (lib_mods, libs_digest) -> (
-        (* validated results live under their own keys, as in compile:
-           a validating request can only hit an entry that passed the
-           witness *)
-        let key =
-          link_key
-            (Llvm_bitcode.Digest.of_bytes (apps_digest ^ "|" ^ libs_digest))
-            l.Protocol.l_libs
-          ^ if validate then "|v" else ""
+      match load_set ~what:"link libs" l_libs with
+      | Error e -> Error e
+      | Ok (lib_mods, libs_digest) ->
+        (* the reference: everything re-loaded fresh, linked, never
+           optimized *)
+        let reference () =
+          Result.bind (load_set ~what:"link reference" (l_apps @ l_libs))
+            (fun (mods, _) -> link ~name:"reference" mods)
         in
-        match Cache.find t.cache key with
-        | Some bytes -> served t ~hit:true ~key ~pipeline_ms:0.0 bytes
-        | None -> (
-          let t0 = Unix.gettimeofday () in
+        let build ~deadline =
+          let t0 = Protocol.now () in
           let libm =
-            if l.Protocol.l_libs = [] then Ok None
+            if l_libs = [] then Ok []
             else
-              Result.map
-                (fun m -> Some m)
+              Result.map (fun m -> [ m ])
                 (optimized_libs t ?deadline lib_mods libs_digest)
           in
-          match libm with
-          | Error e -> Protocol.Failed e
-          | Ok libm -> (
-            let parts = apps @ Option.to_list libm in
-            match Llvm_linker.Link.link ~name:"served" parts with
-            | exception Llvm_linker.Link.Link_error e ->
-              Protocol.Failed ("link error: " ^ e)
-            | final -> (
-              Faults.pipeline_start ();
-              ignore
-                (Llvm_transforms.Pass.run_sequence ~hooks:(pass_hooks deadline)
-                   Llvm_transforms.Pipelines.per_module final);
-              match first_verify_error final with
-              | Some e ->
-                Protocol.Failed
-                  ("link pipeline produced an invalid module: " ^ e)
-              | None ->
-                let pipeline_ms = ms t0 in
-                check_deadline deadline;
-                let witness =
-                  if not validate then Ok ()
-                  else
-                    (* reference: everything re-loaded fresh, linked, never
-                       optimized *)
-                    match
-                      load_set ~what:"link reference"
-                        (l.Protocol.l_apps @ l.Protocol.l_libs)
-                    with
-                    | Error e -> Error e
-                    | Ok (mods, _) -> (
-                      match Llvm_linker.Link.link ~name:"reference" mods with
-                      | exception Llvm_linker.Link.Link_error e ->
-                        Error ("link error: " ^ e)
-                      | reference ->
-                        check_witness t ~reference ~optimized:final)
-                in
-                (match witness with
-                | Error why ->
-                  t.validation_rejects <- t.validation_rejects + 1;
-                  Protocol.Rejected
-                    ("translation validation failed for link: " ^ why)
-                | Ok () ->
-                  let bytes = fst (Llvm_bitcode.Encoder.encode final) in
-                  Cache.put t.cache key bytes;
-                  served t ~hit:false ~key ~pipeline_ms bytes))))))
+          match
+            Result.bind libm (fun libm -> link ~name:"served" (apps @ libm))
+          with
+          | Error e -> Error (Protocol.Failed e)
+          | Ok final ->
+            Faults.pipeline_start ();
+            ignore
+              (Llvm_transforms.Pass.run_sequence ~hooks:(pass_hooks deadline)
+                 Llvm_transforms.Pipelines.per_module final);
+            finish t ~deadline ~t0 ~validate
+              ~invalid:"link pipeline produced an invalid module" ~what:"link"
+              ~reference final
+        in
+        Ok
+          { key =
+              Llvm_bitcode.Digest.of_bytes (apps_digest ^ "|" ^ libs_digest)
+              ^ (if l_libs = [] then "|nolibs" else "|libs")
+              ^ "|link"
+              ^ if validate then "|v" else "";
+            route = Some libs_digest;
+            build })
+
+(* The one place request cache keys are made, for [handle] and [probe]
+   alike.  A Run compiles through the compile plan, unvalidated. *)
+let plan (t : t) (body : Protocol.body) : (plan, string) result =
+  match body with
+  | Protocol.Compile c ->
+    plan_compile t ~validate:c.Protocol.c_validate c.Protocol.c_payload
+      c.Protocol.c_pipeline
+  | Protocol.Run r ->
+    plan_compile t ~validate:false r.Protocol.r_payload r.Protocol.r_pipeline
+  | Protocol.Lint payload -> plan_lint payload
+  | Protocol.Link l -> plan_link t l
+  | Protocol.Stats | Protocol.Ping | Protocol.Shutdown ->
+    Error "not a cacheable request"
+
+(* The one cache lookup on request keys. *)
+let cache_hit (t : t) (p : plan) : Protocol.response option =
+  match Cache.find t.cache p.key with
+  | Some bytes -> Some (served t ~hit:true ~key:p.key ~pipeline_ms:0.0 bytes)
+  | None -> None
+
+(* Answer a planned request: a hit is served as is; a miss builds,
+   caches and serves. *)
+let lookup (t : t) ~(deadline : float option) (p : (plan, string) result) :
+    Protocol.response =
+  match p with
+  | Error e -> Protocol.Failed e
+  | Ok p -> (
+    match cache_hit t p with
+    | Some resp -> resp
+    | None -> (
+      match p.build ~deadline with
+      | Error resp -> resp
+      | Ok (bytes, pipeline_ms) ->
+        Cache.put t.cache p.key bytes;
+        served t ~hit:false ~key:p.key ~pipeline_ms bytes))
 
 (* -- Run ------------------------------------------------------------------------ *)
 
-let handle_run (t : t) ~(deadline : float option) (r : Protocol.run_req) :
-    Protocol.response =
-  match
-    compile_bytes t ~deadline ~validate:false r.Protocol.r_payload
-      r.Protocol.r_pipeline
-  with
+(* Execute a Run request's [compiled] image (the compile plan's answer). *)
+let handle_run ~(deadline : float option) (r : Protocol.run_req)
+    (compiled : Protocol.response) : Protocol.response =
+  match compiled with
   | (Protocol.Failed _ | Protocol.Rejected _ | Protocol.Timed_out _
     | Protocol.Busy _) as e ->
     e
@@ -426,25 +453,6 @@ let handle_run (t : t) ~(deadline : float option) (r : Protocol.run_req) :
             instructions = result.Interp.instructions }
       in
       Protocol.Served { payload = reply; metrics })
-
-(* -- Lint ----------------------------------------------------------------------- *)
-
-let handle_lint (t : t) (payload : string) : Protocol.response =
-  match load_payload ~what:"lint request" payload with
-  | Error e -> Protocol.Failed e
-  | Ok (m, digest) -> (
-    let key = digest ^ "|lint" in
-    match Cache.find t.cache key with
-    | Some text -> served t ~hit:true ~key ~pipeline_ms:0.0 text
-    | None ->
-      let t0 = Unix.gettimeofday () in
-      let diags = Llvm_analysis.Lint.run m in
-      let text =
-        String.concat "\n" (List.map Llvm_analysis.Lint.diag_to_json diags)
-      in
-      let pipeline_ms = ms t0 in
-      Cache.put t.cache key text;
-      served t ~hit:false ~key ~pipeline_ms text)
 
 (* -- Stats ----------------------------------------------------------------------- *)
 
@@ -484,7 +492,7 @@ let stats_json ?(extra : (string * string) list = []) (t : t) : string =
   let b = Buffer.create 1024 in
   let j fmt = Printf.bprintf b fmt in
   j "{\n";
-  j "  \"uptime_s\": %.3f,\n" (Unix.gettimeofday () -. t.started);
+  j "  \"uptime_s\": %.3f,\n" (Protocol.now () -. t.started);
   j
     "  \"requests\": {\"compile\": %d, \"link\": %d, \"run\": %d, \"lint\": \
      %d, \"stats\": %d, \"ping\": %d, \"total\": %d, \"failed\": %d, \
@@ -543,19 +551,18 @@ let stats_json ?(extra : (string * string) list = []) (t : t) : string =
 let do_handle (t : t) ~(deadline : float option) (body : Protocol.body) :
     Protocol.response =
   match body with
-  | Protocol.Compile c ->
+  | Protocol.Compile _ ->
     t.ctr.c_compile <- t.ctr.c_compile + 1;
-    compile_bytes t ~deadline ~validate:c.Protocol.c_validate
-      c.Protocol.c_payload c.Protocol.c_pipeline
-  | Protocol.Link l ->
+    lookup t ~deadline (plan t body)
+  | Protocol.Link _ ->
     t.ctr.c_link <- t.ctr.c_link + 1;
-    handle_link t ~deadline l
+    lookup t ~deadline (plan t body)
   | Protocol.Run r ->
     t.ctr.c_run <- t.ctr.c_run + 1;
-    handle_run t ~deadline r
-  | Protocol.Lint payload ->
+    handle_run ~deadline r (lookup t ~deadline (plan t body))
+  | Protocol.Lint _ ->
     t.ctr.c_lint <- t.ctr.c_lint + 1;
-    handle_lint t payload
+    lookup t ~deadline (plan t body)
   | Protocol.Stats ->
     t.ctr.c_stats <- t.ctr.c_stats + 1;
     Protocol.Served
@@ -570,10 +577,11 @@ let do_handle (t : t) ~(deadline : float option) (body : Protocol.body) :
 (* The request's wall-clock budget, measured from now. *)
 let deadline_of (req : Protocol.request) : float option =
   if req.Protocol.deadline_ms <= 0 then None
-  else Some (Unix.gettimeofday () +. (float_of_int req.Protocol.deadline_ms /. 1000.0))
+  else
+    Some (Protocol.now () +. (float_of_int req.Protocol.deadline_ms /. 1000.0))
 
 let handle (t : t) (req : Protocol.request) : Protocol.response =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Protocol.now () in
   let deadline = deadline_of req in
   (* a request must never take the daemon down: anything a handler
      fails to turn into a clean error becomes a Failed response *)
@@ -584,7 +592,7 @@ let handle (t : t) (req : Protocol.request) : Protocol.response =
         (Fmt.str "deadline of %d ms expired" req.Protocol.deadline_ms)
     | e -> Protocol.Failed ("internal error: " ^ Printexc.to_string e)
   in
-  record_latency t (Unix.gettimeofday () -. t0);
+  record_latency t (Protocol.now () -. t0);
   (match resp with
   | Protocol.Failed _ -> t.ctr.c_failed <- t.ctr.c_failed + 1
   | Protocol.Rejected _ -> t.ctr.c_rejected <- t.ctr.c_rejected + 1
@@ -638,51 +646,17 @@ type probe =
 
 let do_probe (t : t) (body : Protocol.body) : probe =
   match body with
-  | Protocol.Compile c -> (
-    match load_payload ~what:"compile request" c.Protocol.c_payload with
-    | Error _ -> Uncached { route = None }
-    | Ok (_, digest) -> (
-      let validate = c.Protocol.c_validate || t.cfg.validate in
-      let key = compile_key ~validate digest c.Protocol.c_pipeline in
-      match Cache.find t.cache key with
-      | Some bytes ->
-        Hit (served t ~hit:true ~key ~pipeline_ms:0.0 bytes)
-      | None -> Miss { key; route = Some digest }))
-  | Protocol.Lint payload -> (
-    match load_payload ~what:"lint request" payload with
-    | Error _ -> Uncached { route = None }
-    | Ok (_, digest) -> (
-      let key = digest ^ "|lint" in
-      match Cache.find t.cache key with
-      | Some text -> Hit (served t ~hit:true ~key ~pipeline_ms:0.0 text)
-      | None -> Miss { key; route = Some digest }))
-  | Protocol.Link l -> (
-    (* the full link key needs every payload parsed; routing by the raw
-       library set is enough for IPO-once affinity, and we only pay the
-       parse when the daemon is degraded or idle enough to care *)
-    match load_set ~what:"link apps" l.Protocol.l_apps with
-    | Error _ -> Uncached { route = None }
-    | Ok (_, apps_digest) -> (
-      match load_set ~what:"link libs" l.Protocol.l_libs with
-      | Error _ -> Uncached { route = None }
-      | Ok (_, libs_digest) -> (
-        let validate = l.Protocol.l_validate || t.cfg.validate in
-        let key =
-          link_key
-            (Llvm_bitcode.Digest.of_bytes (apps_digest ^ "|" ^ libs_digest))
-            l.Protocol.l_libs
-          ^ if validate then "|v" else ""
-        in
-        match Cache.find t.cache key with
-        | Some bytes ->
-          Hit (served t ~hit:true ~key ~pipeline_ms:0.0 bytes)
-        | None -> Miss { key; route = Some libs_digest })))
   | Protocol.Run r ->
     (* execution is never served from the front cache: the optimized
        image may be cached, but running it must happen in a worker *)
     Uncached { route = Some (Llvm_bitcode.Digest.of_bytes r.Protocol.r_payload) }
-  | Protocol.Stats | Protocol.Ping | Protocol.Shutdown ->
-    Uncached { route = None }
+  | _ -> (
+    match plan t body with
+    | Error _ -> Uncached { route = None }
+    | Ok p -> (
+      match cache_hit t p with
+      | Some resp -> Hit resp
+      | None -> Miss { key = p.key; route = p.route }))
 
 let probe (t : t) (req : Protocol.request) : probe =
   (* probing parses untrusted payloads in the daemon process: any

@@ -58,9 +58,12 @@ type probe =
           set, content-digest locality for compiles). *)
   | Uncached of { route : string option }
       (** never served from the front cache (Run — execution happens in
-          a worker — and control requests, or unparseable payloads) *)
+          a worker — and control requests), or a request [handle] would
+          answer [Failed] before any lookup: a payload that does not
+          load or verify, or a link with no apps *)
 
-(** Never raises: a probe failure degrades to [Uncached]. *)
+(** Makes the same cache key as {!handle} for every request.  Never
+    raises: a probe failure degrades to [Uncached]. *)
 val probe : t -> Protocol.request -> probe
 
 (** Install a worker-computed [Served] payload under [key] (no-op for

@@ -126,7 +126,7 @@ let slot_for (t : t) (route : string option) : int =
 
 (* -- Dispatch ------------------------------------------------------------------- *)
 
-(* [hard] is an absolute wall-clock instant: a worker that has not
+(* [hard] is an absolute instant on [Protocol.now]: a worker that has not
    answered by then is killed.  It should sit a grace interval past the
    request's own deadline so the worker's cooperative [Timed_out]
    answer wins whenever it can. *)
@@ -149,7 +149,7 @@ let dispatch (t : t) ?hard ~(route : string option)
   else begin
     let budget =
       match hard with
-      | Some until -> Float.max 0.001 (until -. Unix.gettimeofday ())
+      | Some until -> Float.max 0.001 (until -. Protocol.now ())
       | None -> infinity
     in
     match Protocol.read_frame_within ~idle:budget ~deadline:budget w.w_fd with

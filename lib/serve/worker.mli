@@ -33,7 +33,7 @@ val restarts : t -> int
 
 (** [dispatch t ?hard ~route req] sends [req] to the slot chosen by
     [route] (round-robin when [None]) and waits for its answer.
-    [hard] is an absolute wall-clock instant: past it the worker is
+    [hard] is an absolute instant on {!Protocol.now}: past it the worker is
     killed.  Give it a grace interval beyond the request's own
     [deadline_ms] so the worker's cooperative [Timed_out] answer wins
     whenever it can. *)

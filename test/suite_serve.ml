@@ -644,6 +644,93 @@ int main() { return helper(40); }
   Alcotest.(check bool) "unvalidated entry still cached" true
     m4.Protocol.m_hit
 
+(* [probe] (the daemon's front cache) and [handle] must make the same
+   key for every cacheable request: a probe miss installed under its
+   key is what a later [handle] hits, and a probe hit serves the bytes
+   and shard [handle] did. *)
+let test_server_probe_agrees_with_handle () =
+  let m = sample_module () in
+  let lib =
+    encode (minic ~name:"lib" {|
+int helper(int x) { return x * 3 + 1; }
+|})
+  in
+  let app =
+    encode
+      (minic ~name:"app" {|
+int helper(int x);
+int main() { return helper(4); }
+|})
+  in
+  let link apps libs =
+    Protocol.Link { l_apps = apps; l_libs = libs; l_validate = false }
+  in
+  let compile ?validate payload =
+    (compile_req ?validate payload).Protocol.body
+  in
+  let rows =
+    [ ("compile .bc", compile (encode m));
+      ("compile .ll", compile (Llvm_ir.Printer.module_to_string m));
+      ("validated compile", compile ~validate:true (encode m));
+      ("lint", Protocol.Lint (encode m));
+      ("link with libs", link [ app ] [ lib ]);
+      ("link without libs", link [ encode m ] []) ]
+  in
+  let keys =
+    List.map
+      (fun (what, body) ->
+        let req = Protocol.req body in
+        let server = Server.create () in
+        let key =
+          match Server.probe server req with
+          | Server.Miss { key; _ } -> key
+          | _ -> Alcotest.failf "%s: a fresh server's probe is not a Miss" what
+        in
+        let resp = Server.handle server req in
+        let payload, metrics = expect_served what resp in
+        (match Server.probe server req with
+        | Server.Hit hit ->
+          let p, mt = expect_served (what ^ ": probe hit") hit in
+          Alcotest.(check bool) (what ^ ": probe hit serves handle's bytes")
+            true (String.equal payload p);
+          Alcotest.(check int) (what ^ ": probe hit reports handle's shard")
+            metrics.Protocol.m_shard mt.Protocol.m_shard
+        | _ -> Alcotest.failf "%s: probe after handle is not a Hit" what);
+        let other = Server.create () in
+        Server.install other ~key resp;
+        let p, mt =
+          expect_served (what ^ ": installed") (Server.handle other req)
+        in
+        Alcotest.(check bool) (what ^ ": handle hits the installed key") true
+          mt.Protocol.m_hit;
+        Alcotest.(check bool) (what ^ ": installed bytes served") true
+          (String.equal payload p);
+        (what, key))
+      rows
+  in
+  Alcotest.(check string) ".bc and .ll deliveries share a key"
+    (List.assoc "compile .bc" keys) (List.assoc "compile .ll" keys);
+  let server = Server.create () in
+  let payload = encode m in
+  (match
+     Server.probe server
+       (Protocol.req
+          (Protocol.Run
+             { r_payload = payload; r_pipeline = Protocol.Level 2;
+               r_fuel = 1000; r_engine = Llvm_exec.Engine.Tiered }))
+   with
+  | Server.Uncached { route } ->
+    Alcotest.(check (option string)) "run routes by its raw payload"
+      (Some (Llvm_bitcode.Digest.of_bytes payload)) route
+  | _ -> Alcotest.fail "a run probed as cacheable");
+  List.iter
+    (fun (what, body) ->
+      match Server.probe server (Protocol.req body) with
+      | Server.Uncached { route = None } -> ()
+      | _ -> Alcotest.failf "%s: not Uncached without a route" what)
+    [ ("unparseable compile", compile "not a module");
+      ("link with no apps", link [] [ lib ]) ]
+
 (* -- Fault tolerance (in-process) ---------------------------------------------- *)
 
 let test_framing_deadlines () =
@@ -1034,6 +1121,8 @@ let tests =
       test_server_batched_link;
     Alcotest.test_case "server: validated links key separately" `Quick
       test_server_link_validate_keys;
+    Alcotest.test_case "server: probe and handle agree on every key" `Quick
+      test_server_probe_agrees_with_handle;
     Alcotest.test_case "framing: idle/stall/torn deadlines" `Quick
       test_framing_deadlines;
     Alcotest.test_case "server: deadline expiry answers Timed_out" `Quick
