@@ -290,42 +290,23 @@ let figure5 () =
    one profiled run per tier (including tiered) must agree on status,
    output, instruction count and block profile. *)
 
-type exec_obs = {
-  o_status : string;
-  o_output : string;
-  o_instrs : int;
-  o_profile : (int * int) list;
-}
+let bench_fuel = 1_000_000_000
 
-let observe (kind : Llvm_exec.Engine.kind) (m : Ir.modul) : exec_obs =
-  let r, counts = Llvm_exec.Engine.run_main ~fuel:1_000_000_000 ~profiling:true kind m in
-  { o_status = Llvm_exec.Interp.status_to_string r.Llvm_exec.Interp.status;
-    o_output = r.Llvm_exec.Interp.output;
-    o_instrs = r.Llvm_exec.Interp.instructions;
-    o_profile =
-      List.sort compare
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []) }
-
-(* What differs between two observations; the instruction count only
-   when [instrs]. *)
-let obs_diffs ?(instrs = true) (a : exec_obs) (b : exec_obs) : string list =
-  List.filter_map
-    (fun (what, same) -> if same then None else Some what)
-    [ ("status", a.o_status = b.o_status); ("output", a.o_output = b.o_output);
-      ("instruction count", (not instrs) || a.o_instrs = b.o_instrs);
-      ("profile", a.o_profile = b.o_profile) ]
+(* One profiled run of [main]: the tier checks compare block profiles. *)
+let profiled (kind : Llvm_exec.Engine.kind) (m : Ir.modul) =
+  Llvm_exec.Engine.run_main ~fuel:bench_fuel ~profiling:true kind m
 
 let mismatch name kind what =
   Fmt.epr "MISMATCH %s [%s]: %s differs@." name (Llvm_exec.Engine.kind_name kind) what
 
 (* The three-tier agreement check: the bytecode and tiered engines must
-   each match [reference], the interpreter's observation of [m], on
-   everything.  Reports every difference; returns how many. *)
-let tier_mismatches (name : string) (reference : exec_obs) (m : Ir.modul) : int =
+   each match [reference], the interpreter's run of [m], on everything.
+   Reports every difference; returns how many. *)
+let tier_mismatches (name : string) reference (m : Ir.modul) : int =
   List.fold_left
     (fun n kind ->
-      let diffs = obs_diffs reference (observe kind m) in
-      List.iter (mismatch name kind) diffs;
+      let diffs = Llvm_exec.Interp.differences reference (profiled kind m) in
+      List.iter (fun f -> mismatch name kind (Llvm_exec.Interp.field_name f)) diffs;
       n + List.length diffs)
     0
     [ Llvm_exec.Engine.Bytecode_tier; Llvm_exec.Engine.Tiered ]
@@ -357,8 +338,6 @@ type timing = {
   deopts : int;  (* failed speculation guards, over every rep *)
 }
 
-let bench_fuel = 1_000_000_000
-
 (* Time [main] of [m] on one engine of [kind] (specialized with
    [profile] if given): every rep runs on the same machine, so state
    evolves, but identically per tier.  Best of [trials], each the mean
@@ -378,16 +357,13 @@ let rec time_main ?profile ?(trials = 1) ~(reps : reps) (kind : Llvm_exec.Engine
         time_it (fun () -> Llvm_exec.Engine.compile_all e)
       else ((0, 0), 0.0)
     in
-    let main = Option.get (Ir.find_func m "main") in
     let best = ref infinity in
     for _ = 1 to trials do
       Gc.full_major ();
       let (), total =
         time_it (fun () ->
             for _ = 1 to reps do
-              ignore
-                (Llvm_exec.Interp.run_function ~fuel:bench_fuel e.Llvm_exec.Engine.mach
-                   main [])
+              ignore (Llvm_exec.Interp.run_loaded ~fuel:bench_fuel e.Llvm_exec.Engine.mach)
             done)
       in
       best := Float.min !best (total /. float_of_int reps)
@@ -411,7 +387,7 @@ let exec_bench ?(quick = false) () =
     List.map
       (fun (name, genprog, m) ->
         (* correctness first: all three tiers must agree on everything *)
-        let reference = observe Llvm_exec.Engine.Interp_tier m in
+        let ((r, _) as reference) = profiled Llvm_exec.Engine.Interp_tier m in
         mismatches := !mismatches + tier_mismatches name reference m;
         (* timing: reps calibrated on the interpreter, reused for bytecode *)
         let interp =
@@ -422,13 +398,13 @@ let exec_bench ?(quick = false) () =
         in
         let speedup = interp.per_rep_s /. Float.max 1e-9 bytecode.per_rep_s in
         say "%-18s %10.4f %10.4f %10.4f %8.2fx %12d" name interp.per_rep_s
-          bytecode.per_rep_s bytecode.compile_s speedup reference.o_instrs;
+          bytecode.per_rep_s bytecode.compile_s speedup r.instructions;
         ( genprog, speedup, bytecode,
           Json.Obj
             [ ("name", jstr name); ("genprog", jbool genprog);
               ("interp_s", jnum interp.per_rep_s); ("bytecode_s", jnum bytecode.per_rep_s);
               ("compile_s", jnum bytecode.compile_s); ("speedup", jnum speedup);
-              ("instructions", jint reference.o_instrs); ("reps", jint interp.reps) ] ))
+              ("instructions", jint r.instructions); ("reps", jint interp.reps) ] ))
       (exec_programs ~quick)
   in
   let gm_genprog =
@@ -593,7 +569,7 @@ let ranges_bench ?(quick = false) () =
         ignore (Llvm_transforms.Pass.run_pass Llvm_transforms.Gvn.pass m);
         let inserted = Llvm_transforms.Boundscheck.insert m in
         (* guarded program: all three tiers agree on everything *)
-        let reference = observe Llvm_exec.Engine.Interp_tier m in
+        let reference = profiled Llvm_exec.Engine.Interp_tier m in
         mismatches := !mismatches + tier_mismatches name reference m;
         let guarded =
           time_main ~reps:(budget ~quick 0.2 40) Llvm_exec.Engine.Bytecode_tier m
@@ -602,10 +578,14 @@ let ranges_bench ?(quick = false) () =
            behaves exactly as before minus the check calls (same status,
            output and block profile; fewer executed instructions) *)
         let eliminated = Llvm_transforms.Boundscheck.eliminate m in
-        let after = observe Llvm_exec.Engine.Interp_tier m in
-        let changed = obs_diffs ~instrs:false reference after in
+        let after = profiled Llvm_exec.Engine.Interp_tier m in
+        let changed =
+          Llvm_exec.Interp.differences ~fields:[ Status; Output; Profile ] reference after
+        in
         List.iter
-          (fun what -> mismatch name Llvm_exec.Engine.Interp_tier (what ^ " after elimination"))
+          (fun f ->
+            mismatch name Llvm_exec.Engine.Interp_tier
+              (Llvm_exec.Interp.field_name f ^ " after elimination"))
           changed;
         mismatches := !mismatches + List.length changed + tier_mismatches name after m;
         let elim =
@@ -621,8 +601,8 @@ let ranges_bench ?(quick = false) () =
           Json.Obj
             [ ("name", jstr name); ("inserted", jint inserted); ("eliminated", jint eliminated);
               ("guarded_s", jnum guarded.per_rep_s); ("eliminated_s", jnum elim.per_rep_s);
-              ("guarded_instrs", jint reference.o_instrs);
-              ("eliminated_instrs", jint after.o_instrs); ("fast_ops", jint fast_ops) ] ))
+              ("guarded_instrs", jint (fst reference).instructions);
+              ("eliminated_instrs", jint (fst after).instructions); ("fast_ops", jint fast_ops) ] ))
       Spec.spec2000
   in
   let total f = List.fold_left (fun a (c, _) -> a + f c) 0 rows in
@@ -1497,17 +1477,11 @@ let pgo_bench ?(quick = false) () =
           Llvm_linker.Fleet.field_run ~kind:Llvm_exec.Engine.Tiered
             ~input:(Genprog.input_global, holdout) ~profile:rep.aggregate opt
         in
-        let same_status =
-          match (base_run.Llvm_exec.Interp.status, opt_run.Llvm_exec.Interp.status) with
-          | `Returned a, `Returned b -> a = b
-          | `Exited a, `Exited b -> a = b
-          | `Unwound, `Unwound -> true
-          | `Trapped a, `Trapped b -> a = b
-          | _ -> false
-        in
+        let no_counts = Hashtbl.create 1 in
         if
-          (not same_status)
-          || base_run.Llvm_exec.Interp.output <> opt_run.Llvm_exec.Interp.output
+          Llvm_exec.Interp.differences ~fields:[ Status; Output ] (base_run, no_counts)
+            (opt_run, no_counts)
+          <> []
         then begin
           Fmt.epr "BEHAVIOUR MISMATCH %s: speculation changed the program@."
             name;

@@ -37,13 +37,7 @@ let run input fuel profile emit_profile use_profile engine =
   match e with
   | None -> exit 121
   | Some e ->
-    let r =
-      match Llvm_ir.Ir.find_func m "main" with
-      | Some main -> Interp.run_function ~fuel e.Engine.mach main []
-      | None ->
-        { Interp.status = `Trapped "no main function"; output = "";
-          instructions = 0 }
-    in
+    let r = Interp.run_loaded ~fuel e.Engine.mach in
     print_string r.Interp.output;
     Fmt.pr "@.; executed %d instructions@." r.Interp.instructions;
     let run_profile = lazy (Engine.profile e) in
@@ -67,15 +61,10 @@ let run input fuel profile emit_profile use_profile engine =
           (String.concat ", " (List.map fst ps))
     end;
     (match r.Interp.status with
-    | `Returned (Interp.Rint (_, v)) -> exit (Int64.to_int v land 0xFF)
-    | `Returned _ -> exit 0
-    | `Exited c -> exit c
-    | `Unwound ->
-      prerr_endline "uncaught exception: program unwound out of main";
-      exit 120
-    | `Trapped msg ->
-      prerr_endline ("trap: " ^ msg);
-      exit 121)
+    | `Unwound -> prerr_endline "uncaught exception: program unwound out of main"
+    | `Trapped msg -> prerr_endline ("trap: " ^ msg)
+    | `Returned _ | `Exited _ -> ());
+    exit (Interp.exit_code r.Interp.status)
 
 let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"INPUT")
 let fuel =

@@ -582,8 +582,6 @@ let compile ?(ranges : Llvm_analysis.Range.t Lazy.t option)
 
 (* -- Execution ------------------------------------------------------------- *)
 
-let out_of_fuel () = Memory.trap "out of fuel (infinite loop?)"
-
 (* The dispatch loop.  No hashtable lookups or list traversals on the
    straight-line path; fuel accounting is inlined into every charging
    arm (no flambda, so helper closures would cost a call per
@@ -653,7 +651,7 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
     | DeadEnd bname -> Memory.trap "fell off the end of block %%%s" bname
     | Bin (op, d, a, b) ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       Array.unsafe_set regs d
         (rt_binop op
            (match a with
@@ -665,7 +663,7 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
       go (pc + 1)
     | Cmp (op, d, a, b) ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       Array.unsafe_set regs d
         (rt_cmp op
            (match a with
@@ -677,17 +675,17 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
       go (pc + 1)
     | CastI (ty, d, a) ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       Array.unsafe_set regs d (cast_resolved (ev a) ty);
       go (pc + 1)
     | Sel (d, cnd, a, b) ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       Array.unsafe_set regs d (if as_bool (ev cnd) then ev a else ev b);
       go (pc + 1)
     | AllocI { dst; elt_size; count; on_stack } ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       let n =
         match count with
         | None -> 1
@@ -700,12 +698,12 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
       go (pc + 1)
     | FreeI o ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       Memory.free mach.mem (as_ptr (ev o));
       go (pc + 1)
     | LoadI (ty, d, p) ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       Array.unsafe_set regs d
         (load_resolved mach
            (as_ptr
@@ -716,7 +714,7 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
       go (pc + 1)
     | StoreI (size, v, p) ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       store_sized mach
         (as_ptr
            (match p with
@@ -729,7 +727,7 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
       go (pc + 1)
     | LoadFast (ty, d, p) ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       let addr =
         as_ptr
           (match p with
@@ -750,7 +748,7 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
       go (pc + 1)
     | StoreFast (size, v, p) ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       let addr =
         as_ptr
           (match p with
@@ -772,7 +770,7 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
       go (pc + 1)
     | DivF { rem; dst; a; b } ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       (match
          ( (match a with
            | Reg r -> Array.unsafe_get regs r
@@ -788,7 +786,7 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
       go (pc + 1)
     | GepI (d, base, steps) ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       let addr = ref (as_ptr (ev base)) in
       for k = 0 to Array.length steps - 1 do
         match Array.unsafe_get steps k with
@@ -800,14 +798,14 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
       go (pc + 1)
     | GepSlow (d, base, pty, idxs) ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       let indices = Array.to_list (Array.map (fun (t, o) -> (t, ev o)) idxs) in
       Array.unsafe_set regs d
         (Rptr (gep_address table (as_ptr (ev base)) pty indices));
       go (pc + 1)
     | CallI { dst; void; callee; args } -> (
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       let fn = resolve callee in
       let actuals = Array.fold_right (fun o acc -> ev o :: acc) args [] in
       match mach.dispatch mach fn actuals with
@@ -817,7 +815,7 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
       | Unwinding -> finish Unwinding)
     | InvokeI { dst; void; callee; args; normal; unwind } -> (
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       let fn = resolve callee in
       let actuals = Array.fold_right (fun o acc -> ev o :: acc) args [] in
       match mach.dispatch mach fn actuals with
@@ -827,19 +825,19 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
       | Unwinding -> go unwind)
     | RetI None ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       finish (Normal Rvoid)
     | RetI (Some o) ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       finish (Normal (ev o))
     | Br1 t ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       go t
     | Bra (cnd, t, e) ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       if
         as_bool
           (match cnd with
@@ -849,7 +847,7 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
       else go e
     | Sw (v, cases, dflt) ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       let x = ev v in
       let n = Array.length cases in
       let rec find k =
@@ -867,7 +865,7 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
       go (find 0)
     | UnwindI ->
       mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then out_of_fuel ();
+      if mach.fuel <= 0 then fuel_trap ();
       finish Unwinding
   in
   go 0

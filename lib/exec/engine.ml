@@ -153,7 +153,4 @@ let run_main ?fuel ?hot_threshold ?(profiling = false) ?profile (kind : kind)
   match create ?hot_threshold ~profiling ?profile kind m with
   | exception Memory.Trap msg -> failed (`Trapped msg)
   | exception Exit_program code -> failed (`Exited code)
-  | e -> (
-    match find_func m "main" with
-    | Some main -> (run_function ?fuel e.mach main [], e.mach.block_counts)
-    | None -> failed (`Trapped "no main function"))
+  | e -> (run_loaded ?fuel e.mach, e.mach.block_counts)

@@ -56,6 +56,10 @@ type machine = {
 
 let default_fuel = 50_000_000
 
+(* The one trap for an exhausted instruction budget, in every tier. *)
+let fuel_trap_msg = "out of fuel (infinite loop?)"
+let fuel_trap () = raise (Memory.Trap fuel_trap_msg)
+
 (* -- Value/byte conversions ---------------------------------------------- *)
 
 let rtval_type_zero table (ty : Ltype.t) : rtval =
@@ -558,7 +562,7 @@ let exec_func (mach : machine) (f : func) (args : rtval list) : outcome =
       | [] -> Memory.trap "fell off the end of block %%%s" b.bname
       | i :: rest -> (
         mach.fuel <- mach.fuel - 1;
-        if mach.fuel <= 0 then Memory.trap "out of fuel (infinite loop?)";
+        if mach.fuel <= 0 then fuel_trap ();
         let set v = Hashtbl.replace frame.env i.iid v in
         match i.iop with
         | Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr ->
@@ -666,8 +670,11 @@ let () = default_dispatch := exec_func
 
 (* -- Entry points ------------------------------------------------------------ *)
 
+type status =
+  [ `Returned of rtval | `Unwound | `Exited of int | `Trapped of string ]
+
 type run_result = {
-  status : [ `Returned of rtval | `Unwound | `Exited of int | `Trapped of string ];
+  status : status;
   output : string;
   instructions : int;
 }
@@ -689,12 +696,22 @@ let run_function ?(fuel = default_fuel) (mach : machine) (f : func)
     output = Buffer.contents mach.out;
     instructions = start_fuel - mach.fuel }
 
-let run_main ?fuel (m : modul) : run_result =
-  let mach = create m in
-  match find_func m "main" with
+let run_loaded ?fuel (mach : machine) : run_result =
+  match find_func mach.modul "main" with
   | Some main -> run_function ?fuel mach main []
   | None ->
     { status = `Trapped "no main function"; output = ""; instructions = 0 }
+
+let run_main ?fuel (m : modul) : run_result = run_loaded ?fuel (create m)
+
+let out_of_fuel (r : run_result) : bool = r.status = `Trapped fuel_trap_msg
+
+let exit_code : status -> int = function
+  | `Returned (Rint (_, v)) -> Int64.to_int v land 0xff
+  | `Returned _ -> 0
+  | `Exited c -> c land 0xff
+  | `Unwound -> 120
+  | `Trapped _ -> 121
 
 let pp_rtval fmt = function
   | Rvoid -> Fmt.string fmt "void"
@@ -703,8 +720,40 @@ let pp_rtval fmt = function
   | Rfloat (_, f) -> Fmt.float fmt f
   | Rptr p -> Fmt.pf fmt "0x%Lx" p
 
-let status_to_string = function
+let status_to_string : status -> string = function
   | `Returned v -> Fmt.str "returned %a" pp_rtval v
   | `Unwound -> "unwound"
   | `Exited c -> Fmt.str "exited %d" c
   | `Trapped msg -> "trapped: " ^ msg
+
+(* -- Comparing two runs -------------------------------------------------------- *)
+
+type field = Status | Output | Instructions | Profile
+
+let field_name = function
+  | Status -> "status"
+  | Output -> "output"
+  | Instructions -> "instruction count"
+  | Profile -> "profile"
+
+(* Statuses compare by value, a returned float by its bit pattern: NaN
+   equals itself, and two doubles that print alike under [%g] differ. *)
+let same_status (a : status) (b : status) : bool =
+  match (a, b) with
+  | `Returned (Rfloat (ta, x)), `Returned (Rfloat (tb, y)) ->
+    ta = tb && Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+let same_counts a b =
+  Hashtbl.length a = Hashtbl.length b
+  && Hashtbl.fold (fun k n same -> same && Hashtbl.find_opt b k = Some n) a true
+
+let differences ?(fields = [ Status; Output; Instructions; Profile ])
+    ((ra : run_result), ca) ((rb : run_result), cb) : field list =
+  List.filter
+    (function
+      | Status -> not (same_status ra.status rb.status)
+      | Output -> not (String.equal ra.output rb.output)
+      | Instructions -> ra.instructions <> rb.instructions
+      | Profile -> not (same_counts ca cb))
+    fields

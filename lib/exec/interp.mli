@@ -56,6 +56,9 @@ type machine = {
 
 val default_fuel : int
 
+(** Raise the trap every tier raises on an exhausted instruction budget. *)
+val fuel_trap : unit -> 'a
+
 (** Builtins available to programs: [putchar], [print_int],
     [print_long], [print_double], [print_str], [print_newline], [exit],
     [abort], the [llvm_cxxeh_*] exception runtime, [llvm_profile_hit],
@@ -105,23 +108,51 @@ val gep_address :
   (Llvm_ir.Ltype.t * rtval) list ->
   int64
 
+type status =
+  [ `Returned of rtval | `Unwound | `Exited of int | `Trapped of string ]
+
 type run_result = {
-  status :
-    [ `Returned of rtval | `Unwound | `Exited of int | `Trapped of string ];
+  status : status;
   output : string;  (** everything the program printed *)
   instructions : int;  (** dynamic instruction count *)
 }
 
-(** A run's status as the engines' differential checks compare it:
-    ["returned 42"], ["unwound"], ["exited 3"] or ["trapped: <why>"]. *)
-val status_to_string :
-  [ `Returned of rtval | `Unwound | `Exited of int | `Trapped of string ] ->
-  string
+(** A run's status as the tools print it: ["returned 42"],
+    ["unwound"], ["exited 3"] or ["trapped: <why>"]. *)
+val status_to_string : status -> string
 
 val run_function :
   ?fuel:int -> machine -> Llvm_ir.Ir.func -> rtval list -> run_result
 
+(** The one run entry: run [main] on an already-built machine, or trap
+    when the module has none. *)
+val run_loaded : ?fuel:int -> machine -> run_result
+
 (** Run [main] on a fresh machine. *)
 val run_main : ?fuel:int -> Llvm_ir.Ir.modul -> run_result
 
+(** Did the run stop on the {!fuel_trap}? *)
+val out_of_fuel : run_result -> bool
+
+(** The exit code [lli] and [llvmd] report: main's integer return or the
+    [exit()] code (low 8 bits), 0 for other returns, 120 unwound, 121
+    trapped. *)
+val exit_code : status -> int
+
 val pp_rtval : Format.formatter -> rtval -> unit
+
+(** {1 Comparing two runs: the one "behaviour changed" predicate} *)
+
+type field = Status | Output | Instructions | Profile
+
+(** ["status"], ["output"], ["instruction count"] or ["profile"]. *)
+val field_name : field -> string
+
+(** The [fields] (default: all four, in order) on which two runs, each
+    with its block counts as {!Engine.run_main} returns them, differ.
+    Statuses compare by value, a returned float by its bit pattern. *)
+val differences :
+  ?fields:field list ->
+  run_result * (int, int) Hashtbl.t ->
+  run_result * (int, int) Hashtbl.t ->
+  field list

@@ -8,6 +8,7 @@
 
 open Llvm_ir
 open Ir
+open Llvm_exec
 
 type verdict = Pass | Fail of string | Skip of string
 
@@ -126,30 +127,16 @@ let verify_errors (m : modul) : string option =
          (List.map (fun e -> Fmt.str "%a" Verify.pp_error e)
             (List.filteri (fun k _ -> k < 5) errs)))
 
-type obs = {
-  ob_status : string;
-  ob_output : string;
-  ob_instrs : int;
-  ob_profile : (int * int) list;
-  ob_fuel_out : bool;
-}
+(* One run of [main] under [kind]; the tier checks turn profiling on to
+   compare block profiles, the behaviour-only checks leave it off. *)
+let run ?profiling ?profile kind m = Engine.run_main ~fuel ?profiling ?profile kind m
 
-let observe ?profile (kind : Llvm_exec.Engine.kind) (m : modul) : obs =
-  let r, counts = Llvm_exec.Engine.run_main ~fuel ~profiling:true ?profile kind m in
-  { ob_status = Llvm_exec.Interp.status_to_string r.Llvm_exec.Interp.status;
-    ob_output = r.Llvm_exec.Interp.output;
-    ob_instrs = r.Llvm_exec.Interp.instructions;
-    ob_profile =
-      List.sort compare
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []);
-    ob_fuel_out =
-      r.Llvm_exec.Interp.status = `Trapped "out of fuel (infinite loop?)" }
+(* Behaviour (status + output) as the Fail and Skip texts print it. *)
+let describe (r : Interp.run_result) = Interp.status_to_string r.status ^ "|" ^ r.output
 
-(* Behaviour only (status + output): the module may have been
-   transformed, so instruction counts and profiles are not comparable. *)
-let behaviour (m : modul) : string * bool =
-  let o = observe Llvm_exec.Engine.Interp_tier m in
-  (o.ob_status ^ "|" ^ o.ob_output, o.ob_fuel_out)
+(* The module may have been transformed, so only behaviour compares:
+   instruction counts and profiles are not comparable. *)
+let same_behaviour a b = Interp.differences ~fields:[ Status; Output ] a b = []
 
 (* -- the five oracles ------------------------------------------------------- *)
 
@@ -209,72 +196,69 @@ let exec_oracle =
     o_descr = "interp, bytecode and tiered execution are identical";
     check =
       (fun m ->
-        match observe Llvm_exec.Engine.Interp_tier m with
+        match run ~profiling:true Engine.Interp_tier m with
         | exception e -> Fail ("interpreter raised " ^ Printexc.to_string e)
-        | reference ->
-          if reference.ob_fuel_out then Skip "reference run out of fuel"
-          else if
-            String.length reference.ob_status >= 7
-            && String.sub reference.ob_status 0 7 = "trapped"
-          then Fail ("generated program trapped: " ^ reference.ob_status)
-          else (
-            let rec check_tiers = function
-              | [] -> Pass
-              | kind :: rest -> (
-                match observe kind m with
-                | exception e ->
-                  Fail
-                    (Printf.sprintf "%s tier raised %s"
-                       (Llvm_exec.Engine.kind_name kind)
-                       (Printexc.to_string e))
-                | got ->
-                  let name = Llvm_exec.Engine.kind_name kind in
-                  if got.ob_status <> reference.ob_status then
-                    Fail
-                      (Printf.sprintf "%s status %s != interp %s" name
-                         got.ob_status reference.ob_status)
-                  else if got.ob_output <> reference.ob_output then
-                    Fail (name ^ " output differs")
-                  else if got.ob_instrs <> reference.ob_instrs then
-                    Fail
-                      (Printf.sprintf "%s executed %d instrs, interp %d" name
-                         got.ob_instrs reference.ob_instrs)
-                  else if got.ob_profile <> reference.ob_profile then
-                    Fail (name ^ " block profile differs")
-                  else check_tiers rest)
-            in
-            check_tiers
-              [ Llvm_exec.Engine.Bytecode_tier; Llvm_exec.Engine.Tiered ])) }
+        | r0, _ when Interp.out_of_fuel r0 -> Skip "reference run out of fuel"
+        | ({ status = `Trapped _ as s; _ }, _) ->
+          Fail ("generated program trapped: " ^ Interp.status_to_string s)
+        | (r0, _) as reference ->
+          let check kind =
+            let name = Engine.kind_name kind in
+            let fail fmt = Printf.ksprintf (fun why -> Some (Fail why)) fmt in
+            match run ~profiling:true kind m with
+            | exception e -> fail "%s tier raised %s" name (Printexc.to_string e)
+            | (r, _) as got -> (
+              match Interp.differences reference got with
+              | [] -> None
+              | Status :: _ ->
+                fail "%s status %s != interp %s" name
+                  (Interp.status_to_string r.status)
+                  (Interp.status_to_string r0.status)
+              | Output :: _ -> fail "%s output differs" name
+              | Instructions :: _ ->
+                fail "%s executed %d instrs, interp %d" name r.instructions
+                  r0.instructions
+              | Profile :: _ -> fail "%s block profile differs" name)
+          in
+          Option.value ~default:Pass
+            (List.find_map check [ Engine.Bytecode_tier; Engine.Tiered ])) }
 
-let check_transform ~what (transform : modul -> unit) (baseline : string)
-    (m : modul) : verdict =
+let check_transform ~what (transform : modul -> unit) baseline (m : modul) :
+    verdict =
   let c = clone m in
   match transform c with
   | exception e -> Fail (what ^ " raised " ^ Printexc.to_string e)
   | () -> (
     match verify_errors c with
     | Some e -> Fail (what ^ " broke the module: " ^ e)
-    | None ->
-      let got, fuel_out = behaviour c in
-      if fuel_out then Skip (what ^ ": transformed run out of fuel")
-      else if got <> baseline then
-        Fail (Printf.sprintf "%s changed behaviour: %s -> %s" what baseline got)
-      else Pass)
+    | None -> (
+      match run Engine.Interp_tier c with
+      | r, _ when Interp.out_of_fuel r -> Skip (what ^ ": transformed run out of fuel")
+      | got when same_behaviour baseline got -> Pass
+      | r, _ ->
+        Fail
+          (Printf.sprintf "%s changed behaviour: %s -> %s" what
+             (describe (fst baseline)) (describe r))))
+
+(* The -O0 baseline every behaviour check compares against, or why the
+   module cannot be judged: out of fuel, or a trapping baseline, which
+   is already degenerate (the generator never produces one; the
+   reducer can) — nothing to preserve. *)
+let baseline (m : modul) =
+  match run Engine.Interp_tier m with
+  | r, _ when Interp.out_of_fuel r -> Error (Skip "baseline run out of fuel")
+  | ({ status = `Trapped _; _ } as r), _ -> Error (Skip ("baseline " ^ describe r))
+  | b -> Ok b
 
 let opt_against (passes : (string * (modul -> unit)) list) (m : modul) : verdict
     =
-  let baseline, fuel_out = behaviour m in
-  if fuel_out then Skip "baseline run out of fuel"
-  else if
-    String.length baseline >= 7 && String.sub baseline 0 7 = "trapped"
-    (* a trapping baseline is already degenerate (the generator never
-       produces one; the reducer can) — nothing to preserve *)
-  then Skip ("baseline " ^ baseline)
-  else
+  match baseline m with
+  | Error v -> v
+  | Ok b ->
     let rec go = function
       | [] -> Pass
       | (what, transform) :: rest -> (
-        match check_transform ~what transform baseline m with
+        match check_transform ~what transform b m with
         | Pass -> go rest
         | v -> v)
     in
@@ -310,14 +294,9 @@ let opt_oracle =
 let train_profile (m : modul) : Llvm_profile.Profile.t option =
   let t = clone m in
   match
-    let e =
-      Llvm_exec.Engine.create ~profiling:true Llvm_exec.Engine.Interp_tier t
-    in
-    (match find_func t "main" with
-    | Some main ->
-      ignore (Llvm_exec.Interp.run_function ~fuel e.Llvm_exec.Engine.mach main [])
-    | None -> ());
-    Llvm_exec.Engine.profile e
+    let e = Engine.create ~profiling:true Engine.Interp_tier t in
+    ignore (Interp.run_loaded ~fuel e.Engine.mach);
+    Engine.profile e
   with
   | p -> Some p
   | exception _ -> None
@@ -334,11 +313,9 @@ let spec_oracle =
     o_descr = "speculation on vs. off: identical behaviour and output";
     check =
       (fun m ->
-        let baseline, fuel_out = behaviour m in
-        if fuel_out then Skip "baseline run out of fuel"
-        else if String.length baseline >= 7 && String.sub baseline 0 7 = "trapped"
-        then Skip ("baseline " ^ baseline)
-        else
+        match baseline m with
+        | Error v -> v
+        | Ok b -> (
           match train_profile m with
           | None -> Skip "training run failed to materialize"
           | Some p -> (
@@ -355,29 +332,27 @@ let spec_oracle =
                 (* every tier of the speculated module — hot/cold layout
                    driven by the same profile — must reproduce the
                    unspeculated behaviour, deopts included *)
-                let rec tiers = function
-                  | [] -> Pass
-                  | kind :: rest -> (
-                    let name = Llvm_exec.Engine.kind_name kind in
-                    match observe ~profile:p kind c with
-                    | exception e ->
-                      Fail
-                        (Printf.sprintf "%s tier on speculated module raised %s"
-                           name (Printexc.to_string e))
-                    | o ->
-                      if o.ob_fuel_out then
-                        Skip (name ^ ": speculated run out of fuel")
-                      else if o.ob_status ^ "|" ^ o.ob_output <> baseline then
-                        Fail
-                          (Printf.sprintf
-                             "%s: speculation changed behaviour: %s -> %s" name
-                             baseline
-                             (o.ob_status ^ "|" ^ o.ob_output))
-                      else tiers rest)
+                let tier kind =
+                  let name = Engine.kind_name kind in
+                  match run ~profile:p kind c with
+                  | exception e ->
+                    Some
+                      (Fail
+                         (Printf.sprintf "%s tier on speculated module raised %s"
+                            name (Printexc.to_string e)))
+                  | r, _ when Interp.out_of_fuel r ->
+                    Some (Skip (name ^ ": speculated run out of fuel"))
+                  | got when same_behaviour b got -> None
+                  | r, _ ->
+                    Some
+                      (Fail
+                         (Printf.sprintf
+                            "%s: speculation changed behaviour: %s -> %s" name
+                            (describe (fst b)) (describe r)))
                 in
-                tiers
-                  [ Llvm_exec.Engine.Interp_tier; Llvm_exec.Engine.Bytecode_tier;
-                    Llvm_exec.Engine.Tiered ]))) }
+                Option.value ~default:Pass
+                  (List.find_map tier
+                     [ Engine.Interp_tier; Engine.Bytecode_tier; Engine.Tiered ]))))) }
 
 let all =
   [ verify_oracle; asm_oracle; bitcode_oracle; exec_oracle; opt_oracle;

@@ -61,13 +61,7 @@ let field_run ?(fuel = default_fuel) ?(kind = Llvm_exec.Engine.Tiered)
   (match input with
   | Some (name, v) -> poke_input mach m name v
   | None -> ());
-  let result =
-    match find_func m "main" with
-    | Some main -> Llvm_exec.Interp.run_function ~fuel mach main []
-    | None ->
-      { Llvm_exec.Interp.status = `Trapped "no main function"; output = "";
-        instructions = 0 }
-  in
+  let result = Llvm_exec.Interp.run_loaded ~fuel mach in
   (result, Llvm_exec.Engine.profile e, Llvm_exec.Engine.deopts e)
 
 let rec ensure_dir (dir : string) : unit =

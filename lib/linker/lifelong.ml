@@ -46,13 +46,7 @@ let build ?(ipo = true) (modules : modul list) : executable =
    reoptimizer also drives hot-function promotion to bytecode. *)
 let run_in_the_field ?fuel ?profile (exe : executable) : run_report =
   let e = Llvm_exec.Engine.create ?profile Llvm_exec.Engine.Tiered exe.program in
-  let result =
-    match find_func exe.program "main" with
-    | Some main -> Llvm_exec.Interp.run_function ?fuel e.Llvm_exec.Engine.mach main []
-    | None ->
-      { Llvm_exec.Interp.status = `Trapped "no main function"; output = "";
-        instructions = 0 }
-  in
+  let result = Llvm_exec.Interp.run_loaded ?fuel e.Llvm_exec.Engine.mach in
   { result;
     profile = Llvm_exec.Engine.profile e;
     promoted = Llvm_exec.Engine.promotions e }

@@ -159,34 +159,27 @@ let run_pipeline ~(deadline : float option) (spec : Protocol.pipeline)
 
 (* -- Translation-validation witness ------------------------------------------- *)
 
-(* Observable behaviour under the interpreter tier: status plus program
-   output.  Instruction counts are excluded — optimization changes them
-   by design.  A module without [main] has no observable behaviour, so
-   its witness is vacuously valid. *)
-type behaviour = No_main | Ran of string * string
-
-let observe (fuel : int) (m : Ir.modul) : behaviour =
-  match Ir.find_func m "main" with
-  | None -> No_main
-  | Some _ ->
-    let r, _ = Engine.run_main ~fuel Engine.Interp_tier m in
-    Ran (Interp.status_to_string r.Interp.status, r.Interp.output)
-
-(* [reference] must be a freshly loaded module (the pipelines mutate in
-   place); compares it against the optimized module. *)
+(* Observable behaviour under the interpreter tier, profiling off:
+   status plus program output.  Instruction counts are excluded —
+   optimization changes them by design.  Two modules without [main]
+   trap alike, so their witness is vacuously valid.  [reference] must be a freshly loaded module (the
+   pipelines mutate in place); compares it against the optimized
+   module. *)
 let check_witness (t : t) ~(reference : Ir.modul) ~(optimized : Ir.modul) :
     (unit, string) result =
-  let fuel = t.cfg.validate_fuel in
-  match (observe fuel reference, observe fuel optimized) with
-  | No_main, _ | _, No_main -> Ok ()
-  | Ran (s0, o0), Ran (s1, o1) ->
-    if s0 <> s1 then
-      Error (Fmt.str "status diverged: %S before, %S after" s0 s1)
-    else if o0 <> o1 then
-      Error
-        (Fmt.str "output diverged (%d bytes before, %d after)"
-           (String.length o0) (String.length o1))
-    else Ok ()
+  let run m = Engine.run_main ~fuel:t.cfg.validate_fuel Engine.Interp_tier m in
+  let ((r0, _) as before) = run reference in
+  let ((r1, _) as after) = run optimized in
+  match Interp.differences ~fields:[ Status; Output ] before after with
+  | Status :: _ ->
+    Error
+      (Fmt.str "status diverged: %S before, %S after"
+         (Interp.status_to_string r0.status) (Interp.status_to_string r1.status))
+  | Output :: _ ->
+    Error
+      (Fmt.str "output diverged (%d bytes before, %d after)"
+         (String.length r0.output) (String.length r1.output))
+  | _ -> Ok ()
 
 (* -- Requests: one plan, one lookup, one miss tail ------------------------- *)
 
@@ -438,18 +431,17 @@ let handle_run ~(deadline : float option) (r : Protocol.run_req)
       let result, _ =
         Engine.run_main ~fuel:r.Protocol.r_fuel r.Protocol.r_engine m
       in
-      let status, exit_code =
+      let status =
         match result.Interp.status with
-        | `Returned (Interp.Rint (_, v)) ->
-          ("returned", Int64.to_int v land 0xff)
-        | `Returned _ -> ("returned", 0)
-        | `Exited c -> ("exited", c land 0xff)
-        | `Unwound -> ("unwound", 120)
-        | `Trapped msg -> ("trapped: " ^ msg, 121)
+        | `Returned _ -> "returned"
+        | `Exited _ -> "exited"
+        | `Unwound -> "unwound"
+        | `Trapped msg -> "trapped: " ^ msg
       in
       let reply =
         Protocol.encode_run_reply
-          { Protocol.status; exit_code; output = result.Interp.output;
+          { Protocol.status; exit_code = Interp.exit_code result.Interp.status;
+            output = result.Interp.output;
             instructions = result.Interp.instructions }
       in
       Protocol.Served { payload = reply; metrics })

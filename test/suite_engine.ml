@@ -299,6 +299,163 @@ let test_speculation_deopt_invoke () =
   Alcotest.(check int) "guard failed once per boom call" 20 deopts;
   Alcotest.(check int) "every deopt fell back to the interpreter" 20 falls
 
+(* -- Comparing two runs, exit codes, the fuel trap ------------------------- *)
+
+let parse src =
+  try Llvm_asm.Parser.parse_module src
+  with Llvm_asm.Parser.Parse_error (msg, line) ->
+    Alcotest.failf "parse error at line %d: %s" line msg
+
+(* One interpreter run of [m]'s main with the global [%input] set to
+   [input] first, as {!Interp.differences} takes it. *)
+let run_input ?(profiling = false) ?(input = 0) (m : Ir.modul) =
+  let e = Engine.create ~profiling Engine.Interp_tier m in
+  let mach = e.Engine.mach in
+  Option.iter
+    (fun g ->
+      Interp.store_sized mach
+        (Hashtbl.find mach.Interp.globals g.Ir.gid)
+        ~size:4
+        (Interp.Rint (Ltype.Int, Int64.of_int input)))
+    (Ir.find_gvar m "input");
+  (Interp.run_loaded ~fuel mach, mach.Interp.block_counts)
+
+let print_const n =
+  parse
+    (Fmt.str
+       {|
+declare void %%print_int(int)
+int %%main() {
+entry:
+  call void %%print_int(int %d)
+  ret int 0
+}
+|}
+       n)
+
+let test_differences_table () =
+  (* [%input] picks one of two blocks of equal length *)
+  let branchy =
+    parse
+      {|
+%input = global int 0
+int %main() {
+entry:
+  %x = load int* %input
+  %c = seteq int %x, 0
+  br bool %c, label %a, label %b
+a:
+  br label %done
+b:
+  br label %done
+done:
+  ret int 7
+}
+|}
+  in
+  let short = parse {|
+int %main() {
+entry:
+  ret int 0
+}
+|} in
+  let long =
+    parse {|
+int %main() {
+entry:
+  %x = add int 1, 2
+  ret int 0
+}
+|}
+  in
+  let sum =
+    parse {|
+double %main() {
+entry:
+  %s = add double 0.1, 0.2
+  ret double %s
+}
+|}
+  in
+  let third =
+    parse {|
+double %main() {
+entry:
+  %s = add double 0.0, 0.3
+  ret double %s
+}
+|}
+  in
+  let nan =
+    parse {|
+double %main() {
+entry:
+  %s = div double 0.0, 0.0
+  ret double %s
+}
+|}
+  in
+  let print1 = print_const 1 and print2 = print_const 2 in
+  let fields =
+    Alcotest.testable
+      (Fmt.list ~sep:Fmt.comma (Fmt.of_to_string Interp.field_name))
+      ( = )
+  in
+  List.iter
+    (fun (what, a, b, expected) ->
+      Alcotest.check fields what expected (Interp.differences a b))
+    [ ("equal runs", run_input ~profiling:true branchy,
+       run_input ~profiling:true branchy, []);
+      ("output only", run_input print1, run_input print2, [ Interp.Output ]);
+      ("instruction count only", run_input short, run_input long,
+       [ Interp.Instructions ]);
+      ("block profile only", run_input ~profiling:true branchy,
+       run_input ~profiling:true ~input:1 branchy, [ Interp.Profile ]);
+      ("0.1 + 0.2 vs 0.3", run_input sum, run_input third, [ Interp.Status ]);
+      ("NaN vs the same NaN", run_input nan, run_input nan, []) ];
+  (* the two doubles print alike: only the exact comparison tells *)
+  let status m = Interp.status_to_string (fst (run_input m)).Interp.status in
+  Alcotest.(check string) "0.1 + 0.2 prints as 0.3" (status third) (status sum)
+
+let test_exit_codes () =
+  List.iter
+    (fun (status, expected) ->
+      Alcotest.(check int) (Interp.status_to_string status) expected
+        (Interp.exit_code status))
+    [ (`Returned (Interp.Rint (Ltype.Int, 55L)), 55);
+      (`Returned (Interp.Rint (Ltype.Int, 300L)), 44);
+      (`Returned (Interp.Rint (Ltype.Int, -1L)), 255);
+      (`Returned (Interp.Rfloat (Ltype.Double, 3.0)), 0);
+      (`Returned Interp.Rvoid, 0);
+      (`Exited 7, 7);
+      (`Exited 263, 7);
+      (`Unwound, 120);
+      (`Trapped "division by zero", 121) ]
+
+let test_out_of_fuel () =
+  let loop =
+    parse {|
+int %main() {
+entry:
+  br label %loop
+loop:
+  br label %loop
+}
+|}
+  in
+  List.iter
+    (fun kind ->
+      let r, _ = Engine.run_main ~fuel:100 kind loop in
+      Alcotest.(check bool) (Engine.kind_name kind ^ " ran out of fuel") true
+        (Interp.out_of_fuel r))
+    [ Engine.Interp_tier; Engine.Bytecode_tier; Engine.Tiered ];
+  let r, _ =
+    Engine.run_main Engine.Interp_tier
+      (Llvm_minic.Codegen.compile_string {| int main() { int z = 0; return 1 / z; } |})
+  in
+  Alcotest.(check bool) "another trap is not out of fuel" false
+    (Interp.out_of_fuel r)
+
 let tests =
   [ Alcotest.test_case "genprog workloads agree across tiers" `Slow
       test_genprog_differential;
@@ -325,4 +482,9 @@ let tests =
     Alcotest.test_case "speculation never deopts on a monomorphic site"
       `Quick test_speculation_deopt_monomorphic;
     Alcotest.test_case "speculation deopts inside an invoke landing pad"
-      `Quick test_speculation_deopt_invoke ]
+      `Quick test_speculation_deopt_invoke;
+    Alcotest.test_case "differences names exactly the differing fields"
+      `Quick test_differences_table;
+    Alcotest.test_case "exit code of every status" `Quick test_exit_codes;
+    Alcotest.test_case "out_of_fuel recognizes the fuel trap in every tier"
+      `Quick test_out_of_fuel ]
