@@ -507,39 +507,10 @@ let lifelong () =
     (100. *. (1. -. (float_of_int after /. float_of_int before)));
   say ""
 
-(* -- SAFECode-style bounds checking (section 4.1.2) --------------------------- *)
-
-let safecode () =
-  say "SAFECode-style bounds checking (section 4.1.2)";
-  say "(instrument every variable array index; eliminate the checks that";
-  say " masking, constants or guarded induction variables prove safe)";
-  say "";
-  say "%-14s %9s %11s %9s" "Benchmark" "inserted" "eliminated" "removed%";
-  let tot_i = ref 0 and tot_e = ref 0 in
-  List.iter
-    (fun p ->
-      let m = build_benchmark p in
-      ignore (Llvm_transforms.Pass.run_pass Llvm_transforms.Mem2reg.pass m);
-      ignore (Llvm_transforms.Pass.run_pass Llvm_transforms.Gvn.pass m);
-      let inserted = Llvm_transforms.Boundscheck.insert m in
-      let eliminated = Llvm_transforms.Boundscheck.eliminate m in
-      tot_i := !tot_i + inserted;
-      tot_e := !tot_e + eliminated;
-      say "%-14s %9d %11d %8.0f%%" p.Genprog.p_name inserted eliminated
-        (if inserted = 0 then 100.
-         else 100. *. float_of_int eliminated /. float_of_int inserted))
-    Spec.spec2000;
-  say "%-14s %9d %11d %8.0f%%" "total" !tot_i !tot_e
-    (if !tot_i = 0 then 100.
-     else 100. *. float_of_int !tot_e /. float_of_int !tot_i);
-  say "";
-  say "(the paper: SAFECode 'uses interprocedural analysis to eliminate";
-  say " runtime bounds checks in many cases')";
-  say ""
-
 (* -- Value-range analysis: check elimination and fast ops ---------------------- *)
 
-(* End-to-end measurement of the interprocedural value-range analysis:
+(* End-to-end measurement of the interprocedural value-range analysis
+   and the SAFECode-style bounds checks it discharges (section 4.1.2):
    instrument every variable array index on the Table-1 workloads, let
    the range-aware eliminator prove checks away, and run the guarded and
    the eliminated program in all three engine tiers.  Every run must be
@@ -1636,7 +1607,6 @@ let () =
   | _ :: "table2" :: rest -> table2 ~promote:(not (List.mem "--raw" rest)) ()
   | _ :: "figure5" :: _ -> figure5 ()
   | _ :: "lifelong" :: _ -> lifelong ()
-  | _ :: "safecode" :: _ -> safecode ()
   | _ :: "ranges" :: rest -> ranges_bench ~quick:(List.mem "--quick" rest) ()
   | _ :: "poolalloc" :: _ -> poolalloc ()
   | _ :: "lint" :: _ -> lint ()
@@ -1651,7 +1621,6 @@ let () =
     table1 ();
     table2 ();
     figure5 ();
-    safecode ();
     ranges_bench ();
     poolalloc ();
     lint ();

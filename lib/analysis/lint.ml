@@ -28,9 +28,9 @@
    observe a stack slot, and L003-L005 share one module-wide {!Dsa}
    points-to graph so aliased pointers agree about the free state.
 
-   The value abstraction ({!absval} / {!eval}) is exported: the bounds
-   check eliminator consumes the same constant/nullness facts to
-   discharge provably-redundant checks. *)
+   L001's facts are exported ({!undef_loads}): the bounds check
+   eliminator drops checks on indices loaded from never-initialized
+   slots. *)
 
 open Llvm_ir
 open Ir
@@ -801,40 +801,20 @@ let check_value_ranges (rng : Range.t) ~l8 ~l9 ~l10 (table : Ltype.table)
                | _ -> ())
              | _ -> ());
           if l10 && i.iop = Gep then
-            (* the same walk the bounds-check inserter performs: indices
-               past the pointer step through arrays and structs *)
-            match resolve_opt table (Ir.type_of table i.operands.(0)) with
-            | Some (Ltype.Pointer pointee) ->
-              let cur = ref pointee in
-              Array.iteri
-                (fun k idx ->
-                  if k >= 2 then
-                    match resolve_opt table !cur with
-                    | Some (Ltype.Array (n, elt)) ->
-                      let r = Range.range_at rng b idx in
-                      let valid = Range.Itv (0L, Int64.of_int (n - 1)) in
-                      (match r with
-                      | Range.Itv _ when Range.meet r valid = Range.Bot ->
-                        add
-                          (diag ~instr:i "L010" Error f b
-                             "%s indexes a %d-element array with %a \
-                              (provably out of bounds)"
-                             (describe i) n Range.pp_interval r)
-                      | _ -> ());
-                      cur := elt
-                    | Some (Ltype.Struct _ as s) -> (
-                      match idx with
-                      | Vconst (Cint (_, v)) -> (
-                        match
-                          try Some (Ltype.field_type table s (Int64.to_int v))
-                          with _ -> None
-                        with
-                        | Some fty -> cur := fty
-                        | None -> cur := Ltype.Void)
-                      | _ -> cur := Ltype.Void)
-                    | _ -> cur := Ltype.Void)
-                i.operands
-            | _ -> ())
+            List.iter
+              (fun (idx, n) ->
+                let r = Range.range_at rng b idx in
+                match r with
+                | Range.Itv _
+                  when Range.meet r (Range.Itv (0L, Int64.of_int (n - 1)))
+                       = Range.Bot ->
+                  add
+                    (diag ~instr:i "L010" Error f b
+                       "%s indexes a %d-element array with %a (provably \
+                        out of bounds)"
+                       (describe i) n Range.pp_interval r)
+                | _ -> ())
+              (Builder.gep_array_indices table i))
         b.instrs)
     f.fblocks;
   List.rev !diags

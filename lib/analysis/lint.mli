@@ -62,19 +62,7 @@ val has_errors : diag list -> bool
 
 (** {2 Exported facts}
 
-    The same value abstraction the checkers use, for consumers like the
-    bounds check eliminator. *)
-
-(** The SCCP-style abstraction of a first-class value. *)
-type absval = Vbot | Vint of int64 | Vnull | Vnonnull | Vundef | Vtop
-
-type evaluator
-
-val evaluator : Llvm_ir.Ltype.table -> evaluator
-
-(** Abstract value of [v], memoized per evaluator (def-chains including
-    phi cycles are handled). *)
-val eval : evaluator -> Llvm_ir.Ir.value -> absval
+    The value abstraction and the uninit facts the checkers use. *)
 
 (** [Some n] when [v] provably evaluates to the integer [n]. *)
 val eval_int : Llvm_ir.Ltype.table -> Llvm_ir.Ir.value -> int64 option

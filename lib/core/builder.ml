@@ -130,6 +130,26 @@ let gep_result_type table ptr_ty indices =
     | _ :: rest -> Ltype.Pointer (go pointee rest))
   | t -> invalid_arg (Fmt.str "gep: pointer required, got %a" Ltype.pp t)
 
+(* The indices past the pointer step that select an array element, each
+   with the array's length.  The walk stops at the first index it cannot
+   step through, which only happens on geps the verifier rejects. *)
+let gep_array_indices table (g : instr) : (value * int) list =
+  let rec go ty k acc =
+    if k >= Array.length g.operands then acc
+    else
+      match (Ltype.resolve table ty, g.operands.(k)) with
+      | Ltype.Array (n, elt), idx -> go elt (k + 1) ((idx, n) :: acc)
+      | (Ltype.Struct _ as s), Vconst (Cint (_, v)) -> (
+        match Ltype.field_type table s (Int64.to_int v) with
+        | fty -> go fty (k + 1) acc
+        | exception Invalid_argument _ -> acc)
+      | _ -> acc
+      | exception Ltype.Unresolved _ -> acc
+  in
+  match Ltype.resolve table (Ir.type_of table g.operands.(0)) with
+  | Ltype.Pointer pointee -> List.rev (go pointee 2 [])
+  | _ | (exception Ltype.Unresolved _) -> []
+
 let build_gep (b : t) ?(name = "") ptr indices =
   let ty = gep_result_type b.table (ty_of b ptr) indices in
   instr_value (insert b (mk_instr ~name ~ty Gep (ptr :: indices)))

@@ -63,6 +63,11 @@ val build_store : t -> Ir.value -> Ir.value -> Ir.value
     @raise Invalid_argument on malformed indexing. *)
 val gep_result_type : Ltype.table -> Ltype.t -> Ir.value list -> Ltype.t
 
+(** Each index of the gep instruction that selects an array element,
+    in operand order, with that array's length.  The walk stops at an
+    index it cannot step through (only on geps the verifier rejects). *)
+val gep_array_indices : Ltype.table -> Ir.instr -> (Ir.value * int) list
+
 val build_gep : t -> ?name:string -> Ir.value -> Ir.value list -> Ir.value
 
 (** Gep with constant indices written as plain ints: the first index

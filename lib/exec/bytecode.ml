@@ -39,9 +39,9 @@ type callee =
   | Direct of func
   | Indirect of operand * int (* dynamic callee, call-site instr id *)
 
-type gstep =
+type 'a gstep =
   | Goff of int (* constant byte offset *)
-  | Gscale of operand * int (* dynamic index times element size *)
+  | Gscale of 'a * int (* dynamic index times element size *)
 
 type bc =
   (* free (no fuel): bookkeeping that has no IR-instruction counterpart *)
@@ -64,7 +64,7 @@ type bc =
   | LoadFast of Ltype.t * int * operand
   | StoreFast of int * operand * operand
   | DivF of { rem : bool; dst : int; a : operand; b : operand }
-  | GepI of int * operand * gstep array
+  | GepI of int * operand * operand gstep array
   | GepSlow of int * operand * Ltype.t * (Ltype.t * operand) array
   | CallI of { dst : int; void : bool; callee : callee; args : operand array }
   | InvokeI of {
@@ -284,34 +284,37 @@ let compile ?(ranges : Llvm_analysis.Range.t Lazy.t option)
     | Vconst (Ccast (_, Cfunc fn)) -> Direct fn (* a constant address *)
     | v -> Indirect (operand v, site.iid)
   in
-  let compile_gep (i : instr) =
-    let dst = slot_of i.iid in
-    let base = operand i.operands.(0) in
-    let ptr_ty = Ir.type_of table i.operands.(0) in
-    let slow () =
-      let idxs =
-        Array.init
-          (Array.length i.operands - 1)
-          (fun k ->
-            let v = i.operands.(k + 1) in
-            (Ir.type_of table v, operand v))
-      in
-      emit (GepSlow (dst, base, ptr_ty, idxs))
-    in
-    match Ltype.resolve table ptr_ty with
-    | Ltype.Pointer pointee -> (
+  (* A gep as the address arithmetic [GepI] performs: constant byte
+     offsets (adjacent ones merged) and index values scaled by their
+     element size, in operand order.  [None] when the gep needs
+     [GepSlow]: a variable or unfoldable struct index, or an index into
+     a scalar, keeps the interpreter's runtime trap.  Memoized, since
+     every access through the gep asks again for its fast-access
+     proof. *)
+  let gep_steps_memo : (int, value gstep array option) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let gep_steps (g : instr) : value gstep array option =
+    match Hashtbl.find_opt gep_steps_memo g.iid with
+    | Some steps -> steps
+    | None ->
       let exception Fallback in
-      try
-        let steps = ref [] in
-        let push_off o =
-          match !steps with
-          | Goff p :: rest -> steps := Goff (p + o) :: rest
-          | _ -> steps := Goff o :: !steps
+      let steps = ref [] in
+      let push_off o =
+        match !steps with
+        | Goff p :: rest -> steps := Goff (p + o) :: rest
+        | _ -> steps := Goff o :: !steps
+      in
+      let walk () =
+        let cur =
+          match Ltype.resolve table (Ir.type_of table g.operands.(0)) with
+          | Ltype.Pointer pointee -> ref pointee
+          | _ -> raise Fallback (* non-pointer base: traps at runtime *)
         in
-        let cur = ref pointee in
-        for n = 1 to Array.length i.operands - 1 do
+        for n = 1 to Array.length g.operands - 1 do
+          let idx = g.operands.(n) in
           let const_idx =
-            match i.operands.(n) with
+            match idx with
             | Vconst c -> (
               match const_rtval mach table c with
               | Rint (_, v) when foldable_index v -> Some v
@@ -319,107 +322,100 @@ let compile ?(ranges : Llvm_analysis.Range.t Lazy.t option)
               | _ -> None)
             | _ -> None
           in
-          if n = 1 then begin
-            (* first index steps over the pointer: scale by pointee size *)
-            let sz = Ltype.size_of table !cur in
+          let scaled sz =
             match const_idx with
             | Some v -> push_off (Int64.to_int v * sz)
-            | None -> steps := Gscale (operand i.operands.(n), sz) :: !steps
-          end
+            | None -> steps := Gscale (idx, sz) :: !steps
+          in
+          if n = 1 then
+            (* first index steps over the pointer: scale by pointee size *)
+            scaled (Ltype.size_of table !cur)
           else
-            match Ltype.resolve table !cur with
-            | Ltype.Array (_, elt) ->
-              let sz = Ltype.size_of table elt in
-              (match const_idx with
-              | Some v -> push_off (Int64.to_int v * sz)
-              | None -> steps := Gscale (operand i.operands.(n), sz) :: !steps);
+            match (Ltype.resolve table !cur, const_idx) with
+            | Ltype.Array (_, elt), _ ->
+              scaled (Ltype.size_of table elt);
               cur := elt
-            | Ltype.Struct _ as s -> (
-              match const_idx with
-              | Some v ->
-                let k = Int64.to_int v in
-                push_off (Ltype.field_offset table s k);
-                cur := Ltype.field_type table s k
-              | None -> raise Fallback)
-            | _ -> raise Fallback (* keeps the interpreter's runtime trap *)
+            | (Ltype.Struct _ as s), Some v ->
+              let k = Int64.to_int v in
+              push_off (Ltype.field_offset table s k);
+              cur := Ltype.field_type table s k
+            | _ -> raise Fallback
         done;
-        emit (GepI (dst, base, Array.of_list (List.rev !steps)))
-      with Fallback | Invalid_argument _ -> slow ())
-    | _ -> slow () (* non-pointer base: interpreter traps at runtime *)
+        Some (Array.of_list (List.rev !steps))
+      in
+      let result = try walk () with Fallback | Invalid_argument _ -> None in
+      Hashtbl.replace gep_steps_memo g.iid result;
+      result
+  in
+  let compile_gep (i : instr) =
+    let dst = slot_of i.iid in
+    let base = operand i.operands.(0) in
+    match gep_steps i with
+    | Some steps ->
+      let step = function
+        | Goff o -> Goff o
+        | Gscale (v, sz) -> Gscale (operand v, sz)
+      in
+      emit (GepI (dst, base, Array.map step steps))
+    | None ->
+      let idxs =
+        Array.init
+          (Array.length i.operands - 1)
+          (fun k ->
+            let v = i.operands.(k + 1) in
+            (Ir.type_of table v, operand v))
+      in
+      emit (GepSlow (dst, base, Ir.type_of table i.operands.(0), idxs))
   in
   let n_fast = ref 0 in
   (* Static safety proof for a memory access: the pointer is a
      getelementptr of a statically-sized alloca, and the interval of the
-     gep's total byte offset — index ranges at the gep's block times the
-     element sizes the address computation uses — fits in
+     gep's total byte offset — the sum of the steps [GepI] adds, with
+     each scaled index taken at its range in the gep's block — fits in
      [0, allocation size - access size].  Such an access can skip every
      [Memory.locate] check: SSA dominance puts the alloca before the
      gep before the access, stack memory stays live until the frame
      returns (a [Free] of it traps first, identically in every tier),
      and the offset can neither underflow nor run off the end. *)
   let proves_fast_access (ptr : value) (access_size : int) : bool =
-    match ranges with
-    | None -> false
-    | Some rng -> (
-      match ptr with
-      | Vinstr g when g.iop = Gep -> (
-        match (g.operands.(0), g.iparent) with
-        | Vinstr a, Some gb when a.iop = Alloca -> (
-          let rng = Lazy.force rng in
-          let exception Unprovable in
-          try
-            let elt_size = Ltype.size_of table (Option.get a.alloc_ty) in
-            let alloc_size =
-              if Array.length a.operands = 0 then elt_size
-              else
-                match a.operands.(0) with
-                | Vconst (Cint (_, n)) when n >= 0L && foldable_index n ->
-                  Int64.to_int n * elt_size
-                | _ -> raise Unprovable
-            in
-            match Ltype.resolve table (Ir.type_of table g.operands.(0)) with
-            | Ltype.Pointer pointee ->
-              let off = ref (Range.singleton 0L) in
-              let scale itv sz =
-                Range.binop Ltype.Long Mul itv
-                  (Range.singleton (Int64.of_int sz))
-              in
-              let add itv =
-                off := Range.binop Ltype.Long Add !off itv
-              in
-              let cur = ref pointee in
-              for n = 1 to Array.length g.operands - 1 do
-                let itv = Range.range_at rng gb g.operands.(n) in
-                if n = 1 then
-                  add (scale itv (Ltype.size_of table !cur))
-                else
-                  match Ltype.resolve table !cur with
-                  | Ltype.Array (_, elt) ->
-                    add (scale itv (Ltype.size_of table elt));
-                    cur := elt
-                  | Ltype.Struct _ as s -> (
-                    match g.operands.(n) with
-                    | Vconst (Cint (_, fv)) ->
-                      let k = Int64.to_int fv in
-                      add
-                        (Range.singleton
-                           (Int64.of_int (Ltype.field_offset table s k)));
-                      cur := Ltype.field_type table s k
-                    | _ -> raise Unprovable)
-                  | _ -> raise Unprovable
-              done;
-              access_size <= alloc_size
-              &&
-              (match !off with
-              | Range.Bot -> true (* the access is never executed *)
-              | Range.Itv (lo, hi) ->
-                lo >= 0L
-                && hi <= Int64.of_int (alloc_size - access_size))
-            | _ -> false
-          with
-          | Unprovable | Invalid_argument _ | Ltype.Unresolved _ -> false)
-        | _ -> false)
+    match (ranges, ptr) with
+    | Some rng, Vinstr g when g.iop = Gep -> (
+      match (g.operands.(0), g.iparent) with
+      | Vinstr a, Some gb when a.iop = Alloca -> (
+        let rng = Lazy.force rng in
+        let exception Unprovable in
+        try
+          let elt_size = Ltype.size_of table (Option.get a.alloc_ty) in
+          let alloc_size =
+            if Array.length a.operands = 0 then elt_size
+            else
+              match a.operands.(0) with
+              | Vconst (Cint (_, n)) when n >= 0L && foldable_index n ->
+                Int64.to_int n * elt_size
+              | _ -> raise Unprovable
+          in
+          let term = function
+            | Goff o -> Range.singleton (Int64.of_int o)
+            | Gscale (v, sz) ->
+              Range.binop Ltype.Long Mul (Range.range_at rng gb v)
+                (Range.singleton (Int64.of_int sz))
+          in
+          match gep_steps g with
+          | None -> false
+          | Some steps -> (
+            access_size <= alloc_size
+            &&
+            match
+              Array.fold_left
+                (fun off step -> Range.binop Ltype.Long Add off (term step))
+                (Range.singleton 0L) steps
+            with
+            | Range.Bot -> true (* the access is never executed *)
+            | Range.Itv (lo, hi) ->
+              lo >= 0L && hi <= Int64.of_int (alloc_size - access_size))
+        with Unprovable | Invalid_argument _ | Ltype.Unresolved _ -> false)
       | _ -> false)
+    | _ -> false
   in
   let n_instrs = ref 0 in
   let compile_instr (b : block) (i : instr) =

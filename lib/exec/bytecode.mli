@@ -17,9 +17,9 @@ type callee =
   | Direct of Llvm_ir.Ir.func
   | Indirect of operand * int  (** dynamic callee, call-site instr id *)
 
-type gstep =
+type 'a gstep =
   | Goff of int  (** constant byte offset *)
-  | Gscale of operand * int  (** dynamic index times element size *)
+  | Gscale of 'a * int  (** dynamic index times element size *)
 
 (** One bytecode instruction.  [Prof]/[Copy]/[Jmp]/[DeadEnd] are free
     bookkeeping with no IR counterpart; everything else charges one
@@ -46,7 +46,7 @@ type bc =
   | LoadFast of Llvm_ir.Ltype.t * int * operand
   | StoreFast of int * operand * operand
   | DivF of { rem : bool; dst : int; a : operand; b : operand }
-  | GepI of int * operand * gstep array
+  | GepI of int * operand * operand gstep array
   | GepSlow of
       int * operand * Llvm_ir.Ltype.t * (Llvm_ir.Ltype.t * operand) array
   | CallI of { dst : int; void : bool; callee : callee; args : operand array }

@@ -12,13 +12,11 @@
      `llvm_bounds_check(index, length)` which traps when index >= length
      (unsigned).  Constant in-bounds indices need no check; constant
      out-of-bounds indices are left to trap at the access itself.
-   - [elim_pass] removes checks it can prove redundant: constant
-     in-bounds indices (exposed by later constant propagation), indices
-     masked below the bound (`x & m` with m < n, or `x % n` / `x rem c`
-     with c <= n for unsigned x), checks dominated by an identical
-     check of the same index against the same or smaller bound, and
-     checks whose {!Llvm_analysis.Range} interval at the check site is
-     provably within [0, n). *)
+   - [elim_pass] removes a check when the {!Llvm_analysis.Range}
+     interval of its index at the check site lies within [0, n) (or is
+     empty: the check never runs), when the index is a load of a
+     never-initialized slot, or when a check of the same index against
+     the same or a smaller bound dominates it. *)
 
 open Llvm_ir
 open Ir
@@ -49,152 +47,44 @@ let insert (m : modul) : int =
       if (not (is_declaration f)) && not (f == checker) then
         iter_instrs
           (fun i ->
-            if i.iop = Gep then begin
-              (* walk the indexed types; instrument variable array indices *)
-              match Ltype.resolve m.mtypes (Ir.type_of m.mtypes i.operands.(0)) with
-              | Ltype.Pointer pointee ->
-                let cur = ref pointee in
-                Array.iteri
-                  (fun k idx ->
-                    if k >= 2 then
-                      match Ltype.resolve m.mtypes !cur with
-                      | Ltype.Array (n, elt) ->
-                        (match idx with
-                        | Vconst (Cint _) -> ()
-                        | _ ->
-                          let as_long =
-                            if Ir.type_of m.mtypes idx = Ltype.long then idx
-                            else begin
-                              let c = mk_instr ~ty:Ltype.long Cast [ idx ] in
-                              insert_before ~point:i c;
-                              Vinstr c
-                            end
-                          in
-                          let call =
-                            mk_instr ~ty:Ltype.Void Call
-                              [ Vfunc checker; as_long;
-                                Vconst (cint Ltype.Long (Int64.of_int n)) ]
-                          in
-                          insert_before ~point:i call;
-                          incr count);
-                        cur := elt
-                      | Ltype.Struct _ as s -> (
-                        match idx with
-                        | Vconst (Cint (_, v)) ->
-                          cur := Ltype.field_type m.mtypes s (Int64.to_int v)
-                        | _ -> ())
-                      | _ -> ())
-                  i.operands
-              | _ -> ()
-            end)
+            if i.iop = Gep then
+              List.iter
+                (fun (idx, n) ->
+                  match idx with
+                  | Vconst (Cint _) -> ()
+                  | _ ->
+                    let as_long =
+                      if Ir.type_of m.mtypes idx = Ltype.long then idx
+                      else begin
+                        let c = mk_instr ~ty:Ltype.long Cast [ idx ] in
+                        insert_before ~point:i c;
+                        Vinstr c
+                      end
+                    in
+                    let call =
+                      mk_instr ~ty:Ltype.Void Call
+                        [ Vfunc checker; as_long;
+                          Vconst (cint Ltype.Long (Int64.of_int n)) ]
+                    in
+                    insert_before ~point:i call;
+                    incr count)
+                (Builder.gep_array_indices m.mtypes i))
           f)
     m.mfuncs;
   !count
 
 (* -- elimination --------------------------------------------------------------- *)
 
-(* Is [idx] provably below [n] for every execution?  Recognizes constant
-   indices, masking (`x & m`, m < n), unsigned remainders
-   (`x rem c`, 0 < c <= n, unsigned kind), and anything the lint value
-   abstraction folds to a constant (through phis, selects and casts). *)
-let rec provably_in_bounds ?ev (idx : value) (n : int64) : bool =
-  (match ev with
-  | Some ev -> (
-    match Lint.eval ev idx with
-    | Lint.Vint v -> v >= 0L && v < n
-    | _ -> false)
-  | None -> false)
-  ||
-  match idx with
-  | Vconst (Cint (_, v)) -> v >= 0L && v < n
-  | Vinstr i when i.iop = Cast -> (
-    (* widening integer casts preserve small nonnegative values *)
-    let table = Ltype.create_table () in
-    match (Ir.type_of table i.operands.(0), i.ity) with
-    | Ltype.Integer from_k, Ltype.Integer to_k
-      when Ltype.int_bits to_k >= Ltype.int_bits from_k ->
-      provably_in_bounds ?ev i.operands.(0) n
-    | _ -> false)
-  | Vinstr i when i.iop = And -> (
-    let mask_ok = function
-      | Vconst (Cint (_, m)) -> m >= 0L && m < n
-      | _ -> false
-    in
-    mask_ok i.operands.(0) || mask_ok i.operands.(1))
-  | Vinstr i when i.iop = Rem -> (
-    match (Ir.type_of (Ltype.create_table ()) i.operands.(0), i.operands.(1)) with
-    | Ltype.Integer k, Vconst (Cint (_, c))
-      when (not (Ltype.is_signed k)) && c > 0L && c <= n ->
-      true
-    | _ -> false)
-  | _ -> false
-
-(* The guarded induction-variable pattern: idx (through widening casts)
-   is a phi that starts at a constant in [0, n) and only grows by a
-   positive constant step, and the check's block is only reachable when
-   `idx < C` (C <= n) holds — the standard shape of `for (i = 0; i < C;
-   i++) a[i]`.  The phi then stays within [0, C) at the check. *)
-let rec strip_widening (v : value) : value =
+(* [v] without the widening integer casts around it. *)
+let rec strip_widening (table : Ltype.table) (v : value) : value =
   match v with
   | Vinstr i when i.iop = Cast -> (
-    let table = Ltype.create_table () in
     match (Ir.type_of table i.operands.(0), i.ity) with
     | Ltype.Integer from_k, Ltype.Integer to_k
       when Ltype.int_bits to_k >= Ltype.int_bits from_k ->
-      strip_widening i.operands.(0)
+      strip_widening table i.operands.(0)
     | _ -> v)
   | v -> v
-
-let guarded_induction (dom : Dominance.t) (check_block : block) (idx : value)
-    (n : int64) : bool =
-  match strip_widening idx with
-  | Vinstr phi when phi.iop = Phi -> (
-    let incoming = phi_incoming phi in
-    let start_ok =
-      List.exists
-        (fun (v, _) ->
-          match v with Vconst (Cint (_, c)) -> c >= 0L && c < n | _ -> false)
-        incoming
-    in
-    let steps_positive =
-      List.for_all
-        (fun (v, _) ->
-          match v with
-          | Vconst (Cint (_, c)) -> c >= 0L && c < n (* the start *)
-          | Vinstr a when a.iop = Add -> (
-            let is_phi x = value_equal x (Vinstr phi) in
-            let pos = function
-              | Vconst (Cint (_, s)) -> s > 0L
-              | _ -> false
-            in
-            (is_phi a.operands.(0) && pos a.operands.(1))
-            || (is_phi a.operands.(1) && pos a.operands.(0)))
-          | _ -> false)
-        incoming
-    in
-    start_ok && steps_positive
-    && (* a guard `phi < C` (C <= n) whose true arm dominates the check *)
-    List.exists
-      (fun u ->
-        let cmp = u.user in
-        cmp.iop = SetLT && u.index = 0
-        && (match cmp.operands.(1) with
-           | Vconst (Cint (_, c)) -> c <= n
-           | _ -> false)
-        &&
-        List.exists
-          (fun cu ->
-            let br = cu.user in
-            br.iop = Br
-            && Array.length br.operands = 3
-            && cu.index = 0
-            &&
-            let true_arm = as_block br.operands.(1) in
-            Dominance.is_reachable dom true_arm
-            && Dominance.dominates dom true_arm check_block)
-          cmp.iuses)
-      phi.iuses)
-  | _ -> false
 
 let is_check (checker : func) (i : instr) : (value * int64) option =
   match i.iop with
@@ -212,20 +102,19 @@ let eliminate (m : modul) : int =
   | None -> 0
   | Some checker ->
     let removed = ref 0 in
-    (* lint facts: the constant evaluator, and loads proven to read
-       never-initialized stack slots — indexing by such an undef value
-       is undefined behaviour regardless of the check, so guarding it
-       buys nothing (the lint reports the real bug as L001) *)
-    let ev = Lint.evaluator m.mtypes in
+    (* loads proven to read never-initialized stack slots: indexing by
+       such an undef value is undefined behaviour regardless of the
+       check, so guarding it buys nothing (the lint reports the real
+       bug as L001) *)
     let undef = Lint.undef_loads m in
     let is_undef_index idx =
-      match strip_widening idx with
+      match strip_widening m.mtypes idx with
       | Vinstr i -> Hashtbl.mem undef i.iid
       | _ -> false
     in
-    (* value-range facts prove checks the pattern matchers above cannot
-       (joins over phis/selects, branch-guarded ranges, argument ranges
-       propagated across calls); computed on first demand *)
+    (* the index's value range at the check: joins over phis and
+       selects, branch guards, loop induction variables and argument
+       ranges propagated across calls; computed on first demand *)
     let rng = lazy (Range.analyze m) in
     let range_proves (b : block) (idx : value) (n : int64) : bool =
       match Range.range_at (Lazy.force rng) b idx with
@@ -245,9 +134,7 @@ let eliminate (m : modul) : int =
                 match is_check checker i with
                 | Some (idx, n) ->
                   let redundant =
-                    provably_in_bounds ~ev idx n
-                    || is_undef_index idx
-                    || guarded_induction dom b idx n
+                    is_undef_index idx
                     || List.exists
                          (fun (idx', n') -> value_equal idx idx' && n' <= n)
                          !scope

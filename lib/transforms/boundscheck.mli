@@ -2,14 +2,13 @@
 
     [insert] instruments every sized-array gep with a non-constant index
     with a call to [llvm_bounds_check(index, length)] (which traps when
-    out of range).  [eliminate] removes the checks it can prove
-    redundant: constants, masked indices, unsigned remainders, checks
-    dominated by an equal-or-stronger check, guarded induction
-    variables (the shape of [for (i = 0; i < C; i++) a\[i\]]), and
-    facts imported from {!Llvm_analysis.Lint} — indices its value
-    abstraction folds to an in-range constant, and indices loaded from
-    provably-uninitialized slots (undefined behaviour either way, and
-    already reported as L001). *)
+    out of range).  [eliminate] removes a check when one of three facts
+    makes it redundant: the {!Llvm_analysis.Range} interval of its index
+    lies within [\[0, length)] (or is empty: the check never runs); the
+    index is a load of a provably-uninitialized slot (undefined
+    behaviour either way, and already reported by
+    {!Llvm_analysis.Lint} as L001); or a check of the same index against
+    an equal or smaller length dominates it. *)
 
 val runtime_name : string
 
