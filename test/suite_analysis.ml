@@ -306,6 +306,58 @@ let test_range_interprocedural () =
   check_bool "downstream arithmetic composes" true
     (Range.subset (Range.range_of rng s) (itv 12L 28L))
 
+(* Golden digest of every interval the analysis answers: per function,
+   its return range, each argument's [range_of], and per instruction its
+   [range_of] plus the [range_at] of each operand in the instruction's
+   block.  The corpus is the bitcode golden corpus and Irgen seeds
+   1..40, each analysed as built and again after -O2.  A storage or
+   iteration-order change to [Range] must leave this digest unchanged. *)
+let test_range_golden_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  let intervals = ref 0 in
+  let add iv =
+    incr intervals;
+    (match iv with
+    | Range.Bot -> Buffer.add_char buf '_'
+    | Range.Itv (a, b) -> Printf.bprintf buf "%Ld,%Ld" a b);
+    Buffer.add_char buf ' '
+  in
+  let digest_module label (m : modul) =
+    let rng = Range.analyze m in
+    Printf.bprintf buf "\n%s\n" label;
+    List.iter
+      (fun f ->
+        Printf.bprintf buf "\n%s: " f.fname;
+        add (Range.return_range rng f);
+        List.iter (fun a -> add (Range.range_of rng (Varg a))) f.fargs;
+        List.iter
+          (fun b ->
+            Buffer.add_char buf '\n';
+            List.iter
+              (fun i ->
+                add (Range.range_of rng (Vinstr i));
+                Array.iter
+                  (function Vblock _ -> () | v -> add (Range.range_at rng b v))
+                  i.operands;
+                Buffer.add_char buf ';')
+              b.instrs)
+          f.fblocks)
+      m.mfuncs
+  in
+  let both label m =
+    digest_module label m;
+    Llvm_transforms.Pipelines.optimize_module ~level:2 m;
+    digest_module (label ^ " then -O2") m
+  in
+  List.iter (fun (label, m) -> both label m) (Suite_bitcode.golden_corpus ());
+  for seed = 1 to 40 do
+    both (Printf.sprintf "irgen %d" seed) (Llvm_fuzz.Irgen.gen_module seed)
+  done;
+  check_bool "intervals digested" true (!intervals > 100_000);
+  Alcotest.(check string)
+    "MD5 of every interval" "a8c3ea5c41594606d76d102a3f6ec808"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* -- Dataflow fixpoint termination under widening ------------------------------ *)
 
 (* A lattice with an infinite ascending chain (a step counter) whose
@@ -447,6 +499,8 @@ let tests =
       test_range_loop;
     Alcotest.test_case "range: interprocedural summaries" `Quick
       test_range_interprocedural;
+    Alcotest.test_case "range: golden interval digest" `Quick
+      test_range_golden_digest;
     Alcotest.test_case "dataflow: widening terminates a loop nest" `Quick
       test_dataflow_widening_loop_nest;
     Alcotest.test_case "dataflow: widening terminates an irreducible cycle"
