@@ -7,13 +7,15 @@
 open Llvm_ir
 open Ir
 
-(* Depth-first postorder over reachable blocks, starting from the entry. *)
-let postorder (f : func) : block list =
-  let visited = Hashtbl.create 64 in
+(* Depth-first reverse postorder over reachable blocks, starting from
+   the entry: a block is consed on when its successors are done, so the
+   last block finished ends up first. *)
+let reverse_postorder (f : func) : block list =
+  let visited = Ids.create 16 in
   let order = ref [] in
   let rec dfs b =
-    if not (Hashtbl.mem visited b.bid) then begin
-      Hashtbl.add visited b.bid ();
+    if not (Ids.mem visited b.bid) then begin
+      Ids.add visited b.bid ();
       (match terminator b with
       | Some t -> List.iter dfs (successors t)
       | None -> ());
@@ -21,9 +23,9 @@ let postorder (f : func) : block list =
     end
   in
   (match f.fblocks with b :: _ -> dfs b | [] -> ());
-  List.rev !order
+  !order
 
-let reverse_postorder (f : func) : block list = List.rev (postorder f)
+let postorder (f : func) : block list = List.rev (reverse_postorder f)
 
 let reachable_set (f : func) : (int, unit) Hashtbl.t =
   let set = Hashtbl.create 64 in

@@ -15,6 +15,10 @@ val idom : t -> Llvm_ir.Ir.block -> Llvm_ir.Ir.block option
 
 val is_reachable : t -> Llvm_ir.Ir.block -> bool
 
+(** The reachable blocks in the reverse postorder the tree was built
+    over ({!Cfg.reverse_postorder}). *)
+val reverse_postorder : t -> Llvm_ir.Ir.block array
+
 (** [dominates t a b]: does [a] dominate [b] (reflexively)? *)
 val dominates : t -> Llvm_ir.Ir.block -> Llvm_ir.Ir.block -> bool
 
