@@ -467,23 +467,15 @@ let entry_block (f : func) =
 (* Predecessor blocks: blocks whose terminator uses this block as a label.
    Phi references do not create CFG edges. *)
 let predecessors (b : block) : block list =
-  let preds =
-    List.filter_map
-      (fun u ->
-        if is_terminator u.user.iop then
-          match u.user.iparent with Some p -> Some p | None -> None
-        else None)
-      b.buses
-  in
-  (* dedupe while preserving order *)
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun p ->
-      if Hashtbl.mem seen p.bid then false
-      else (
-        Hashtbl.add seen p.bid ();
-        true))
-    preds
+  (* first occurrence of each block, in use-list order; a block has few
+     predecessors, so a list scan dedupes more cheaply than a table *)
+  List.rev
+    (List.fold_left
+       (fun acc u ->
+         match u.user.iparent with
+         | Some p when is_terminator u.user.iop && not (List.memq p acc) -> p :: acc
+         | _ -> acc)
+       [] b.buses)
 
 (* -- Functions ---------------------------------------------------------- *)
 
