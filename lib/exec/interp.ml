@@ -485,6 +485,17 @@ type frame = {
   mutable stack_allocs : int64 list;
 }
 
+(* The value phi [i] takes on the edge from [p]: the first entry, from
+   operand [k] on, naming [p]. *)
+let rec phi_input (i : instr) (p : block) (k : int) : value =
+  let ops = i.operands in
+  if k + 1 >= Array.length ops then
+    Memory.trap "phi %%%s has no entry for predecessor %%%s" i.iname p.bname
+  else
+    match ops.(k + 1) with
+    | Vblock blk when blk == p -> ops.(k)
+    | _ -> phi_input i p (k + 2)
+
 let exec_func (mach : machine) (f : func) (args : rtval list) : outcome =
   if is_declaration f then begin
     match Hashtbl.find_opt mach.builtins f.fname with
@@ -537,32 +548,29 @@ let exec_func (mach : machine) (f : func) (args : rtval list) : outcome =
       if mach.profiling then
         Hashtbl.replace mach.block_counts b.bid
           (1 + Option.value ~default:0 (Hashtbl.find_opt mach.block_counts b.bid));
-      (* phis evaluate in parallel against the incoming edge *)
-      (match prev with
-      | Some p ->
-        let updates =
-          List.filter_map
-            (fun i ->
-              if i.iop = Phi then
-                match
-                  List.find_opt (fun (_, blk) -> blk == p) (phi_incoming i)
-                with
-                | Some (v, _) -> Some (i, eval v)
-                | None ->
-                  Memory.trap "phi %%%s has no entry for predecessor %%%s"
-                    i.iname p.bname
-              else None)
-            b.instrs
-        in
-        List.iter (fun (i, v) -> Hashtbl.replace frame.env i.iid v) updates
-      | None -> ());
-      run_instrs b (List.filter (fun i -> i.iop <> Phi) b.instrs)
+      (match prev with Some p -> run_phis p b.instrs | None -> ());
+      run_instrs b b.instrs
+    (* Phis evaluate in parallel against the incoming edge from [p]: each
+       input is read on the way down the block, and every phi is written
+       on the way back, after all of them have been read. *)
+    and run_phis (p : block) (instrs : instr list) : unit =
+      match instrs with
+      | [] -> ()
+      | i :: rest when i.iop = Phi ->
+        let v = eval (phi_input i p 0) in
+        run_phis p rest;
+        Hashtbl.replace frame.env i.iid v
+      | _ :: rest -> run_phis p rest
     and run_instrs (b : block) (instrs : instr list) : outcome =
       match instrs with
       | [] -> Memory.trap "fell off the end of block %%%s" b.bname
       | i :: rest -> (
-        mach.fuel <- mach.fuel - 1;
-        if mach.fuel <= 0 then fuel_trap ();
+        (* phis ran on entry to the block, wherever they sit, and cost
+           no fuel *)
+        if i.iop <> Phi then begin
+          mach.fuel <- mach.fuel - 1;
+          if mach.fuel <= 0 then fuel_trap ()
+        end;
         let set v = Hashtbl.replace frame.env i.iid v in
         match i.iop with
         | Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr ->
@@ -616,7 +624,7 @@ let exec_func (mach : machine) (f : func) (args : rtval list) : outcome =
           in
           set (Rptr (gep_address table base ptr_ty indices));
           run_instrs b rest
-        | Phi -> Memory.trap "phi not at block head"
+        | Phi -> run_instrs b rest
         | Call -> (
           let callee = resolve_callee i in
           let args = List.map eval (call_args i) in
