@@ -14,12 +14,16 @@
      lint      — per-checker llvm-lint finding counts over the Table-1
                  workloads (analyzer precision tracked like a benchmark)
      ranges    — value-range analysis: bounds checks eliminated, fast
-                 bytecode ops, and exec-time delta per Table-1 workload
+                 bytecode ops, exec-time delta, and the analysis's own
+                 time and minor-heap allocation per Table-1 workload
                  (BENCH_ranges.json; --quick for the CI variant)
      fuzz      — differential fuzzing smoke: multi-oracle consistency
                  over generated modules and semantics-preserving mutants
                  (BENCH_fuzz.json; --quick for the CI variant)
      micro     — bechamel microbenchmarks of representation operations
+     records   — checks that each committed BENCH_<name>.json has the
+                 key paths of its quick record under _bench/ (run after
+                 the --quick gates)
 
    A --quick run is a smoke gate, not a result: it writes its
    BENCH_<name>.json under _bench/, leaving the committed full-run
@@ -518,14 +522,17 @@ let lifelong () =
    program status, output or block profile — only the executed
    instruction count.  Also reports how many guarded bytecode ops the
    range analysis let [Bytecode.compile] lower to unguarded fast
-   variants. *)
+   variants, and what [Range.analyze] itself costs on the module
+   [eliminate] analyses: the best wall time of five runs and the
+   minor-heap words of one. *)
 
 let ranges_bench ?(quick = false) () =
   say "Value-range analysis: bounds-check elimination and fast ops";
   if quick then say "(--quick: reduced workload sizes, correctness-focused)";
   say "";
-  say "%-14s %8s %10s %8s %10s %10s %8s %8s" "Benchmark" "inserted"
-    "eliminated" "elim%" "guarded(s)" "elim(s)" "delta%" "fastops";
+  say "%-14s %8s %10s %8s %10s %10s %8s %8s %11s %10s" "Benchmark" "inserted"
+    "eliminated" "elim%" "guarded(s)" "elim(s)" "delta%" "fastops" "analyze(ms)"
+    "alloc(kw)";
   let mismatches = ref 0 in
   let pct part whole =
     if whole = 0 then 100. else 100. *. float_of_int part /. float_of_int whole
@@ -539,6 +546,15 @@ let ranges_bench ?(quick = false) () =
         ignore (Llvm_transforms.Pass.run_pass Llvm_transforms.Mem2reg.pass m);
         ignore (Llvm_transforms.Pass.run_pass Llvm_transforms.Gvn.pass m);
         let inserted = Llvm_transforms.Boundscheck.insert m in
+        (* the cost of the analysis [eliminate] runs: best wall time of a
+           few runs, and the minor-heap words one run allocates *)
+        let analyze_s =
+          List.fold_left min infinity
+            (List.init 5 (fun _ -> snd (time_it (fun () -> Llvm_analysis.Range.analyze m))))
+        in
+        let w0 = Gc.minor_words () in
+        ignore (Llvm_analysis.Range.analyze m);
+        let analyze_kw = (Gc.minor_words () -. w0) /. 1000. in
         (* guarded program: all three tiers agree on everything *)
         let reference = profiled Llvm_exec.Engine.Interp_tier m in
         mismatches := !mismatches + tier_mismatches name reference m;
@@ -566,23 +582,28 @@ let ranges_bench ?(quick = false) () =
         ignore (Llvm_exec.Engine.compile_all e);
         let fast_ops = Llvm_exec.Engine.fast_ops e in
         let delta = 100. *. (1. -. (elim.per_rep_s /. Float.max 1e-9 guarded.per_rep_s)) in
-        say "%-14s %8d %10d %7.0f%% %10.4f %10.4f %7.1f%% %8d" name inserted eliminated
-          (pct eliminated inserted) guarded.per_rep_s elim.per_rep_s delta fast_ops;
-        ( (inserted, eliminated, fast_ops),
+        say "%-14s %8d %10d %7.0f%% %10.4f %10.4f %7.1f%% %8d %11.2f %10.0f" name inserted
+          eliminated (pct eliminated inserted) guarded.per_rep_s elim.per_rep_s delta fast_ops
+          (analyze_s *. 1e3) analyze_kw;
+        ( (inserted, eliminated, fast_ops, analyze_s, analyze_kw),
           Json.Obj
             [ ("name", jstr name); ("inserted", jint inserted); ("eliminated", jint eliminated);
               ("guarded_s", jnum guarded.per_rep_s); ("eliminated_s", jnum elim.per_rep_s);
               ("guarded_instrs", jint (fst reference).instructions);
-              ("eliminated_instrs", jint (fst after).instructions); ("fast_ops", jint fast_ops) ] ))
+              ("eliminated_instrs", jint (fst after).instructions); ("fast_ops", jint fast_ops);
+              ("analyze_s", jnum analyze_s); ("analyze_minor_kw", jnum analyze_kw) ] ))
       Spec.spec2000
   in
   let total f = List.fold_left (fun a (c, _) -> a + f c) 0 rows in
-  let tot_i = total (fun (i, _, _) -> i) in
-  let tot_e = total (fun (_, e, _) -> e) in
-  let tot_fast = total (fun (_, _, f) -> f) in
+  let total_f f = List.fold_left (fun a (c, _) -> a +. f c) 0. rows in
+  let tot_i = total (fun (i, _, _, _, _) -> i) in
+  let tot_e = total (fun (_, e, _, _, _) -> e) in
+  let tot_fast = total (fun (_, _, f, _, _) -> f) in
+  let tot_analyze_s = total_f (fun (_, _, _, s, _) -> s) in
+  let tot_analyze_kw = total_f (fun (_, _, _, _, kw) -> kw) in
   let elim_pct = pct tot_e tot_i in
-  say "%-14s %8d %10d %7.0f%% %31s %8d" "total" tot_i tot_e elim_pct ""
-    tot_fast;
+  say "%-14s %8d %10d %7.0f%% %31s %8d %11.2f %10.0f" "total" tot_i tot_e elim_pct ""
+    tot_fast (tot_analyze_s *. 1e3) tot_analyze_kw;
   say "";
   say "%.0f%% of inserted bounds checks eliminated statically (target: 20%%);"
     elim_pct;
@@ -593,7 +614,8 @@ let ranges_bench ?(quick = false) () =
   write_bench "ranges"
     [ ("benchmarks", Json.Arr (List.map snd rows)); ("inserted_total", jint tot_i);
       ("eliminated_total", jint tot_e); ("eliminated_percent", jnum elim_pct);
-      ("fast_ops_total", jint tot_fast); ("quick", jbool quick);
+      ("fast_ops_total", jint tot_fast); ("analyze_s_total", jnum tot_analyze_s);
+      ("analyze_minor_kw_total", jnum tot_analyze_kw); ("quick", jbool quick);
       ("tiers_agree", jbool (!mismatches = 0)) ];
   say "";
   if !mismatches > 0 || tot_e = 0 then exit 1
@@ -1599,6 +1621,52 @@ let validate_bench ?(quick = false) () =
   say "";
   if not clean then exit 1
 
+(* -- Committed records against quick ones ------------------------------------- *)
+
+(* The key paths of a record, array indices dropped: a row field of
+   "benchmarks" is "benchmarks.name". *)
+let rec key_paths (prefix : string) (v : Json.t) : string list =
+  match v with
+  | Json.Obj fields ->
+    List.concat_map
+      (fun (k, v) ->
+        let path = if prefix = "" then k else prefix ^ "." ^ k in
+        path :: key_paths path v)
+      fields
+  | Json.Arr rows -> List.concat_map (key_paths prefix) rows
+  | Json.Null | Json.Bool _ | Json.Num _ | Json.Str _ -> []
+
+(* Every committed BENCH_<name>.json that has a quick counterpart under
+   _bench/ must hold the same key paths.  A bench that gains a field
+   writes it into its quick record at once; this fails until the
+   committed full run is regenerated with it.  Run it after the --quick
+   gates; exits 1 on any difference, or when no pair is found. *)
+let records () =
+  let paths file =
+    In_channel.with_open_text file In_channel.input_all
+    |> Json.of_string |> key_paths "" |> List.sort_uniq compare
+  in
+  let pairs =
+    Sys.readdir "." |> Array.to_list |> List.sort compare
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_" f
+           && Filename.check_suffix f ".json"
+           && Sys.file_exists (Filename.concat "_bench" f))
+  in
+  let differing =
+    List.filter
+      (fun file ->
+        let committed = paths file and quick = paths (Filename.concat "_bench" file) in
+        let only a b = List.filter (fun p -> not (List.mem p b)) a in
+        List.iter (say "%s: %s is only in the committed record" file) (only committed quick);
+        List.iter (say "%s: %s is only in the quick record" file) (only quick committed);
+        if committed = quick then say "%s: %d key paths, as in _bench/" file (List.length committed);
+        committed <> quick)
+      pairs
+  in
+  if pairs = [] then say "no committed BENCH_*.json has a _bench/ counterpart";
+  if pairs = [] || differing <> [] then exit 1
+
 let () =
   let args = Array.to_list Sys.argv in
   match args with
@@ -1617,6 +1685,7 @@ let () =
   | _ :: "pgo" :: rest -> pgo_bench ~quick:(List.mem "--quick" rest) ()
   | _ :: "validate" :: rest -> validate_bench ~quick:(List.mem "--quick" rest) ()
   | _ :: "micro" :: _ -> micro ()
+  | _ :: "records" :: _ -> records ()
   | _ ->
     table1 ();
     table2 ();
