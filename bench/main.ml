@@ -484,29 +484,24 @@ let lifelong () =
     (String.length exe.Llvm_linker.Lifelong.bitcode)
     exe.Llvm_linker.Lifelong.native_x86_bytes
     exe.Llvm_linker.Lifelong.native_sparc_bytes;
-  let report = Llvm_linker.Lifelong.run_in_the_field ~fuel:200_000_000 exe in
-  let before = report.Llvm_linker.Lifelong.result.Llvm_exec.Interp.instructions in
+  let program = exe.Llvm_linker.Lifelong.program in
+  let result, profile, _ = Llvm_linker.Fleet.field_run ~fuel:200_000_000 program in
+  let before = result.Llvm_exec.Interp.instructions in
   say "field run 1: %d instructions executed" before;
-  (match report.Llvm_linker.Lifelong.promoted with
-  | [] -> say "tiered engine: nothing crossed the hot threshold"
-  | ps ->
-    say "tiered engine promoted to bytecode: %s"
-      (String.concat ", "
-         (List.map (fun (f, n) -> Fmt.str "%s (at %d entries)" f n) ps)));
-  let profile = report.Llvm_linker.Lifelong.profile in
-  let hot = Llvm_profile.Profile.hot_functions profile exe.Llvm_linker.Lifelong.program in
+  let hot = Llvm_profile.Profile.hot_functions profile program in
   say "hottest functions:";
   List.iteri
     (fun k (name, count) -> if k < 5 then say "  %-24s %8d entries" name count)
     hot;
   (* the idle-time reoptimizer, fed this one run: a fleet of one *)
-  let before_instrs = Ir.module_instr_count exe.Llvm_linker.Lifelong.program in
+  let before_instrs = Ir.module_instr_count program in
   let exe, stats = Llvm_linker.Lifelong.reoptimize_with_aggregate exe profile in
+  let program = exe.Llvm_linker.Lifelong.program in
   say "idle-time reoptimizer: inlined %d hot call sites (%d -> %d instrs)"
     stats.Llvm_transforms.Pgo.inlined before_instrs
-    (Ir.module_instr_count exe.Llvm_linker.Lifelong.program);
-  let report2 = Llvm_linker.Lifelong.run_in_the_field ~fuel:200_000_000 exe in
-  let after = report2.Llvm_linker.Lifelong.result.Llvm_exec.Interp.instructions in
+    (Ir.module_instr_count program);
+  let result2, _, _ = Llvm_linker.Fleet.field_run ~fuel:200_000_000 program in
+  let after = result2.Llvm_exec.Interp.instructions in
   say "field run 2: %d instructions executed (%.1f%% fewer)" after
     (100. *. (1. -. (float_of_int after /. float_of_int before)));
   say ""

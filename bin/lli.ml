@@ -1,8 +1,8 @@
 (* lli: the execution engine — directly execute a module's main function
    (paper section 3.4), optionally collecting a block-execution profile
    (section 3.5).  --engine picks the tier: the tree-walking
-   interpreter, the bytecode compiler, or the default tiered engine
-   that starts interpreting and promotes hot functions to bytecode.
+   interpreter, or bytecode compiled on each function's first call
+   (bytecode, and the default tiered, which is the same policy).
    --emit-profile persists the run's profile in the binary .llpf format
    (the per-run artifact the fleet aggregation of section 4.1 merges);
    --use-profile feeds a saved aggregate back in for hot/cold bytecode
@@ -56,9 +56,7 @@ let run input fuel profile emit_profile use_profile engine =
         hot;
       match Engine.promotions e with
       | [] -> ()
-      | ps ->
-        Fmt.pr "; promoted to bytecode: %s@."
-          (String.concat ", " (List.map fst ps))
+      | fs -> Fmt.pr "; compiled to bytecode: %s@." (String.concat ", " fs)
     end;
     (match r.Interp.status with
     | `Unwound -> prerr_endline "uncaught exception: program unwound out of main"
@@ -95,7 +93,7 @@ let engine =
 
 let cmd =
   Cmd.v
-    (Cmd.info "lli" ~doc:"LLVM execution engine (tiered interpreter/bytecode)")
+    (Cmd.info "lli" ~doc:"LLVM execution engine (interpreter or first-call bytecode)")
     Term.(const run $ input $ fuel $ profile $ emit_profile $ use_profile
           $ engine)
 

@@ -75,31 +75,25 @@ let () =
     exe.Llvm_linker.Lifelong.native_x86_bytes;
 
   (* 4. an end-user run, with the lightweight profiling instrumentation *)
-  let report = Llvm_linker.Lifelong.run_in_the_field exe in
-  let r1 = report.Llvm_linker.Lifelong.result in
+  let r1, profile, _ = Llvm_linker.Fleet.field_run exe.Llvm_linker.Lifelong.program in
   Fmt.pr "field run 1: output %S, %d instructions@." r1.Llvm_exec.Interp.output
     r1.Llvm_exec.Interp.instructions;
   Fmt.pr "profile (function entry counts, from the user's run):@.";
   List.iteri
     (fun k (name, count) ->
       if k < 4 then Fmt.pr "  %-16s %8d@." name count)
-    (Llvm_profile.Profile.hot_functions report.Llvm_linker.Lifelong.profile
-       exe.Llvm_linker.Lifelong.program);
+    (Llvm_profile.Profile.hot_functions profile exe.Llvm_linker.Lifelong.program);
 
   (* 5. idle-time reoptimization driven by that profile: one run is a
      fleet of one *)
   let before = Llvm_ir.Ir.module_instr_count exe.Llvm_linker.Lifelong.program in
-  let exe, stats =
-    Llvm_linker.Lifelong.reoptimize_with_aggregate exe
-      report.Llvm_linker.Lifelong.profile
-  in
+  let exe, stats = Llvm_linker.Lifelong.reoptimize_with_aggregate exe profile in
   Fmt.pr "idle-time reoptimizer: %d hot call sites inlined (%d -> %d instrs)@."
     stats.Llvm_transforms.Pgo.inlined before
     (Llvm_ir.Ir.module_instr_count exe.Llvm_linker.Lifelong.program);
 
   (* 6. the next run is faster, with identical behaviour *)
-  let report2 = Llvm_linker.Lifelong.run_in_the_field exe in
-  let r2 = report2.Llvm_linker.Lifelong.result in
+  let r2, _, _ = Llvm_linker.Fleet.field_run exe.Llvm_linker.Lifelong.program in
   assert (r1.Llvm_exec.Interp.output = r2.Llvm_exec.Interp.output);
   Fmt.pr "field run 2: output %S, %d instructions (%.1f%% fewer)@."
     r2.Llvm_exec.Interp.output r2.Llvm_exec.Interp.instructions

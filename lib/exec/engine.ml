@@ -3,17 +3,15 @@
    Three tiers over one [Interp.machine]:
 
    - [Interp_tier]  : every call tree-walks ([Interp.exec_func]).
-   - [Bytecode_tier]: every defined function is lazily compiled to
-     [Bytecode] on first call and executed in the dispatch loop.
-   - [Tiered]       : calls start in the interpreter; the existing
-     block-profile instrumentation counts function entries (the entry
-     block's execution count), and a function crossing [hot_threshold]
-     is promoted to bytecode for all subsequent calls.
+   - [Bytecode_tier]: every defined function is compiled to [Bytecode]
+     on its first call and executed in the dispatch loop.
+   - [Tiered]       : the default, the same first-call compilation as
+     [Bytecode_tier], which is what the paper's JIT does.  It is kept as
+     its own name because the wire format, [lli] and [llvmd] name it.
 
-   The engine installs itself as [machine.dispatch], so call sites in
-   either tier route every call back through the tier decision —
-   interpreter frames can call promoted functions and vice versa.
-   Declarations (builtins) always go to [Interp.exec_func]. *)
+   The engine installs itself as [machine.dispatch], so every call site
+   routes back through the tier decision.  Declarations (builtins) and
+   calls re-routed by a deopt go to [Interp.exec_func]. *)
 
 open Llvm_ir
 open Ir
@@ -26,12 +24,8 @@ let kind_name = function
   | Bytecode_tier -> "bytecode"
   | Tiered -> "tiered"
 
-let default_hot_threshold = 8
-
 type t = {
   mach : machine;
-  kind : kind;
-  hot_threshold : int;
   compiled : (int, Bytecode.compiled) Hashtbl.t; (* func id -> bytecode *)
   (* whole-module value ranges, computed once when the first compiled
      function has a candidate op; lets [Bytecode.compile] emit unguarded
@@ -39,13 +33,9 @@ type t = {
   ranges : Llvm_analysis.Range.t Lazy.t;
   (* aggregate profile for hot/cold block layout in [Bytecode.compile] *)
   layout_profile : Llvm_profile.Profile.t option;
-  mutable promotions : (string * int) list; (* name, entry count when promoted *)
+  mutable promotions : string list; (* functions compiled, newest first *)
   mutable deopt_falls : int; (* calls re-routed to the interpreter tier *)
 }
-
-let entries (e : t) (f : func) : int =
-  Option.value ~default:0
-    (Hashtbl.find_opt e.mach.block_counts (entry_block f).bid)
 
 let get_compiled (e : t) (f : func) : Bytecode.compiled =
   match Hashtbl.find_opt e.compiled f.fid with
@@ -56,16 +46,14 @@ let get_compiled (e : t) (f : func) : Bytecode.compiled =
         e.mach f
     in
     Hashtbl.replace e.compiled f.fid c;
+    e.promotions <- f.fname :: e.promotions;
     c
 
-let create ?(hot_threshold = default_hot_threshold) ?(profiling = false)
-    ?profile (kind : kind) (m : modul) : t =
+let create ?(profiling = false) ?profile (kind : kind) (m : modul) : t =
   let mach = Interp.create m in
-  (* Tiering needs entry counts, so it forces profiling on; this keeps
-     profiles identical across tiers rather than a tiered-only extra. *)
-  mach.profiling <- profiling || kind = Tiered;
+  mach.profiling <- profiling;
   let e =
-    { mach; kind; hot_threshold; compiled = Hashtbl.create 32;
+    { mach; compiled = Hashtbl.create 32;
       ranges = lazy (Llvm_analysis.Range.analyze m); layout_profile = profile;
       promotions = []; deopt_falls = 0 }
   in
@@ -86,33 +74,16 @@ let create ?(hot_threshold = default_hot_threshold) ?(profiling = false)
   in
   (match kind with
   | Interp_tier -> () (* keep the default dispatch *)
-  | Bytecode_tier ->
+  | Bytecode_tier | Tiered ->
     mach.dispatch <-
       (fun mach f args ->
-        if is_declaration f then exec_func mach f args
-        else if take_deopt () then exec_func mach f args
-        else Bytecode.exec mach (get_compiled e f) args)
-  | Tiered ->
-    mach.dispatch <-
-      (fun mach f args ->
-        if is_declaration f then exec_func mach f args
-        else if take_deopt () then exec_func mach f args
-        else
-          match Hashtbl.find_opt e.compiled f.fid with
-          | Some c -> Bytecode.exec mach c args
-          | None ->
-            let n = entries e f in
-            if n >= e.hot_threshold then begin
-              let c = get_compiled e f in
-              e.promotions <- (f.fname, n) :: e.promotions;
-              Bytecode.exec mach c args
-            end
-            else exec_func mach f args));
+        if is_declaration f || take_deopt () then exec_func mach f args
+        else Bytecode.exec mach (get_compiled e f) args));
   e
 
-(* Promotions in promotion order (tests, bench, lli stats). *)
-let promotions (e : t) : (string * int) list = List.rev e.promotions
-let compiled_count (e : t) : int = Hashtbl.length e.compiled
+(* Functions compiled to bytecode, in compile order: first-call order
+   unless [compile_all] ran (tests, bench, lli stats). *)
+let promotions (e : t) : string list = List.rev e.promotions
 
 (* Speculation statistics: guard failures counted by the machine, and
    how many of them the engine answered with an interpreter-tier
@@ -147,10 +118,10 @@ let profile (e : t) : Llvm_profile.Profile.t =
    exit()s raised anywhere — including from global-initializer
    materialization during [create] — as a [run_result] rather than an
    exception. *)
-let run_main ?fuel ?hot_threshold ?(profiling = false) ?profile (kind : kind)
-    (m : modul) : run_result * (int, int) Hashtbl.t =
+let run_main ?fuel ?(profiling = false) ?profile (kind : kind) (m : modul) :
+    run_result * (int, int) Hashtbl.t =
   let failed status = ({ status; output = ""; instructions = 0 }, Hashtbl.create 1) in
-  match create ?hot_threshold ~profiling ?profile kind m with
+  match create ~profiling ?profile kind m with
   | exception Memory.Trap msg -> failed (`Trapped msg)
   | exception Exit_program code -> failed (`Exited code)
   | e -> (run_loaded ?fuel e.mach, e.mach.block_counts)

@@ -1,23 +1,20 @@
 (** The tiered execution engine (paper sections 3.4-3.5): one
     [Interp.machine], three tiers.
 
-    [Interp_tier] tree-walks every call; [Bytecode_tier] lazily
-    compiles every defined function to {!Bytecode} on first call;
-    [Tiered] starts in the interpreter and promotes a function to
-    bytecode once its entry-block execution count crosses the hot
-    threshold.  The engine installs itself as [machine.dispatch], so
-    call sites in either tier route back through the tier decision and
-    interpreter frames can call promoted functions (and vice versa). *)
+    [Interp_tier] tree-walks every call; [Bytecode_tier] compiles
+    every defined function to {!Bytecode} on its first call.  [Tiered],
+    the default, is that same first-call policy under the name the wire
+    format and the tools use.  The engine installs itself as
+    [machine.dispatch], so every call site routes back through the tier
+    decision; declarations (builtins) and deopted calls run in the
+    interpreter. *)
 
 type kind = Interp_tier | Bytecode_tier | Tiered
 
 val kind_name : kind -> string
-val default_hot_threshold : int
 
 type t = {
   mach : Interp.machine;
-  kind : kind;
-  hot_threshold : int;
   compiled : (int, Bytecode.compiled) Hashtbl.t;  (** func id -> bytecode *)
   ranges : Llvm_analysis.Range.t Lazy.t;
       (** whole-module value ranges, forced by {!Bytecode.compile} at
@@ -25,14 +22,14 @@ type t = {
           compiled function has one *)
   layout_profile : Llvm_profile.Profile.t option;
       (** aggregate profile for hot/cold block layout *)
-  mutable promotions : (string * int) list;
+  mutable promotions : string list;  (** functions compiled, newest first *)
   mutable deopt_falls : int;
 }
 
-(** Materialize the module and install the tier dispatch.  [Tiered]
-    forces profiling on (it needs entry counts), keeping profiles
-    identical across tiers.  [profile] drives hot/cold block layout in
-    {!Bytecode.compile} (pure layout; never changes behaviour).
+(** Materialize the module and install the tier dispatch.  Block and
+    call-target counters run only when [profiling] is set.  [profile]
+    drives hot/cold block layout in {!Bytecode.compile} (pure layout;
+    never changes behaviour).
 
     The deopt protocol: a failed speculation guard calls the
     [llvm_deopt] builtin, which sets [Interp.machine.deopt_pending];
@@ -41,18 +38,15 @@ type t = {
     tier.  Tiers are bit-for-bit identical, so the fallback is purely
     an execution-strategy decision. *)
 val create :
-  ?hot_threshold:int ->
   ?profiling:bool ->
   ?profile:Llvm_profile.Profile.t ->
   kind ->
   Llvm_ir.Ir.modul ->
   t
 
-(** Promotions in promotion order: function name, entry count when
-    promoted. *)
-val promotions : t -> (string * int) list
-
-val compiled_count : t -> int
+(** Functions compiled to bytecode, in compile order: first-call order
+    unless {!compile_all} ran.  Empty under [Interp_tier]. *)
+val promotions : t -> string list
 
 (** Failed speculation guards ([llvm_deopt] executions). *)
 val deopts : t -> int
@@ -81,7 +75,6 @@ val profile : t -> Llvm_profile.Profile.t
     profiling is on, or when the machine could not be built). *)
 val run_main :
   ?fuel:int ->
-  ?hot_threshold:int ->
   ?profiling:bool ->
   ?profile:Llvm_profile.Profile.t ->
   kind ->

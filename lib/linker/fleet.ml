@@ -50,8 +50,9 @@ let poke_input (mach : Llvm_exec.Interp.machine) (m : modul) (name : string)
       Llvm_exec.Interp.store_sized mach addr ~size:4
         (Llvm_exec.Interp.Rint (Ltype.Int, Int64.of_int value)))
 
-(* One simulated end-user run: instrumented, under the given engine
-   kind (the field default is [Tiered]), optionally with a per-run
+(* One simulated end-user run: instrumented (profiling on), under the
+   given engine kind (the field default is [Tiered], which compiles each
+   function to bytecode on its first call), optionally with a per-run
    input.  Returns the observable result plus the run's own profile. *)
 let field_run ?(fuel = default_fuel) ?(kind = Llvm_exec.Engine.Tiered)
     ?input ?profile (m : modul) :

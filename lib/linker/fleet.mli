@@ -27,11 +27,12 @@ type report = {
 
 val default_fuel : int
 
-(** One simulated end-user run: instrumented, under [kind] (default
-    [Tiered]), with [input = (global, value)] poked into the program's
-    environment global first and [profile] (if any) driving hot/cold
-    block layout.  Returns the result, the run's own one-run profile,
-    and the run's failed-guard count. *)
+(** One simulated end-user run: instrumented (profiling on), under
+    [kind] (default [Tiered]: first-call bytecode compilation), with
+    [input = (global, value)] poked into the program's environment
+    global first and [profile] (if any) driving hot/cold block layout.
+    Returns the result, the run's own one-run profile, and the run's
+    failed-guard count. *)
 val field_run :
   ?fuel:int ->
   ?kind:Llvm_exec.Engine.kind ->

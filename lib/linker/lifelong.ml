@@ -4,10 +4,11 @@
        (bitcode embedded in the executable) -> run with lightweight
        profiling -> idle-time profile-guided reoptimizer -> rerun.
 
-   The execution engine stands in for the native code: "performance" is
-   reported as interpreted instruction counts, which respond to the same
-   optimizations (fewer calls after inlining, fewer instructions after
-   simplification) that native execution would. *)
+   The execution engine stands in for the native code, and an end-user
+   run is [Fleet.field_run]: "performance" is reported as executed
+   instruction counts, which respond to the same optimizations (fewer
+   calls after inlining, fewer instructions after simplification) that
+   native execution would. *)
 
 open Llvm_ir
 open Ir
@@ -18,14 +19,6 @@ type executable = {
   native_x86_bytes : int;
   native_sparc_bytes : int;
   bitcode : string; (* persistent IR shipped alongside native code *)
-}
-
-type run_report = {
-  result : Llvm_exec.Interp.run_result;
-  profile : Llvm_profile.Profile.t; (* this run's profile: a fleet of one *)
-  promoted : (string * int) list;
-      (* functions the tiered engine compiled to bytecode mid-run, with
-         the entry count that triggered each promotion *)
 }
 
 (* Compile-and-link: the static half of the pipeline. *)
@@ -39,17 +32,6 @@ let build ?(ipo = true) (modules : modul list) : executable =
     native_sparc_bytes =
       Llvm_codegen.Emit.code_size Llvm_codegen.Target.sparcish program;
     bitcode }
-
-(* An end-user run with the lightweight instrumentation enabled
-   (section 3.5), under the tiered engine: execution starts in the
-   interpreter and the profile instrumentation that feeds the
-   reoptimizer also drives hot-function promotion to bytecode. *)
-let run_in_the_field ?fuel ?profile (exe : executable) : run_report =
-  let e = Llvm_exec.Engine.create ?profile Llvm_exec.Engine.Tiered exe.program in
-  let result = Llvm_exec.Interp.run_loaded ?fuel e.Llvm_exec.Engine.mach in
-  { result;
-    profile = Llvm_exec.Engine.profile e;
-    promoted = Llvm_exec.Engine.promotions e }
 
 (* The idle-time reoptimizer (section 3.6): "a modified version of the
    link-time interprocedural optimizer, but with a greater emphasis on

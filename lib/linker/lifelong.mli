@@ -1,8 +1,8 @@
 (** The lifelong compilation pipeline of Figure 4: front-ends emit IR,
     the linker + IPO combine it, native code is generated offline with
     the bitcode preserved in the executable, end-user runs are profiled
-    (section 3.5), and an idle-time reoptimizer applies profile-guided
-    transformations (section 3.6). *)
+    (section 3.5; one such run is {!Fleet.field_run}), and an idle-time
+    reoptimizer applies profile-guided transformations (section 3.6). *)
 
 type executable = {
   program : Llvm_ir.Ir.modul;  (** the linked, optimized IR *)
@@ -11,28 +11,13 @@ type executable = {
   bitcode : string;  (** persistent IR shipped alongside native code *)
 }
 
-type run_report = {
-  result : Llvm_exec.Interp.run_result;
-  profile : Llvm_profile.Profile.t;  (** this run's profile *)
-  promoted : (string * int) list;
-      (** functions the tiered engine compiled to bytecode mid-run, with
-          the entry count that triggered each promotion *)
-}
-
 (** Link, internalize, optionally run link-time IPO, and generate the
     native images + the preserved bitcode. *)
 val build : ?ipo:bool -> Llvm_ir.Ir.modul list -> executable
 
-(** One end-user run with the lightweight profiling instrumentation,
-    under the tiered engine: interpretation plus hot-function promotion
-    to bytecode.  With [profile], an earlier aggregate drives hot/cold
-    block layout in the bytecode tier. *)
-val run_in_the_field :
-  ?fuel:int -> ?profile:Llvm_profile.Profile.t -> executable -> run_report
-
 (** The idle-time reoptimizer: a merged cross-run aggregate
-    ({!Fleet.simulate}), or one run's [run_report.profile] as a fleet
-    of one, drives speculative call promotion with deopt
+    ({!Fleet.simulate}), or one {!Fleet.field_run}'s profile as a
+    fleet of one, drives speculative call promotion with deopt
     guards plus profile-guided inlining ({!Llvm_transforms.Pgo}), the
     cleanup pipeline reruns, and the persistent bitcode and native
     images are refreshed. *)

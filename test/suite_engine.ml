@@ -110,26 +110,32 @@ let test_optimized_ir_differential () =
     ignore (check_tiers_agree (Fmt.str "rand%d -O3" seed) m)
   done
 
-let test_tiered_promotes_hot_functions () =
-  let name, src = List.hd Ehprog.programs in
-  (* risky() is called 600 times from main's loop *)
-  let m = Ehprog.compile name src in
-  let e = Engine.create ~hot_threshold:8 Engine.Tiered m in
+(* The default policy compiles a function to bytecode when it is first
+   called (paper section 3.4): main first, then its loop's callee once,
+   never a function nothing calls; and without profiling asked for, the
+   run leaves no profile. *)
+let test_tiered_compiles_on_first_call () =
+  let src =
+    {| int unused(int x) { return x - 1; }
+       int twice(int x) { return x + x; }
+       int main() {
+         int sum = 0;
+         for (int i = 0; i < 20; i++) sum = sum + twice(i);
+         return sum;
+       } |}
+  in
+  let m = Llvm_minic.Codegen.compile_string src in
+  let e = Engine.create Engine.Tiered m in
   let main = Option.get (Ir.find_func m "main") in
-  let r = Interp.run_function ~fuel e.Engine.mach main [] in
-  (match r.Interp.status with
-  | `Returned _ -> ()
+  (match (Interp.run_function ~fuel e.Engine.mach main []).Interp.status with
+  | `Returned v ->
+    Alcotest.(check string) "result" "380" (Fmt.str "%a" Interp.pp_rtval v)
   | _ -> Alcotest.fail "tiered run failed");
-  let promoted = List.map fst (Engine.promotions e) in
-  Alcotest.(check bool) "risky promoted to bytecode" true
-    (List.mem "risky" promoted);
-  Alcotest.(check bool) "main not promoted (one entry)" false
-    (List.mem "main" promoted);
-  (* every promotion happened at the threshold exactly *)
-  List.iter
-    (fun (f, n) ->
-      Alcotest.(check int) (f ^ " promoted at threshold") 8 n)
-    (Engine.promotions e)
+  Alcotest.(check (list string)) "compiled in first-call order, once each"
+    [ "main"; "twice" ] (Engine.promotions e);
+  let p = Engine.profile e in
+  Alcotest.(check int) "no block counts" 0 (Llvm_profile.Profile.block_entries p);
+  Alcotest.(check int) "no call-site counts" 0 (Llvm_profile.Profile.call_sites p)
 
 let test_interp_tier_never_compiles () =
   let p = Spec.quick (List.hd Spec.spec2000) in
@@ -137,7 +143,7 @@ let test_interp_tier_never_compiles () =
   let e = Engine.create Engine.Interp_tier m in
   let main = Option.get (Ir.find_func m "main") in
   ignore (Interp.run_function ~fuel e.Engine.mach main []);
-  Alcotest.(check int) "no bytecode compiled" 0 (Engine.compiled_count e)
+  Alcotest.(check (list string)) "no bytecode compiled" [] (Engine.promotions e)
 
 (* Range-proven fast ops: the bytecode tier compiles in-bounds stack
    accesses and nonzero divisions to unguarded instructions, and the
@@ -165,7 +171,7 @@ let test_fast_ops_compiled_and_agree () =
 
 (* The range analysis is forced only by a candidate for a fast op (an
    integer division, or a load/store through a gep of an alloca), so
-   promoting functions that have none never computes it. *)
+   compiling functions that have none never computes it. *)
 let test_ranges_not_forced_without_candidates () =
   let src =
     {| int step(int x) { return x * 3 + 1; }
@@ -183,8 +189,8 @@ let test_ranges_not_forced_without_candidates () =
   | `Returned v ->
     Alcotest.(check string) "result" "145" (Fmt.str "%a" Interp.pp_rtval v)
   | _ -> Alcotest.fail "tiered run failed");
-  Alcotest.(check (list string)) "step promoted" [ "step" ]
-    (List.map fst (Engine.promotions e));
+  Alcotest.(check (list string)) "main and step compiled" [ "main"; "step" ]
+    (Engine.promotions e);
   Alcotest.(check bool) "ranges never forced" false
     (Lazy.is_val e.Engine.ranges);
   Alcotest.(check int) "no fast ops" 0 (Engine.fast_ops e)
@@ -467,8 +473,8 @@ let tests =
       test_random_ir_differential;
     Alcotest.test_case "optimized random IR agrees across tiers" `Quick
       test_optimized_ir_differential;
-    Alcotest.test_case "tiered engine promotes hot functions" `Quick
-      test_tiered_promotes_hot_functions;
+    Alcotest.test_case "tiered engine compiles each function on its first call"
+      `Quick test_tiered_compiles_on_first_call;
     Alcotest.test_case "interp tier never compiles" `Quick
       test_interp_tier_never_compiles;
     Alcotest.test_case "range-proven fast ops compile and agree" `Quick

@@ -142,30 +142,28 @@ let test_lifelong_pipeline () =
   Alcotest.(check bool) "native code generated" true
     (exe.Lifelong.native_x86_bytes > 0 && exe.Lifelong.native_sparc_bytes > 0);
   (* first end-user run gathers a profile *)
-  let report = Lifelong.run_in_the_field exe in
-  let baseline_instrs = report.Lifelong.result.Llvm_exec.Interp.instructions in
-  let hot =
-    Llvm_profile.Profile.hot_functions report.Lifelong.profile exe.Lifelong.program
-  in
+  let result, profile, _ = Fleet.field_run exe.Lifelong.program in
+  let baseline_instrs = result.Llvm_exec.Interp.instructions in
+  let hot = Llvm_profile.Profile.hot_functions profile exe.Lifelong.program in
   Alcotest.(check bool) "hot_helper detected as hot" true
     (match List.assoc_opt "hot_helper" hot with
     | Some n -> n >= 400
     | None -> false);
   (* idle-time reoptimization with the field profile: a fleet of one *)
-  let exe, stats = Lifelong.reoptimize_with_aggregate exe report.Lifelong.profile in
+  let exe, stats = Lifelong.reoptimize_with_aggregate exe profile in
   Alcotest.(check bool) "hot call inlined" true (stats.Llvm_transforms.Pgo.inlined >= 1);
   (* second run: same behaviour, fewer executed instructions *)
-  let report2 = Lifelong.run_in_the_field exe in
+  let result2, _, _ = Fleet.field_run exe.Lifelong.program in
   Alcotest.(check string) "behaviour preserved"
     (Fmt.str "%a" Llvm_exec.Interp.pp_rtval
-       (match report.Lifelong.result.Llvm_exec.Interp.status with
+       (match result.Llvm_exec.Interp.status with
        | `Returned v -> v
        | _ -> Alcotest.fail "first run failed"))
     (Fmt.str "%a" Llvm_exec.Interp.pp_rtval
-       (match report2.Lifelong.result.Llvm_exec.Interp.status with
+       (match result2.Llvm_exec.Interp.status with
        | `Returned v -> v
        | _ -> Alcotest.fail "second run failed"));
-  let after_instrs = report2.Lifelong.result.Llvm_exec.Interp.instructions in
+  let after_instrs = result2.Llvm_exec.Interp.instructions in
   Alcotest.(check bool)
     (Printf.sprintf "faster after reoptimization (%d -> %d)" baseline_instrs
        after_instrs)
