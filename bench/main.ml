@@ -996,6 +996,14 @@ let serve_bench ?(quick = false) () =
       incr failures
   in
   let diff = differential ~every:53 ~stand_ins:false in
+  (* minor-heap words allocated inside the server, over the replay *)
+  let minor_words = ref 0.0 in
+  let allocating f =
+    let w0 = (Gc.quick_stat ()).Gc.minor_words in
+    let r = f () in
+    minor_words := !minor_words +. ((Gc.quick_stat ()).Gc.minor_words -. w0);
+    r
+  in
   let (), elapsed =
     time_it (fun () ->
         for session = 1 to sessions do
@@ -1003,7 +1011,8 @@ let serve_bench ?(quick = false) () =
             let request = sample_request fleet rng in
             let resp, dt =
               time_it (fun () ->
-                  Llvm_serve.Server.handle server (Llvm_serve.Protocol.req (fst request)))
+                  allocating (fun () ->
+                      Llvm_serve.Server.handle server (Llvm_serve.Protocol.req (fst request))))
             in
             latencies := dt :: !latencies;
             check_resp resp;
@@ -1022,7 +1031,7 @@ let serve_bench ?(quick = false) () =
                        { l_apps = [ payload ]; l_libs = libs; l_validate = false }))
             in
             let resps, dt =
-              time_it (fun () -> Llvm_serve.Server.handle_batch server reqs)
+              time_it (fun () -> allocating (fun () -> Llvm_serve.Server.handle_batch server reqs))
             in
             for _ = 1 to members do
               latencies := (dt /. float_of_int members) :: !latencies
@@ -1055,12 +1064,13 @@ let serve_bench ?(quick = false) () =
   let requests = Llvm_serve.Server.requests server in
   let throughput = float_of_int requests /. Float.max 1e-9 elapsed in
   let p50, p99 = p50_p99_ms !latencies in
+  let minor_per_request = !minor_words /. float_of_int (max 1 (List.length !latencies)) in
   let hit_rate = Llvm_serve.Server.hit_rate server in
   let cache = Llvm_serve.Server.cache server in
   say "universe: %d modules (%d genprog variants + %d eh), %d sessions" nuniv
     fleet.fl_genprog fleet.fl_eh sessions;
-  say "%d requests in %.2fs: %.0f req/s, p50 %.3fms, p99 %.3fms" requests
-    elapsed throughput p50 p99;
+  say "%d requests in %.2fs: %.0f req/s, p50 %.3fms, p99 %.3fms, %.0f minor words/request"
+    requests elapsed throughput p50 p99 minor_per_request;
   say "cache: %.1f%% hit rate (%d hits, %d misses), %d entries, %d evictions"
     (100.0 *. hit_rate)
     (Llvm_serve.Cache.hits cache)
@@ -1080,7 +1090,8 @@ let serve_bench ?(quick = false) () =
   write_bench "serve"
     [ ("sessions", jint sessions); ("universe", jint nuniv); ("requests", jint requests);
       ("elapsed_s", jnum elapsed); ("throughput_rps", jnum throughput);
-      ("p50_ms", jnum p50); ("p99_ms", jnum p99); ("hit_rate", jnum hit_rate);
+      ("p50_ms", jnum p50); ("minor_words_per_request", jnum minor_per_request);
+      ("p99_ms", jnum p99); ("hit_rate", jnum hit_rate);
       ("hits", jint (Llvm_serve.Cache.hits cache));
       ("misses", jint (Llvm_serve.Cache.misses cache));
       ("evictions", jint (Llvm_serve.Cache.evictions cache));

@@ -34,6 +34,12 @@ let socket_arg =
 
 let serve socket shards cache_mb validate validate_fuel max_batch max_queue
     deadline_ms frame_deadline_ms workers =
+  (* Cache hits served from the payload index allocate little, and under
+     OCaml 5.1's default pacing (space_overhead 120) the major heap then
+     grows: e2ebench serve-zipf peak_rss_mb read 19.3-19.5 MB without
+     this setting and 16.7-16.9 MB with it, against 17.6-17.8 MB before
+     the index (EXPERIMENTS, "The llvmd payload index"). *)
+  Gc.set { (Gc.get ()) with Gc.space_overhead = 80 };
   let server_config =
     { Server.shards;
       shard_bytes = cache_mb * 1024 * 1024 / max 1 shards;

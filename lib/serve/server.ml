@@ -5,12 +5,23 @@
    lib/transforms; this driver owns caching, batching and scheduling
    (the Juvix Compiler/Pipeline split named in the roadmap).
 
-   Content addressing: a request payload (textual IR or bitcode) is
-   parsed once and re-encoded to the canonical bitcode form; the MD5 of
-   those bytes (Llvm_bitcode.Digest) is the module's identity, so the
-   same program arriving as .ll or .bc hits the same cache line.  The
-   pass-result cache maps (module digest × pipeline spec) to optimized
-   bitcode across N LRU shards (Cache).
+   Content addressing: a module's identity is its canonical digest, the
+   MD5 of the bitcode the encoder writes for it (Llvm_bitcode.Digest),
+   so the same program arriving as .ll or .bc hits the same cache line.
+   The pass-result cache maps (canonical digest × what is done to the
+   module) to optimized bitcode or a lint report across N LRU shards
+   (Cache).  Computing that digest means loading, verifying and
+   re-encoding the payload, so the server also keeps a payload index:
+   the MD5 of a compile, run or lint request's raw bytes → the
+   canonical digest its load computed, added only once the payload has
+   loaded and verified.  A request whose bytes are indexed builds its
+   key without loading them; the payload is loaded only if the cache
+   then misses.  The index holds digests, never payloads or modules,
+   and serves no bytes: every answer still comes through Cache.find and
+   its integrity check, and "these bytes have that digest" stays true
+   when a corrupt entry is rebuilt, so nothing invalidates it.  It is
+   cleared when it reaches [index_cap] entries.  Link payloads always
+   take the full load.
 
    Link batching: a Link request names application modules plus a
    shared library set.  The expensive link-time IPO pipeline runs once
@@ -60,9 +71,14 @@ type counters = {
 (* log2 microsecond buckets: bucket b holds latencies in [2^b, 2^b+1) us *)
 let lat_buckets = 32
 
+(* The payload index's entry cap: a full index is cleared. *)
+let index_cap = 4096
+
 type t = {
   cfg : config;
   cache : Cache.t;
+  index : (string, string) Hashtbl.t;  (* raw payload MD5 -> canonical digest *)
+  mutable index_hits : int;
   ctr : counters;
   mutable validation_rejects : int;
   mutable batched_link_groups : int;
@@ -76,6 +92,8 @@ type t = {
 let create ?(config = default_config) () : t =
   { cfg = config;
     cache = Cache.create ~shards:config.shards ~shard_bytes:config.shard_bytes ();
+    index = Hashtbl.create 64;
+    index_hits = 0;
     ctr =
       { c_compile = 0; c_link = 0; c_run = 0; c_lint = 0; c_stats = 0;
         c_ping = 0; c_failed = 0; c_rejected = 0; c_timed_out = 0 };
@@ -91,6 +109,8 @@ let cache (t : t) : Cache.t = t.cache
 let hit_rate (t : t) : float = Cache.hit_rate t.cache
 let validation_rejects (t : t) : int = t.validation_rejects
 let batched_link_groups (t : t) : int = t.batched_link_groups
+let index_entries (t : t) : int = Hashtbl.length t.index
+let index_hits (t : t) : int = t.index_hits
 
 let requests (t : t) : int =
   t.ctr.c_compile + t.ctr.c_link + t.ctr.c_run + t.ctr.c_lint + t.ctr.c_stats
@@ -105,17 +125,40 @@ let first_verify_error (m : Ir.modul) : string option =
   | [] -> None
   | e :: _ -> Some (Fmt.str "%a" Verify.pp_error e)
 
-(* Parse a payload and compute its canonical identity.  The canonical
-   bytes are the encoder's output for the freshly loaded module, so
-   textual and binary deliveries of the same program share a digest. *)
-let load_payload ~(what : string) (payload : string) :
-    (Ir.modul * string, string) result =
+let load_verified ~(what : string) (payload : string) :
+    (Ir.modul, string) result =
   match Loader.of_bytes ~name:what payload with
   | Error e -> Error e
   | Ok m -> (
     match first_verify_error m with
     | Some e -> Error (Fmt.str "%s: verification failed: %s" what e)
-    | None -> Ok (m, Llvm_bitcode.Digest.of_module m))
+    | None -> Ok m)
+
+(* Parse a payload and compute its canonical identity.  The canonical
+   bytes are the encoder's output for the freshly loaded module, so
+   textual and binary deliveries of the same program share a digest. *)
+let load_payload ~(what : string) (payload : string) :
+    (Ir.modul * string, string) result =
+  Result.map (fun m -> (m, Llvm_bitcode.Digest.of_module m)) (load_verified ~what payload)
+
+(* A module payload's canonical digest, and how to get its module.  An
+   indexed payload costs one MD5 of its bytes, and its module is loaded
+   only when [load] is called (on a cache miss).  Any other payload is
+   loaded and verified here, and indexed once it has. *)
+let identify (t : t) ~(what : string) (payload : string) :
+    (string * (unit -> (Ir.modul, string) result), string) result =
+  let raw = Llvm_bitcode.Digest.of_bytes payload in
+  match Hashtbl.find_opt t.index raw with
+  | Some digest ->
+    t.index_hits <- t.index_hits + 1;
+    Ok (digest, fun () -> load_verified ~what payload)
+  | None -> (
+    match load_payload ~what payload with
+    | Error e -> Error e
+    | Ok (m, digest) ->
+      if Hashtbl.length t.index >= index_cap then Hashtbl.reset t.index;
+      Hashtbl.replace t.index raw digest;
+      Ok (digest, fun () -> Ok m))
 
 (* -- Pipelines ----------------------------------------------------------------- *)
 
@@ -233,45 +276,54 @@ let finish (t : t) ~(deadline : float option) ~(t0 : float) ~(validate : bool)
            (Fmt.str "translation validation failed for %s: %s" what why))
     | Ok () -> Ok (fst (Llvm_bitcode.Encoder.encode m), pipeline_ms))
 
-(* Validated results live under their own keys ("|v"), for compile and
-   link alike: a validating request can only ever hit an entry that
-   passed the witness. *)
+(* What a compile, run or lint request does to its one module. *)
+type job = Optimize of { spec : Protocol.pipeline; validate : bool } | Lint
+
+(* A module request's cache key.  Validated results live under their own
+   keys ("|v"), for compile and link alike: a validating request can
+   only ever hit an entry that passed the witness. *)
+let module_key (digest : string) (job : job) : string =
+  match job with
+  | Optimize { spec; validate } ->
+    digest ^ "|" ^ Protocol.pipeline_to_string spec ^ if validate then "|v" else ""
+  | Lint -> digest ^ "|lint"
+
+let build_job (t : t) (job : job) (payload : string) ~(deadline : float option)
+    (m : Ir.modul) : (string * float, Protocol.response) result =
+  let t0 = Protocol.now () in
+  match job with
+  | Optimize { spec; validate } -> (
+    match run_pipeline ~deadline spec m with
+    | Error e -> Error (Protocol.Failed e)
+    | Ok () ->
+      finish t ~deadline ~t0 ~validate
+        ~invalid:"pipeline produced an invalid module (pass bug)"
+        ~what:(Protocol.pipeline_to_string spec)
+        ~reference:(fun () -> Loader.of_bytes ~name:"reference" payload)
+        m)
+  | Lint ->
+    let diags = Llvm_analysis.Lint.run m in
+    Ok (String.concat "\n" (List.map Llvm_analysis.Lint.diag_to_json diags), ms t0)
+
+(* The key comes from the payload index when it can, so a hit neither
+   loads nor verifies; the module is loaded on a miss. *)
+let plan_module (t : t) ~(what : string) (job : job) (payload : string) :
+    (plan, string) result =
+  match identify t ~what payload with
+  | Error e -> Error e
+  | Ok (digest, load) ->
+    let build ~deadline =
+      match load () with
+      | Error e -> Error (Protocol.Failed e)
+      | Ok m -> build_job t job payload ~deadline m
+    in
+    Ok { key = module_key digest job; route = Some digest; build }
+
 let plan_compile (t : t) ~(validate : bool) (payload : string)
     (spec : Protocol.pipeline) : (plan, string) result =
-  let validate = validate || t.cfg.validate in
-  match load_payload ~what:"compile request" payload with
-  | Error e -> Error e
-  | Ok (m, digest) ->
-    let spec_s = Protocol.pipeline_to_string spec in
-    let build ~deadline =
-      let t0 = Protocol.now () in
-      match run_pipeline ~deadline spec m with
-      | Error e -> Error (Protocol.Failed e)
-      | Ok () ->
-        finish t ~deadline ~t0 ~validate
-          ~invalid:"pipeline produced an invalid module (pass bug)"
-          ~what:spec_s
-          ~reference:(fun () -> Loader.of_bytes ~name:"reference" payload)
-          m
-    in
-    Ok
-      { key = (digest ^ "|" ^ spec_s ^ if validate then "|v" else "");
-        route = Some digest;
-        build }
-
-let plan_lint (payload : string) : (plan, string) result =
-  match load_payload ~what:"lint request" payload with
-  | Error e -> Error e
-  | Ok (m, digest) ->
-    let build ~deadline:_ =
-      let t0 = Protocol.now () in
-      let diags = Llvm_analysis.Lint.run m in
-      let text =
-        String.concat "\n" (List.map Llvm_analysis.Lint.diag_to_json diags)
-      in
-      Ok (text, ms t0)
-    in
-    Ok { key = digest ^ "|lint"; route = Some digest; build }
+  plan_module t ~what:"compile request"
+    (Optimize { spec; validate = validate || t.cfg.validate })
+    payload
 
 (* Load a list of payloads; the digest of the set is the digest of the
    concatenated member digests (order-sensitive: link order matters). *)
@@ -386,7 +438,7 @@ let plan (t : t) (body : Protocol.body) : (plan, string) result =
       c.Protocol.c_pipeline
   | Protocol.Run r ->
     plan_compile t ~validate:false r.Protocol.r_payload r.Protocol.r_pipeline
-  | Protocol.Lint payload -> plan_lint payload
+  | Protocol.Lint payload -> plan_module t ~what:"lint request" Lint payload
   | Protocol.Link l -> plan_link t l
   | Protocol.Stats | Protocol.Ping | Protocol.Shutdown ->
     Error "not a cacheable request"
@@ -521,6 +573,7 @@ let stats_json ?(extra : (string * string) list = []) (t : t) : string =
         (if k = Array.length stats - 1 then "" else ","))
     stats;
   j "    ]},\n";
+  j "  \"index\": {\"entries\": %d, \"hits\": %d},\n" (index_entries t) t.index_hits;
   j
     "  \"latency\": {\"count\": %d, \"p50_ms\": %.3f, \"p90_ms\": %.3f, \
      \"p99_ms\": %.3f, \"max_ms\": %.3f}%s\n"

@@ -28,6 +28,22 @@ val batched_link_groups : t -> int
 (** Requests answered [Timed_out] so far. *)
 val timed_out : t -> int
 
+(** {1 The payload index}
+
+    Maps the MD5 of a compile, run or lint payload's raw bytes to the
+    canonical digest its load computed, so a repeated payload builds
+    its cache key without being loaded, verified or re-encoded.  Only
+    payloads that loaded and verified are indexed; the index holds no
+    payloads or modules and is cleared when it reaches [index_cap]. *)
+
+val index_cap : int
+
+(** Payloads indexed now. *)
+val index_entries : t -> int
+
+(** Requests (and probes) whose key came from the index. *)
+val index_hits : t -> int
+
 (** Handle one request.  Records latency and counters; never raises on
     malformed payloads (returns [Failed]).  A request whose
     [deadline_ms] budget expires at a pass boundary is answered

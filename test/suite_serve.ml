@@ -374,14 +374,14 @@ let expect_served what (r : Protocol.response) =
   | Protocol.Timed_out why -> Alcotest.failf "%s: timed out: %s" what why
   | Protocol.Busy _ -> Alcotest.failf "%s: busy" what
 
+let undefined_type_payload =
+  "void %f(%T* %p) {\nentry:\n  store int 0, %T* %p\n  ret void\n}"
+
 (* A payload that names an undefined type fails verification with the
    verifier's message, not an internal error. *)
 let test_server_reports_verifier_message () =
   let server = Server.create () in
-  let payload =
-    "void %f(%T* %p) {\nentry:\n  store int 0, %T* %p\n  ret void\n}"
-  in
-  match Server.handle server (compile_req payload) with
+  match Server.handle server (compile_req undefined_type_payload) with
   | Protocol.Failed e ->
     Alcotest.(check string) "verifier message"
       "compile request: verification failed: f: undefined type %T" e
@@ -429,21 +429,22 @@ let test_server_every_level_matches_direct () =
 
 let test_server_content_addressing () =
   (* the same program delivered as .ll text and as bitcode shares one
-     cache line *)
+     cache line, on first sight and when each form is indexed *)
   let server = Server.create () in
   let m = sample_module () in
-  let as_bitcode = encode m in
-  let as_text = Llvm_ir.Printer.module_to_string m in
-  let _, m1 =
-    expect_served "bitcode delivery"
-      (Server.handle server (compile_req as_bitcode))
+  let deliveries =
+    [ ("bitcode delivery", encode m); ("text delivery", Llvm_ir.Printer.module_to_string m) ]
   in
-  Alcotest.(check bool) "bitcode delivery misses" false m1.Protocol.m_hit;
-  let _, m2 =
-    expect_served "text delivery" (Server.handle server (compile_req as_text))
+  let hits =
+    List.map
+      (fun (what, payload) ->
+        (snd (expect_served what (Server.handle server (compile_req payload)))).Protocol.m_hit)
+      (deliveries @ deliveries)
   in
-  Alcotest.(check bool) "text delivery hits the same entry" true
-    m2.Protocol.m_hit
+  Alcotest.(check (list bool)) "only the first delivery misses" [ false; true; true; true ] hits;
+  Alcotest.(check int) "each raw form indexed" 2 (Server.index_entries server);
+  Alcotest.(check int) "repeats keyed by the index" 2 (Server.index_hits server);
+  Alcotest.(check int) "one cache entry" 1 (Cache.entries (Server.cache server))
 
 let test_server_pipeline_spec_keys () =
   (* a different pipeline spec is a different cache key *)
@@ -566,7 +567,8 @@ int main() {
         (Printf.sprintf "stats mentions %s" sub)
         true
         (Astring_contains.contains json sub))
-    [ "\"requests\""; "\"cache\""; "\"shards\""; "\"latency\""; "\"run\": 1" ];
+    [ "\"requests\""; "\"cache\""; "\"index\""; "\"shards\""; "\"latency\"";
+      "\"run\": 1" ];
   Alcotest.(check int) "request counter" 4 (Server.requests server)
 
 let test_server_run_trap_exit_code () =
@@ -754,6 +756,102 @@ int main() { return helper(4); }
       | _ -> Alcotest.failf "%s: not Uncached without a route" what)
     [ ("unparseable compile", compile "not a module");
       ("link with no apps", link [] [ lib ]) ]
+
+(* -- The payload index ------------------------------------------------------------ *)
+
+let served_hit what (r : Protocol.response) : string * bool =
+  let payload, metrics = expect_served what r in
+  (payload, metrics.Protocol.m_hit)
+
+let test_index_one_entry_many_keys () =
+  (* one payload under four jobs: one index entry, four cache entries *)
+  let server = Server.create () in
+  let payload = encode (sample_module ()) in
+  let jobs =
+    [ ("-O2", compile_req ~pipeline:(Protocol.Level 2) payload);
+      ("-O3", compile_req ~pipeline:(Protocol.Level 3) payload);
+      ("lint", Protocol.req (Protocol.Lint payload));
+      ("validated -O2", compile_req ~validate:true payload) ]
+  in
+  let first =
+    List.map
+      (fun (what, req) ->
+        let bytes, hit = served_hit what (Server.handle server req) in
+        Alcotest.(check bool) (what ^ ": misses on first sight") false hit;
+        bytes)
+      jobs
+  in
+  Alcotest.(check int) "one index entry" 1 (Server.index_entries server);
+  Alcotest.(check int) "three keys from the index" 3 (Server.index_hits server);
+  Alcotest.(check int) "four cache entries" 4 (Cache.entries (Server.cache server));
+  List.iter2
+    (fun (what, req) bytes ->
+      let again, hit = served_hit (what ^ " again") (Server.handle server req) in
+      Alcotest.(check bool) (what ^ ": hits") true hit;
+      Alcotest.(check bool) (what ^ ": serves its own entry") true (String.equal bytes again))
+    jobs first;
+  Alcotest.(check int) "every repeat keyed by the index" 7 (Server.index_hits server);
+  let stats, _ = expect_served "stats" (Server.handle server (Protocol.req Protocol.Stats)) in
+  Alcotest.(check bool) "stats report the index" true
+    (Astring_contains.contains stats "\"index\": {\"entries\": 1, \"hits\": 7}")
+
+let test_index_skips_failed_payloads () =
+  let server = Server.create () in
+  List.iter
+    (fun (what, payload) ->
+      let failed () =
+        match Server.handle server (compile_req payload) with
+        | Protocol.Failed e -> e
+        | _ -> Alcotest.failf "%s: not refused" what
+      in
+      let e1 = failed () in
+      let e2 = failed () in
+      Alcotest.(check string) (what ^ ": the same text again") e1 e2)
+    [ ("unparseable", "not a module");
+      ("unverifiable", undefined_type_payload) ];
+  Alcotest.(check int) "nothing indexed" 0 (Server.index_entries server);
+  Alcotest.(check int) "no index hits" 0 (Server.index_hits server)
+
+let test_index_corrupt_entry_rebuilt () =
+  (* the cache entry behind an indexed digest rots: the request misses,
+     loads the payload and serves what a direct run gives *)
+  let server = Server.create () in
+  let payload = encode (sample_module ()) in
+  ignore (served_hit "first" (Server.handle server (compile_req payload)));
+  let bytes, hit = served_hit "indexed" (Server.handle server (compile_req payload)) in
+  Alcotest.(check bool) "indexed request hits" true hit;
+  let rebuilt, hit =
+    Fun.protect ~finally:Faults.clear (fun () ->
+        Faults.install (Faults.plan ~seed:5 ~corrupt_rate:1.0 ());
+        served_hit "corrupted" (Server.handle server (compile_req payload)))
+  in
+  Alcotest.(check bool) "the corrupt entry is a miss" false hit;
+  Alcotest.(check int) "corruption counted" 1 (Cache.corrupt (Server.cache server));
+  Alcotest.(check int) "keyed by the index throughout" 2 (Server.index_hits server);
+  let direct = Llvm_bitcode.Decoder.decode payload in
+  Llvm_transforms.Pipelines.optimize_module ~level:2 direct;
+  Alcotest.(check bool) "rebuilt = direct pipeline run" true (String.equal (encode direct) rebuilt);
+  Alcotest.(check bool) "rebuilt = what was served before" true (String.equal bytes rebuilt);
+  let healed, hit = served_hit "healed" (Server.handle server (compile_req payload)) in
+  Alcotest.(check bool) "the rebuilt entry hits" true hit;
+  Alcotest.(check bool) "and serves the rebuilt bytes" true (String.equal rebuilt healed)
+
+let test_index_bounded () =
+  (* probes index like requests do, without running a pipeline *)
+  let server = Server.create () in
+  let payload i = Printf.sprintf "int %%f() {\nentry:\n  ret int %d\n}" i in
+  let n = Server.index_cap + 10 in
+  for i = 1 to n do
+    (match Server.probe server (compile_req (payload i)) with
+    | Server.Miss _ -> ()
+    | _ -> Alcotest.failf "payload %d: a fresh payload's probe is not a Miss" i);
+    if Server.index_entries server > Server.index_cap then
+      Alcotest.failf "index holds %d entries, above its cap of %d"
+        (Server.index_entries server) Server.index_cap
+  done;
+  Alcotest.(check int) "cleared when full, then refilled" 10 (Server.index_entries server);
+  ignore (Server.probe server (compile_req (payload n)));
+  Alcotest.(check int) "the latest payload is indexed" 1 (Server.index_hits server)
 
 (* -- Fault tolerance (in-process) ---------------------------------------------- *)
 
@@ -1149,6 +1247,13 @@ let tests =
       test_server_link_validate_keys;
     Alcotest.test_case "server: probe and handle agree on every key" `Quick
       test_server_probe_agrees_with_handle;
+    Alcotest.test_case "index: one payload, four jobs, one entry" `Quick
+      test_index_one_entry_many_keys;
+    Alcotest.test_case "index: a payload that fails is not indexed" `Quick
+      test_index_skips_failed_payloads;
+    Alcotest.test_case "index: a corrupt entry behind it is rebuilt" `Quick
+      test_index_corrupt_entry_rebuilt;
+    Alcotest.test_case "index: bounded by its cap" `Quick test_index_bounded;
     Alcotest.test_case "framing: idle/stall/torn deadlines" `Quick
       test_framing_deadlines;
     Alcotest.test_case "server: deadline expiry answers Timed_out" `Quick
