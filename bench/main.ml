@@ -20,7 +20,6 @@
      fuzz      — differential fuzzing smoke: multi-oracle consistency
                  over generated modules and semantics-preserving mutants
                  (BENCH_fuzz.json; --quick for the CI variant)
-     micro     — bechamel microbenchmarks of representation operations
      records   — checks that each committed BENCH_<name>.json has the
                  key paths of its quick record under _bench/ (run after
                  the --quick gates)
@@ -709,69 +708,6 @@ let lint () =
           Llvm_analysis.Lint.all_codes));
   say ""
 
-(* -- Microbenchmarks --------------------------------------------------------- *)
-
-let micro () =
-  let open Bechamel in
-  let p = Option.get (Spec.find "186.crafty") in
-  let m = build_benchmark p in
-  ignore (Llvm_transforms.Pass.run_pass Llvm_transforms.Mem2reg.pass m);
-  let text = Printer.module_to_string m in
-  let image, _ = Llvm_bitcode.Encoder.encode m in
-  let tests =
-    Test.make_grouped ~name:"llvm"
-      [ Test.make ~name:"print-module"
-          (Staged.stage (fun () -> ignore (Printer.module_to_string m)));
-        Test.make ~name:"parse-module"
-          (Staged.stage (fun () -> ignore (Llvm_asm.Parser.parse_module text)));
-        Test.make ~name:"bitcode-encode"
-          (Staged.stage (fun () -> ignore (Llvm_bitcode.Encoder.encode m)));
-        Test.make ~name:"bitcode-decode"
-          (Staged.stage (fun () -> ignore (Llvm_bitcode.Decoder.decode image)));
-        Test.make ~name:"dominators-all-functions"
-          (Staged.stage (fun () ->
-               List.iter
-                 (fun f ->
-                   if not (Ir.is_declaration f) then
-                     ignore (Llvm_analysis.Dominance.compute f))
-                 m.Ir.mfuncs));
-        Test.make ~name:"callgraph"
-          (Staged.stage (fun () -> ignore (Llvm_analysis.Callgraph.compute m)));
-        Test.make ~name:"dsa-points-to"
-          (Staged.stage (fun () -> ignore (Llvm_analysis.Dsa.run m)));
-        Test.make ~name:"gvn-on-fresh-module"
-          (Staged.stage (fun () ->
-               let fresh = Llvm_bitcode.Decoder.decode image in
-               ignore (Llvm_transforms.Pass.run_pass Llvm_transforms.Gvn.pass fresh)));
-        Test.make ~name:"mem2reg-on-fresh-module"
-          (Staged.stage (fun () ->
-               let fresh = Llvm_bitcode.Decoder.decode image in
-               ignore
-                 (Llvm_transforms.Pass.run_pass Llvm_transforms.Mem2reg.pass fresh)))
-      ]
-  in
-  let benchmark () =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:100 ~quota:(Time.second 0.25) ~kde:(Some 10) ()
-    in
-    Benchmark.all cfg instances tests
-  in
-  let analyze raw =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  say "Microbenchmarks (bechamel, ns/run via OLS on the monotonic clock):";
-  let results = analyze (benchmark ()) in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> say "  %-32s %14.1f ns/run" name est
-      | Some _ | None -> say "  %-32s %14s" name "n/a")
-    results;
-  say ""
-
 (* -- Compilation-as-a-service fleet replay ----------------------------------- *)
 
 (* Replays a synthetic fleet against the in-process serving layer
@@ -1019,7 +955,7 @@ let serve_bench ?(quick = false) () =
             check_differential diff request (Ok resp)
           done;
           (* every 8th session: a queued batch of link requests sharing one
-             library set — the daemon path that runs IPO once per group *)
+             library set — IPO runs once for the set, through the cache *)
           if session mod 8 = 0 then begin
             let libs = [ Rng.pick rng fleet.fl_libsets ] in
             let members = 4 in
@@ -1031,7 +967,8 @@ let serve_bench ?(quick = false) () =
                        { l_apps = [ payload ]; l_libs = libs; l_validate = false }))
             in
             let resps, dt =
-              time_it (fun () -> allocating (fun () -> Llvm_serve.Server.handle_batch server reqs))
+              time_it (fun () ->
+                  allocating (fun () -> List.map (Llvm_serve.Server.handle server) reqs))
             in
             for _ = 1 to members do
               latencies := (dt /. float_of_int members) :: !latencies
@@ -1077,8 +1014,6 @@ let serve_bench ?(quick = false) () =
     (Llvm_serve.Cache.misses cache)
     (Llvm_serve.Cache.entries cache)
     (Llvm_serve.Cache.evictions cache);
-  say "link batching: %d groups shared one IPO pipeline run"
-    (Llvm_serve.Server.batched_link_groups server);
   say "differential: %d served results checked against direct runs, %d mismatches"
     diff.checked diff.mismatches;
   say "validation: %d witnessed requests ok=%b; inject-sub-swap rejected=%b"
@@ -1096,7 +1031,6 @@ let serve_bench ?(quick = false) () =
       ("misses", jint (Llvm_serve.Cache.misses cache));
       ("evictions", jint (Llvm_serve.Cache.evictions cache));
       ("entries", jint (Llvm_serve.Cache.entries cache));
-      ("batched_link_groups", jint (Llvm_serve.Server.batched_link_groups server));
       ("differential_checked", jint diff.checked);
       ("differential_mismatches", jint diff.mismatches);
       ("validated_requests", jint !validated);
@@ -1690,7 +1624,6 @@ let () =
   | _ :: "chaos" :: rest -> chaos_bench ~quick:(List.mem "--quick" rest) ()
   | _ :: "pgo" :: rest -> pgo_bench ~quick:(List.mem "--quick" rest) ()
   | _ :: "validate" :: rest -> validate_bench ~quick:(List.mem "--quick" rest) ()
-  | _ :: "micro" :: _ -> micro ()
   | _ :: "records" :: _ -> records ()
   | _ ->
     table1 ();

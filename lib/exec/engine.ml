@@ -82,7 +82,7 @@ let create ?(profiling = false) ?profile (kind : kind) (m : modul) : t =
   e
 
 (* Functions compiled to bytecode, in compile order: first-call order
-   unless [compile_all] ran (tests, bench, lli stats). *)
+   unless [compile_all] ran (tests, bench). *)
 let promotions (e : t) : string list = List.rev e.promotions
 
 (* Speculation statistics: guard failures counted by the machine, and

@@ -59,14 +59,16 @@ type t = { tok : token; line : int }
 
 exception Error of string * int
 
-let keywords =
-  [ "void"; "bool"; "char"; "uchar"; "short"; "ushort"; "int"; "uint"; "long";
-    "ulong"; "float"; "double"; "struct"; "class"; "if"; "else"; "while";
-    "do"; "for"; "return"; "break"; "continue"; "true"; "false"; "null";
-    "new"; "delete"; "sizeof"; "static"; "extern"; "virtual"; "try"; "catch";
-    "throw"; "public"; "switch"; "case"; "default" ]
-
-let is_keyword s = List.mem s keywords
+(* Called on every identifier the parser sees; a string match compiles
+   to a decision tree over the bytes. *)
+let is_keyword = function
+  | "void" | "bool" | "char" | "uchar" | "short" | "ushort" | "int" | "uint"
+  | "long" | "ulong" | "float" | "double" | "struct" | "class" | "if" | "else"
+  | "while" | "do" | "for" | "return" | "break" | "continue" | "true" | "false"
+  | "null" | "new" | "delete" | "sizeof" | "static" | "extern" | "virtual"
+  | "try" | "catch" | "throw" | "public" | "switch" | "case" | "default" ->
+    true
+  | _ -> false
 
 let tokenize (src : string) : t list =
   let n = String.length src in

@@ -351,63 +351,28 @@ let process_work (st : state) (req : Protocol.request) : Protocol.response =
 
 (* Decode, admit, and answer a drained batch in request order.  At most
    [max_queue] work requests are admitted; the overflow is shed with
-   [Busy].  In-process mode hands the admitted work to
-   [Server.handle_batch] so queued link requests sharing a library set
-   still pre-warm their IPO pipeline exactly once. *)
+   [Busy].  Each admitted request is answered on its own by
+   [process_work], so the breaker is consulted before every one, in
+   process and with workers alike. *)
 let process_batch (st : state) (frames : string list) :
     Protocol.response list =
-  let decoded = List.map Protocol.decode_request frames in
   let admitted = ref 0 in
-  let plan =
-    List.map
-      (fun d ->
-        match d with
-        | Error e -> `Bad e
-        | Ok req when is_control req.Protocol.body -> `Control req
-        | Ok req ->
-          if !admitted >= st.cfg.max_queue then begin
-            st.shed <- st.shed + 1;
-            `Shed
-          end
-          else begin
-            incr admitted;
-            `Work req
-          end)
-      decoded
-  in
-  (* in-process, breaker closed: batch the admitted work through the
-     server so the link-IPO pre-warm still happens *)
-  let batched =
-    match (st.pool, breaker_gate st.brk) with
-    | None, `Normal ->
-      let work =
-        List.filter_map
-          (function
-            | `Work req -> Some (with_effective_deadline st req) | _ -> None)
-          plan
-      in
-      if List.length work >= 2 then begin
-        Some (ref (List.map (settle st) (Server.handle_batch st.front work)))
-      end
-      else None
-    | _ -> None
-  in
   List.map
-    (fun item ->
-      match item with
-      | `Bad e -> Protocol.Failed ("bad request: " ^ e)
-      | `Shed -> busy st
-      | `Control req -> handle_control st req.Protocol.body
-      | `Work req -> (
-        match batched with
-        | Some answers -> (
-          match !answers with
-          | resp :: rest ->
-            answers := rest;
-            resp
-          | [] -> Protocol.Failed "internal: response queue underrun")
-        | None -> process_work st req))
-    plan
+    (fun frame ->
+      match Protocol.decode_request frame with
+      | Error e -> Protocol.Failed ("bad request: " ^ e)
+      | Ok req when is_control req.Protocol.body ->
+        handle_control st req.Protocol.body
+      | Ok req ->
+        if !admitted >= st.cfg.max_queue then begin
+          st.shed <- st.shed + 1;
+          busy st
+        end
+        else begin
+          incr admitted;
+          process_work st req
+        end)
+    frames
 
 (* -- Connection loop ------------------------------------------------------------ *)
 

@@ -2,7 +2,7 @@
 
    The daemon (Daemon) is a thin socket loop over this module, and
    tests/bench call [handle] directly — the pure-pipeline core stays in
-   lib/transforms; this driver owns caching, batching and scheduling
+   lib/transforms; this driver owns caching and scheduling
    (the Juvix Compiler/Pipeline split named in the roadmap).
 
    Content addressing: a module's identity is its canonical digest, the
@@ -23,14 +23,12 @@
    cleared when it reaches [index_cap] entries.  Link payloads always
    take the full load.
 
-   Link batching: a Link request names application modules plus a
+   Link-time IPO: a Link request names application modules plus a
    shared library set.  The expensive link-time IPO pipeline runs once
-   per distinct library set (cached under the library-set digest);
-   each request then links its apps against the pre-optimized library
-   and pays only the per-module pipeline.  [handle_batch] pre-warms
-   the library cache once per group of queued requests sharing a
-   library set, which is what the daemon calls when several frames are
-   waiting on the socket.
+   per distinct library set: its result is cached under the set's
+   digest ("libs-ipo"), so the first request that names a set fills
+   that entry and every later one decodes it, links its apps against
+   the pre-optimized library and pays only the per-module pipeline.
 
    Validation: with [--validate] (or per-request), the server replays
    the translation-validation witness before releasing a result: the
@@ -81,8 +79,6 @@ type t = {
   mutable index_hits : int;
   ctr : counters;
   mutable validation_rejects : int;
-  mutable batched_link_groups : int;
-  mutable batched_link_members : int;
   lat : int array;
   mutable lat_count : int;
   mutable lat_max_us : int;
@@ -98,8 +94,6 @@ let create ?(config = default_config) () : t =
       { c_compile = 0; c_link = 0; c_run = 0; c_lint = 0; c_stats = 0;
         c_ping = 0; c_failed = 0; c_rejected = 0; c_timed_out = 0 };
     validation_rejects = 0;
-    batched_link_groups = 0;
-    batched_link_members = 0;
     lat = Array.make lat_buckets 0;
     lat_count = 0;
     lat_max_us = 0;
@@ -108,7 +102,6 @@ let create ?(config = default_config) () : t =
 let cache (t : t) : Cache.t = t.cache
 let hit_rate (t : t) : float = Cache.hit_rate t.cache
 let validation_rejects (t : t) : int = t.validation_rejects
-let batched_link_groups (t : t) : int = t.batched_link_groups
 let index_entries (t : t) : int = Hashtbl.length t.index
 let index_hits (t : t) : int = t.index_hits
 
@@ -545,8 +538,6 @@ let stats_json ?(extra : (string * string) list = []) (t : t) : string =
     t.ctr.c_ping (requests t) t.ctr.c_failed t.ctr.c_rejected
     t.ctr.c_timed_out;
   j "  \"validation_rejects\": %d,\n" t.validation_rejects;
-  j "  \"batched_link_groups\": %d,\n" t.batched_link_groups;
-  j "  \"batched_link_members\": %d,\n" t.batched_link_members;
   j
     "  \"cache\": {\"hit_rate\": %.4f, \"hits\": %d, \"misses\": %d, \
      \"evictions\": %d, \"entries\": %d, \"bytes\": %d, \"corrupt\": %d,\n"
@@ -645,34 +636,12 @@ let handle (t : t) (req : Protocol.request) : Protocol.response =
   | Protocol.Served _ | Protocol.Busy _ -> ());
   resp
 
-(* Batched handling: group queued Link requests by library set and make
-   sure each group's library IPO runs exactly once before the members
-   are answered in order. *)
+(* Requests answered in order, each on its own.  Kept for callers
+   outside the library that answer a list at once (the e2ebench serve
+   workload); IPO already runs once per library set through the
+   "libs-ipo" cache entry. *)
 let handle_batch (t : t) (reqs : Protocol.request list) :
     Protocol.response list =
-  (* grouping keys on the raw library payloads — no parsing per queued
-     request; a group whose members deliver the same set in different
-     formats only misses the pre-warm, never the libs-ipo cache *)
-  let groups : (string list, int) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun req ->
-      match req.Protocol.body with
-      | Protocol.Link { l_libs = _ :: _ as libs; _ } ->
-        Hashtbl.replace groups libs
-          (1 + Option.value ~default:0 (Hashtbl.find_opt groups libs))
-      | _ -> ())
-    reqs;
-  Hashtbl.iter
-    (fun libs n ->
-      if n >= 2 then begin
-        t.batched_link_groups <- t.batched_link_groups + 1;
-        t.batched_link_members <- t.batched_link_members + n;
-        (* one IPO pipeline run fills the cache for the whole group *)
-        match load_set ~what:"link libs" libs with
-        | Error _ -> ()
-        | Ok (mods, digest) -> ignore (optimized_libs t mods digest)
-      end)
-    groups;
   List.map (handle t) reqs
 
 (* -- Cache probing (worker supervision support) --------------------------------- *)

@@ -1,8 +1,8 @@
 (** The compilation service: request handling, the sharded
-    content-addressed pass-result cache, batched link-time IPO, and
-    the translation-validation gate.  The daemon ({!Daemon}) is a
-    socket loop over [handle]/[handle_batch]; tests and bench call
-    them directly. *)
+    content-addressed pass-result cache, link-time IPO run once per
+    library set, and the translation-validation gate.  The daemon
+    ({!Daemon}) is a socket loop over [handle]; tests and bench call it
+    directly. *)
 
 type config = {
   shards : int;
@@ -23,7 +23,6 @@ val cache : t -> Cache.t
 val hit_rate : t -> float
 val requests : t -> int
 val validation_rejects : t -> int
-val batched_link_groups : t -> int
 
 (** Requests answered [Timed_out] so far. *)
 val timed_out : t -> int
@@ -51,10 +50,9 @@ val index_hits : t -> int
     completion), so the daemon backs it with a hard worker kill. *)
 val handle : t -> Protocol.request -> Protocol.response
 
-(** Handle a queue of requests in order, first pre-warming the
-    link-time IPO cache once per group of Link requests that share a
-    library set — the daemon calls this when several frames are queued
-    on the socket. *)
+(** [List.map (handle t)]: each request answered on its own, in order.
+    Link-time IPO still runs once per library set, through the cache.
+    Kept for the e2ebench serve workload, which calls it. *)
 val handle_batch : t -> Protocol.request list -> Protocol.response list
 
 (** {1 Cache probing}

@@ -590,49 +590,51 @@ let test_server_run_trap_exit_code () =
       r.Protocol.status;
     Alcotest.(check int) "exit code of a trap" 121 r.Protocol.exit_code
 
-let test_server_batched_link () =
-  let server = Server.create () in
-  let lib =
-    encode
-      (minic ~name:"lib"
-         {|
+(* A library and apps that call into it, for the link tests. *)
+let link_lib () =
+  encode (minic ~name:"lib" {|
 int helper(int x) { return x * 3 + 1; }
 |})
-  in
-  let app i =
-    encode
-      (minic ~name:(Printf.sprintf "app%d" i)
-         (Printf.sprintf
-            {|
+
+let link_app i =
+  encode
+    (minic ~name:(Printf.sprintf "app%d" i)
+       (Printf.sprintf {|
 int helper(int x);
 int main() { return helper(%d); }
-|}
-            i))
+|} i))
+
+(* A validated link of app [i] against [link_lib]. *)
+let link_req i =
+  Protocol.req
+    (Protocol.Link
+       { l_apps = [ link_app i ]; l_libs = [ link_lib () ]; l_validate = true })
+
+(* [req]'s image when it is the only request a fresh server answers. *)
+let solo_answer (req : Protocol.request) : string =
+  fst (expect_served "solo" (Server.handle (Server.create ()) req))
+
+let test_server_links_share_ipo () =
+  (* links naming one library run its IPO once, through the libs-ipo
+     cache entry, and each is served what it would be served alone *)
+  let server = Server.create () in
+  for i = 0 to 2 do
+    let req = link_req i in
+    let served, _ =
+      expect_served (Printf.sprintf "link %d" i) (Server.handle server req)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "link %d = solo bytes" i)
+      true
+      (String.equal (solo_answer req) served)
+  done;
+  let puts =
+    Array.fold_left
+      (fun acc (s : Cache.shard_stats) -> acc + s.Cache.s_puts)
+      0
+      (Cache.shard_stats (Server.cache server))
   in
-  let reqs =
-    List.init 3 (fun i ->
-        Protocol.req
-          (Protocol.Link
-             { l_apps = [ app i ]; l_libs = [ lib ]; l_validate = true }))
-  in
-  let resps = Server.handle_batch server reqs in
-  Alcotest.(check int) "three responses" 3 (List.length resps);
-  List.iteri
-    (fun i r -> ignore (expect_served (Printf.sprintf "link %d" i) r))
-    resps;
-  Alcotest.(check int) "one batched group" 1
-    (Server.batched_link_groups server);
-  (* batched result = the same request served alone on a fresh server *)
-  let alone = Server.create () in
-  let solo, _ =
-    expect_served "solo link"
-      (Server.handle alone
-         (Protocol.req
-            (Protocol.Link
-               { l_apps = [ app 0 ]; l_libs = [ lib ]; l_validate = true })))
-  in
-  let batched, _ = expect_served "batched link" (List.hd resps) in
-  Alcotest.(check bool) "batched = solo bytes" true (String.equal solo batched)
+  Alcotest.(check int) "three links and one libs-ipo entry put" 4 puts
 
 let test_server_link_validate_keys () =
   (* as for compile, validated link results live under their own keys:
@@ -1006,6 +1008,29 @@ let with_daemon ?config ?faults ?socket (f : string -> unit) : unit =
     Alcotest.(check bool) "socket unlinked on shutdown" true
       (not (Sys.file_exists socket))
 
+(* Send [reqs] as back-to-back frames in one write, so the daemon
+   finds them all queued and drains them as one batch. *)
+let write_burst (fd : Unix.file_descr) (reqs : Protocol.request list) : unit =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun req ->
+      let body = Protocol.encode_request req in
+      Buffer.add_int32_be b (Int32.of_int (String.length body));
+      Buffer.add_string b body)
+    reqs;
+  let bytes = Buffer.to_bytes b in
+  let n = Bytes.length bytes in
+  let off = ref 0 in
+  while !off < n do
+    off := !off + Unix.write fd bytes !off (n - !off)
+  done
+
+(* A small module, distinct for each [i], whose compile misses the cache. *)
+let uncached_payload i =
+  encode
+    (minic ~name:(Printf.sprintf "uncached%d" i)
+       (Printf.sprintf "int f%d(int x) { return x + %d; }" i i))
+
 let test_daemon_socket () =
   with_daemon (fun socket ->
       let fd = Daemon.connect ~socket in
@@ -1041,24 +1066,11 @@ let test_daemon_shed_and_retry () =
   in
   with_daemon ~config (fun socket ->
       let payload = encode (sample_module ()) in
-      let frame body =
-        let encoded = Protocol.encode_request (Protocol.req body) in
-        let len = String.length encoded in
-        String.init 4 (fun i -> Char.chr ((len lsr (8 * (3 - i))) land 0xff))
-        ^ encoded
-      in
       (* two work frames in one write: the daemon drains both as one
          batch, admits one, sheds the overflow *)
-      let burst =
-        frame (Protocol.Lint payload) ^ frame (Protocol.Lint payload)
-      in
       let fd = Daemon.connect ~socket in
-      let b = Bytes.of_string burst in
-      let n = Bytes.length b in
-      let off = ref 0 in
-      while !off < n do
-        off := !off + Unix.write fd b !off (n - !off)
-      done;
+      write_burst fd
+        [ Protocol.req (Protocol.Lint payload); Protocol.req (Protocol.Lint payload) ];
       (match Daemon.receive fd with
       | Ok (Protocol.Served _) -> ()
       | _ -> Alcotest.fail "first of the burst not served");
@@ -1089,18 +1101,13 @@ let test_daemon_degraded_mode () =
   let faults = Faults.plan ~seed:5 ~slow_rate:1.0 ~slow_ms:150 ~skip:1 () in
   with_daemon ~config ~faults (fun socket ->
       let cached = encode (sample_module ()) in
-      let uncached i =
-        encode
-          (minic ~name:(Printf.sprintf "uncached%d" i)
-             (Printf.sprintf "int f%d(int x) { return x + %d; }" i i))
-      in
       let fd = Daemon.connect ~socket in
       (* pipeline run #1 is fault-free (skip): lands in the front cache *)
       (match Daemon.request fd (compile_req cached) with
       | Ok (Protocol.Served _) -> ()
       | _ -> Alcotest.fail "warm-up compile not served");
       for i = 1 to 2 do
-        match Daemon.request fd (compile_req (uncached i)) with
+        match Daemon.request fd (compile_req (uncached_payload i)) with
         | Ok (Protocol.Timed_out _) -> ()
         | _ -> Alcotest.failf "slow compile %d did not time out" i
       done;
@@ -1110,7 +1117,7 @@ let test_daemon_degraded_mode () =
         Alcotest.(check bool) "degraded mode serves cache hits" true
           metrics.Protocol.m_hit
       | _ -> Alcotest.fail "cache hit refused in degraded mode");
-      (match Daemon.request fd (compile_req (uncached 3)) with
+      (match Daemon.request fd (compile_req (uncached_payload 3)) with
       | Ok (Protocol.Busy _) -> ()
       | _ -> Alcotest.fail "uncached work not shed in degraded mode");
       (* control traffic keeps flowing *)
@@ -1122,6 +1129,63 @@ let test_daemon_degraded_mode () =
         Alcotest.(check bool) "stats report the open breaker" true
           (Astring_contains.contains payload "\"breaker\": \"open\"")
       | _ -> Alcotest.fail "stats refused in degraded mode");
+      Daemon.close fd)
+
+let test_daemon_burst_links_share_ipo () =
+  (* four links sharing a library, drained as one batch: each answered
+     on its own as it would be alone, and the library's IPO put once *)
+  with_daemon (fun socket ->
+      let reqs = List.init 4 link_req in
+      let fd = Daemon.connect ~socket in
+      write_burst fd reqs;
+      List.iteri
+        (fun i req ->
+          match Daemon.receive fd with
+          | Ok resp ->
+            let served, _ = expect_served (Printf.sprintf "link %d" i) resp in
+            Alcotest.(check bool)
+              (Printf.sprintf "link %d = solo bytes" i)
+              true
+              (String.equal (solo_answer req) served)
+          | Error e -> Alcotest.failf "link %d: %s" i (Daemon.error_to_string e))
+        reqs;
+      (match Daemon.request fd (Protocol.req Protocol.Stats) with
+      | Ok (Protocol.Served { payload; _ }) ->
+        let shards =
+          Json.to_list (Json.member "shards" (Json.member "cache" (Json.of_string payload)))
+        in
+        let puts =
+          List.fold_left
+            (fun acc shard -> acc + int_of_float (Json.to_num (Json.member "puts" shard)))
+            0 shards
+        in
+        Alcotest.(check int) "four links and one libs-ipo entry put" 5 puts
+      | _ -> Alcotest.fail "stats after the burst");
+      Daemon.close fd)
+
+let test_daemon_breaker_per_request () =
+  (* the breaker is consulted before each request of a drained batch:
+     once two compiles of a burst have timed out it is open, and the
+     rest of the burst is shed *)
+  let config =
+    { Daemon.default_config with
+      Daemon.deadline_ms = 40; breaker_min = 2; breaker_ratio = 0.5;
+      breaker_cooldown_ms = 60_000 }
+  in
+  let faults = Faults.plan ~seed:5 ~slow_rate:1.0 ~slow_ms:150 () in
+  with_daemon ~config ~faults (fun socket ->
+      let fd = Daemon.connect ~socket in
+      write_burst fd (List.init 4 (fun i -> compile_req (uncached_payload (10 + i))));
+      let answer i =
+        match Daemon.receive fd with
+        | Ok (Protocol.Timed_out _) -> "timed_out"
+        | Ok (Protocol.Busy _) -> "busy"
+        | Ok _ -> "other"
+        | Error e -> Alcotest.failf "answer %d: %s" i (Daemon.error_to_string e)
+      in
+      Alcotest.(check (list string)) "two time out, then the open breaker sheds"
+        [ "timed_out"; "timed_out"; "busy"; "busy" ]
+        (List.init 4 answer);
       Daemon.close fd)
 
 let test_daemon_worker_crash_e2e () =
@@ -1241,8 +1305,8 @@ let tests =
       test_server_run_and_lint;
     Alcotest.test_case "server: a trapping Run exits 121" `Quick
       test_server_run_trap_exit_code;
-    Alcotest.test_case "server: batched link shares IPO" `Quick
-      test_server_batched_link;
+    Alcotest.test_case "server: shared library IPO runs once" `Quick
+      test_server_links_share_ipo;
     Alcotest.test_case "server: validated links key separately" `Quick
       test_server_link_validate_keys;
     Alcotest.test_case "server: probe and handle agree on every key" `Quick
@@ -1269,6 +1333,10 @@ let tests =
       test_daemon_shed_and_retry;
     Alcotest.test_case "daemon: breaker degrades to cache-only" `Quick
       test_daemon_degraded_mode;
+    Alcotest.test_case "daemon: burst of links puts IPO once" `Quick
+      test_daemon_burst_links_share_ipo;
+    Alcotest.test_case "daemon: breaker checked per request" `Quick
+      test_daemon_breaker_per_request;
     Alcotest.test_case "daemon: worker crash recovery end-to-end" `Quick
       test_daemon_worker_crash_e2e;
     Alcotest.test_case "daemon: socket claiming and graceful restart" `Quick
