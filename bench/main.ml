@@ -335,6 +335,7 @@ let budget ~quick seconds cap = if quick then Reps 1 else Budget (seconds, cap)
 
 type timing = {
   per_rep_s : float;
+  minor_words : float;  (* allocated per rep ([Gc.minor_words]), last trial *)
   reps : int;
   compile_s : float;  (* [compile_all], on the bytecode tier only *)
   compiled_instrs : int;
@@ -360,18 +361,20 @@ let rec time_main ?profile ?(trials = 1) ~(reps : reps) (kind : Llvm_exec.Engine
         time_it (fun () -> Llvm_exec.Engine.compile_all e)
       else ((0, 0), 0.0)
     in
-    let best = ref infinity in
+    let best = ref infinity and words = ref 0.0 in
     for _ = 1 to trials do
       Gc.full_major ();
+      let words0 = Gc.minor_words () in
       let (), total =
         time_it (fun () ->
             for _ = 1 to reps do
               ignore (Llvm_exec.Interp.run_loaded ~fuel:bench_fuel e.Llvm_exec.Engine.mach)
             done)
       in
+      words := (Gc.minor_words () -. words0) /. float_of_int reps;
       best := Float.min !best (total /. float_of_int reps)
     done;
-    { per_rep_s = !best; reps; compile_s; compiled_instrs;
+    { per_rep_s = !best; minor_words = !words; reps; compile_s; compiled_instrs;
       deopts = Llvm_exec.Engine.deopts e }
 
 let geomean (xs : float list) : float =
@@ -402,10 +405,12 @@ let exec_bench ?(quick = false) () =
         let speedup = interp.per_rep_s /. Float.max 1e-9 bytecode.per_rep_s in
         say "%-18s %10.4f %10.4f %10.4f %8.2fx %12d" name interp.per_rep_s
           bytecode.per_rep_s bytecode.compile_s speedup r.instructions;
-        ( genprog, speedup, bytecode,
+        ( genprog, speedup, (interp, bytecode),
           Json.Obj
             [ ("name", jstr name); ("genprog", jbool genprog);
               ("interp_s", jnum interp.per_rep_s); ("bytecode_s", jnum bytecode.per_rep_s);
+              ("interp_minor_words", jnum interp.minor_words);
+              ("bytecode_minor_words", jnum bytecode.minor_words);
               ("compile_s", jnum bytecode.compile_s); ("speedup", jnum speedup);
               ("instructions", jint r.instructions); ("reps", jint interp.reps) ] ))
       (exec_programs ~quick)
@@ -417,10 +422,13 @@ let exec_bench ?(quick = false) () =
   say "";
   say "geomean speedup: %.2fx on the genprog workloads, %.2fx overall"
     gm_genprog gm_all;
-  let total_compile = List.fold_left (fun a (_, _, b, _) -> a +. b.compile_s) 0.0 rows in
+  let total_compile = List.fold_left (fun a (_, _, (_, b), _) -> a +. b.compile_s) 0.0 rows in
   say "bytecode compilation: %d IR instructions in %.4fs total"
-    (List.fold_left (fun a (_, _, b, _) -> a + b.compiled_instrs) 0 rows)
+    (List.fold_left (fun a (_, _, (_, b), _) -> a + b.compiled_instrs) 0 rows)
     total_compile;
+  let words tier = List.fold_left (fun a (_, _, t, _) -> a +. (tier t).minor_words) 0.0 rows in
+  say "minor words per rep, summed over the programs: %.2fM interp, %.2fM bytecode"
+    (words fst /. 1e6) (words snd /. 1e6);
   if !mismatches > 0 then
     say "*** %d TIER MISMATCHES — the bytecode tier is wrong ***" !mismatches;
   write_bench "exec"

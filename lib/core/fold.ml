@@ -14,40 +14,46 @@ let to_unsigned bits (v : int64) =
   if bits = 64 then v
   else Int64.logand v (Int64.sub (Int64.shift_left 1L bits) 1L)
 
-let int_binop kind op (a : int64) (b : int64) : int64 option =
+(* [int_binop_exn] is the one integer opcode table: total, raising
+   [Undefined] on a zero divisor or a non-arithmetic opcode, so the
+   execution engine's hot path allocates no option.  [int_binop] is the
+   constant folder's view of it. *)
+exception Undefined
+
+let int_binop_exn kind op (a : int64) (b : int64) : int64 =
   let bits = Ltype.int_bits kind in
   let signed = Ltype.is_signed kind in
   if bits = 64 then
     (* 64-bit fast path: normalization is the identity, and stored
        values are already canonical, so [to_unsigned] is too.  This is
-       also the execution engine's hot path — no closures, one boxed
-       result per operation. *)
+       also the execution engine's hot path: no closures, and the result
+       is the only allocation. *)
     match op with
-    | Add -> Some (Int64.add a b)
-    | Sub -> Some (Int64.sub a b)
-    | Mul -> Some (Int64.mul a b)
+    | Add -> Int64.add a b
+    | Sub -> Int64.sub a b
+    | Mul -> Int64.mul a b
     | Div ->
-      if b = 0L then None
+      if b = 0L then raise Undefined
       else if signed then
-        if a = Int64.min_int && b = -1L then Some a else Some (Int64.div a b)
-      else Some (Int64.unsigned_div a b)
+        if a = Int64.min_int && b = -1L then a else Int64.div a b
+      else Int64.unsigned_div a b
     | Rem ->
-      if b = 0L then None
+      if b = 0L then raise Undefined
       else if signed then
-        if a = Int64.min_int && b = -1L then Some 0L else Some (Int64.rem a b)
-      else Some (Int64.unsigned_rem a b)
-    | And -> Some (Int64.logand a b)
-    | Or -> Some (Int64.logor a b)
-    | Xor -> Some (Int64.logxor a b)
+        if a = Int64.min_int && b = -1L then 0L else Int64.rem a b
+      else Int64.unsigned_rem a b
+    | And -> Int64.logand a b
+    | Or -> Int64.logor a b
+    | Xor -> Int64.logxor a b
     | Shl ->
       let s = Int64.to_int b in
-      if s >= 64 || s < 0 then Some 0L else Some (Int64.shift_left a s)
+      if s >= 64 || s < 0 then 0L else Int64.shift_left a s
     | Shr ->
       let s = Int64.to_int b in
-      if s < 0 || s >= 64 then Some (if signed && a < 0L then -1L else 0L)
-      else if signed then Some (Int64.shift_right a s)
-      else Some (Int64.shift_right_logical a s)
-    | _ -> None
+      if s < 0 || s >= 64 then (if signed && a < 0L then -1L else 0L)
+      else if signed then Int64.shift_right a s
+      else Int64.shift_right_logical a s
+    | _ -> raise Undefined
   else
     let mask = Int64.sub (Int64.shift_left 1L bits) 1L in
     let sign_bit = Int64.shift_left 1L (bits - 1) in
@@ -60,34 +66,39 @@ let int_binop kind op (a : int64) (b : int64) : int64 option =
       else low
     in
     match op with
-    | Add -> Some (norm (Int64.add a b))
-    | Sub -> Some (norm (Int64.sub a b))
-    | Mul -> Some (norm (Int64.mul a b))
+    | Add -> norm (Int64.add a b)
+    | Sub -> norm (Int64.sub a b)
+    | Mul -> norm (Int64.mul a b)
     | Div ->
-      if b = 0L then None
+      if b = 0L then raise Undefined
       else if signed then
-        if a = Int64.min_int && b = -1L then Some (norm a)
-        else Some (norm (Int64.div a b))
-      else Some (norm (Int64.unsigned_div (Int64.logand a mask) (Int64.logand b mask)))
+        if a = Int64.min_int && b = -1L then norm a
+        else norm (Int64.div a b)
+      else norm (Int64.unsigned_div (Int64.logand a mask) (Int64.logand b mask))
     | Rem ->
-      if b = 0L then None
+      if b = 0L then raise Undefined
       else if signed then
-        if a = Int64.min_int && b = -1L then Some 0L
-        else Some (norm (Int64.rem a b))
-      else Some (norm (Int64.unsigned_rem (Int64.logand a mask) (Int64.logand b mask)))
-    | And -> Some (norm (Int64.logand a b))
-    | Or -> Some (norm (Int64.logor a b))
-    | Xor -> Some (norm (Int64.logxor a b))
+        if a = Int64.min_int && b = -1L then 0L
+        else norm (Int64.rem a b)
+      else norm (Int64.unsigned_rem (Int64.logand a mask) (Int64.logand b mask))
+    | And -> norm (Int64.logand a b)
+    | Or -> norm (Int64.logor a b)
+    | Xor -> norm (Int64.logxor a b)
     | Shl ->
       let s = Int64.to_int (Int64.logand b mask) in
-      if s >= bits || s < 0 then Some 0L else Some (norm (Int64.shift_left a s))
+      if s >= bits || s < 0 then 0L else norm (Int64.shift_left a s)
     | Shr ->
       (* shr is arithmetic on signed types, logical on unsigned (LLVM 1.x). *)
       let s = Int64.to_int (Int64.logand b mask) in
-      if s < 0 || s >= 64 then Some (if signed && a < 0L then -1L else 0L)
-      else if signed then Some (norm (Int64.shift_right a s))
-      else Some (norm (Int64.shift_right_logical (Int64.logand a mask) s))
-    | _ -> None
+      if s < 0 || s >= 64 then (if signed && a < 0L then -1L else 0L)
+      else if signed then norm (Int64.shift_right a s)
+      else norm (Int64.shift_right_logical (Int64.logand a mask) s)
+    | _ -> raise Undefined
+
+let int_binop kind op (a : int64) (b : int64) : int64 option =
+  match int_binop_exn kind op a b with
+  | r -> Some r
+  | exception Undefined -> None
 
 let float_binop op (a : float) (b : float) : float option =
   match op with

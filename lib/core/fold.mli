@@ -8,6 +8,15 @@
 (** Zero-extend the stored representation of an integer to [bits]. *)
 val to_unsigned : int -> int64 -> int64
 
+(** Raised by {!int_binop_exn} on an operation with no defined result. *)
+exception Undefined
+
+(** The integer opcode table, total: the result of a binary operation
+    on two stored values of the given kind.
+    @raise Undefined on a zero divisor or a non-arithmetic opcode. *)
+val int_binop_exn : Ltype.int_kind -> Ir.opcode -> int64 -> int64 -> int64
+
+(** {!int_binop_exn} with [None] for {!Undefined}. *)
 val int_binop : Ltype.int_kind -> Ir.opcode -> int64 -> int64 -> int64 option
 val float_binop : Ir.opcode -> float -> float -> float option
 val fold_binop : Ir.opcode -> Ir.const -> Ir.const -> Ir.const option

@@ -29,6 +29,7 @@
 open Llvm_ir
 open Ir
 open Interp
+module Ids = Llvm_analysis.Ids
 module Range = Llvm_analysis.Range
 
 type operand =
@@ -193,10 +194,7 @@ let compile ?(ranges : Llvm_analysis.Range.t Lazy.t option)
     | Vconst c -> cst (const_rtval mach table c)
     | Vinstr i -> Reg (slot_of i.iid)
     | Varg a -> Reg (slot_of a.aid)
-    | Vglobal g -> (
-      match Hashtbl.find_opt mach.globals g.gid with
-      | Some a -> cst (Rptr a)
-      | None -> Memory.trap "global %s not materialized" g.gname)
+    | Vglobal g -> cst (const_rtval mach table (Cgvar g))
     | Vfunc fn -> cst (Rptr (func_address mach fn))
     | Vblock _ -> Memory.trap "block used as a value"
   in
@@ -624,18 +622,17 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
     | Direct fn -> fn
     | Indirect (o, site) -> (
       let addr = as_ptr (ev o) in
-      match Hashtbl.find_opt mach.func_of_id (Memory.id_of addr) with
-      | Some fn ->
+      match Ids.find mach.func_of_id (Memory.id_of addr) with
+      | fn ->
         if mach.profiling then record_call_target mach ~site fn;
         fn
-      | None -> Memory.trap "indirect call to non-code address %Lx" addr)
+      | exception Not_found ->
+        Memory.trap "indirect call to non-code address %Lx" addr)
   in
   let rec go (pc : int) : outcome =
     match Array.unsafe_get code pc with
     | Prof bid ->
-      if mach.profiling then
-        Hashtbl.replace mach.block_counts bid
-          (1 + Option.value ~default:0 (Hashtbl.find_opt mach.block_counts bid));
+      count_block mach bid;
       go (pc + 1)
     | Copy (d, s) ->
       Array.unsafe_set regs d
@@ -733,7 +730,7 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
       Array.unsafe_set regs d
         (match ty with
         | Ltype.Bool ->
-          Rbool (Memory.read_int_unchecked mach.mem addr ~size:1 <> 0L)
+          rbool (Memory.read_int_unchecked mach.mem addr ~size:1 <> 0L)
         | Ltype.Integer k ->
           Rint
             ( k,

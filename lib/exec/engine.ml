@@ -49,12 +49,14 @@ let get_compiled (e : t) (f : func) : Bytecode.compiled =
     e.promotions <- f.fname :: e.promotions;
     c
 
-let create ?(profiling = false) ?profile (kind : kind) (m : modul) : t =
+let create ?(profiling = false) ?profile ?ranges (kind : kind) (m : modul) : t =
   let mach = Interp.create m in
   mach.profiling <- profiling;
+  let ranges =
+    match ranges with Some r -> r | None -> lazy (Llvm_analysis.Range.analyze m)
+  in
   let e =
-    { mach; compiled = Hashtbl.create 32;
-      ranges = lazy (Llvm_analysis.Range.analyze m); layout_profile = profile;
+    { mach; compiled = Hashtbl.create 32; ranges; layout_profile = profile;
       promotions = []; deopt_falls = 0 }
   in
   (* The deopt protocol: a failed speculation guard calls [llvm_deopt],

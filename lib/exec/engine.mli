@@ -29,7 +29,9 @@ type t = {
 (** Materialize the module and install the tier dispatch.  Block and
     call-target counters run only when [profiling] is set.  [profile]
     drives hot/cold block layout in {!Bytecode.compile} (pure layout;
-    never changes behaviour).
+    never changes behaviour).  [ranges] is [m]'s range analysis, when
+    the caller shares one across engines of the same module; by default
+    the engine computes its own, lazily.
 
     The deopt protocol: a failed speculation guard calls the
     [llvm_deopt] builtin, which sets [Interp.machine.deopt_pending];
@@ -40,6 +42,7 @@ type t = {
 val create :
   ?profiling:bool ->
   ?profile:Llvm_profile.Profile.t ->
+  ?ranges:Llvm_analysis.Range.t Lazy.t ->
   kind ->
   Llvm_ir.Ir.modul ->
   t

@@ -25,12 +25,19 @@ type rtval =
 
 type outcome = Normal of rtval | Unwinding
 
+(** [Rbool b], as one of two shared values, so producing a boolean
+    allocates nothing. *)
+val rbool : bool -> rtval
+
 type machine = {
   modul : Llvm_ir.Ir.modul;
   mem : Memory.t;
-  globals : (int, int64) Hashtbl.t;  (** gvar id -> address *)
-  func_addr : (int, int64) Hashtbl.t;  (** func id -> code address *)
-  func_of_id : (int, Llvm_ir.Ir.func) Hashtbl.t;  (** allocation id -> func *)
+  globals : int64 Llvm_analysis.Ids.t;  (** gvar id -> address *)
+  func_addr : int64 Llvm_analysis.Ids.t;  (** func id -> code address *)
+  func_of_id : Llvm_ir.Ir.func Llvm_analysis.Ids.t;  (** allocation id -> func *)
+  frames : Llvm_analysis.Ids.Numbering.t Llvm_analysis.Ids.t;
+      (** func id -> the interpreter's frame layout for it: arguments,
+          then instructions, numbered densely on its first run *)
   mutable fuel : int;  (** remaining instruction budget *)
   out : Buffer.t;  (** program output *)
   mutable exc : (int64 * int64) option;  (** live exception: object, typeid *)
@@ -69,6 +76,10 @@ val builtin_table : unit -> (string, machine -> rtval list -> rtval) Hashtbl.t
     code addresses. *)
 val create : Llvm_ir.Ir.modul -> machine
 
+(** Count one execution of the block with this id when profiling is
+    on (free of fuel; shared with the {!Bytecode} tier). *)
+val count_block : machine -> int -> unit
+
 (** Record one resolved target of an indirect call site (free of fuel;
     shared with the {!Bytecode} tier). *)
 val record_call_target : machine -> site:int -> Llvm_ir.Ir.func -> unit
@@ -95,7 +106,10 @@ val const_rtval :
 
 val func_address : machine -> Llvm_ir.Ir.func -> int64
 val rt_binop : Llvm_ir.Ir.opcode -> rtval -> rtval -> rtval
+
+(** A comparison's result, as {!rbool}. *)
 val rt_cmp : Llvm_ir.Ir.opcode -> rtval -> rtval -> rtval
+
 val as_ptr : rtval -> int64
 val as_int : rtval -> int64
 val as_bool : rtval -> bool
