@@ -1,6 +1,6 @@
 (* Tiered execution engine (paper sections 3.4-3.5).
 
-   Three tiers over one [Interp.machine]:
+   Two tiers over one [Interp.machine], under three kind names:
 
    - [Interp_tier]  : every call tree-walks ([Interp.exec_func]).
    - [Bytecode_tier]: every defined function is compiled to [Bytecode]
@@ -10,8 +10,10 @@
      its own name because the wire format, [lli] and [llvmd] name it.
 
    The engine installs itself as [machine.dispatch], so every call site
-   routes back through the tier decision.  Declarations (builtins) and
-   calls re-routed by a deopt go to [Interp.exec_func]. *)
+   routes back through the tier decision.  Declarations (builtins) go to
+   [Interp.exec_func].  A failed speculation guard needs nothing from
+   the engine: its deopt arm re-runs the original indirect call, which
+   dispatches like any other call. *)
 
 open Llvm_ir
 open Ir
@@ -34,7 +36,6 @@ type t = {
   (* aggregate profile for hot/cold block layout in [Bytecode.compile] *)
   layout_profile : Llvm_profile.Profile.t option;
   mutable promotions : string list; (* functions compiled, newest first *)
-  mutable deopt_falls : int; (* calls re-routed to the interpreter tier *)
 }
 
 let get_compiled (e : t) (f : func) : Bytecode.compiled =
@@ -57,29 +58,14 @@ let create ?(profiling = false) ?profile ?ranges (kind : kind) (m : modul) : t =
   in
   let e =
     { mach; compiled = Hashtbl.create 32; ranges; layout_profile = profile;
-      promotions = []; deopt_falls = 0 }
-  in
-  (* The deopt protocol: a failed speculation guard calls [llvm_deopt],
-     which sets [deopt_pending]; the very next dispatched call is the
-     speculated site's original indirect call, and the engine honours
-     the request by running it in the interpreter tier.  The tiers are
-     bit-for-bit identical, so this is purely a tier decision — it
-     cannot change behaviour, only recover the unspeculated code
-     path's execution strategy. *)
-  let take_deopt () =
-    if mach.deopt_pending then begin
-      mach.deopt_pending <- false;
-      e.deopt_falls <- e.deopt_falls + 1;
-      true
-    end
-    else false
+      promotions = [] }
   in
   (match kind with
   | Interp_tier -> () (* keep the default dispatch *)
   | Bytecode_tier | Tiered ->
     mach.dispatch <-
       (fun mach f args ->
-        if is_declaration f || take_deopt () then exec_func mach f args
+        if is_declaration f then exec_func mach f args
         else Bytecode.exec mach (get_compiled e f) args));
   e
 
@@ -87,11 +73,8 @@ let create ?(profiling = false) ?profile ?ranges (kind : kind) (m : modul) : t =
    unless [compile_all] ran (tests, bench). *)
 let promotions (e : t) : string list = List.rev e.promotions
 
-(* Speculation statistics: guard failures counted by the machine, and
-   how many of them the engine answered with an interpreter-tier
-   fallback. *)
+(* Failed speculation guards, counted by the machine. *)
 let deopts (e : t) : int = e.mach.deopts
-let deopt_falls (e : t) : int = e.deopt_falls
 
 (* Guarded ops compiled to range-proven fast ops, over every function
    compiled so far (tests, bench ranges mode). *)

@@ -1,13 +1,12 @@
 (** The tiered execution engine (paper sections 3.4-3.5): one
-    [Interp.machine], three tiers.
+    [Interp.machine], two tiers under three kind names.
 
     [Interp_tier] tree-walks every call; [Bytecode_tier] compiles
     every defined function to {!Bytecode} on its first call.  [Tiered],
     the default, is that same first-call policy under the name the wire
     format and the tools use.  The engine installs itself as
     [machine.dispatch], so every call site routes back through the tier
-    decision; declarations (builtins) and deopted calls run in the
-    interpreter. *)
+    decision; declarations (builtins) run in the interpreter. *)
 
 type kind = Interp_tier | Bytecode_tier | Tiered
 
@@ -23,7 +22,6 @@ type t = {
   layout_profile : Llvm_profile.Profile.t option;
       (** aggregate profile for hot/cold block layout *)
   mutable promotions : string list;  (** functions compiled, newest first *)
-  mutable deopt_falls : int;
 }
 
 (** Materialize the module and install the tier dispatch.  Block and
@@ -34,11 +32,11 @@ type t = {
     the engine computes its own, lazily.
 
     The deopt protocol: a failed speculation guard calls the
-    [llvm_deopt] builtin, which sets [Interp.machine.deopt_pending];
-    the engine's dispatch consumes the flag and runs the next call —
-    the speculated site's original indirect call — in the interpreter
-    tier.  Tiers are bit-for-bit identical, so the fallback is purely
-    an execution-strategy decision. *)
+    [llvm_deopt] builtin, which counts it ({!deopts}), and the guard's
+    deopt arm then re-runs the speculated site's original indirect
+    call.  That call dispatches like any other, so under a bytecode
+    kind its target is compiled on its first call and runs as
+    bytecode. *)
 val create :
   ?profiling:bool ->
   ?profile:Llvm_profile.Profile.t ->
@@ -53,10 +51,6 @@ val promotions : t -> string list
 
 (** Failed speculation guards ([llvm_deopt] executions). *)
 val deopts : t -> int
-
-(** Calls the engine re-routed to the interpreter tier after a guard
-    failure. *)
-val deopt_falls : t -> int
 
 (** Guarded ops compiled to range-proven fast ops so far. *)
 val fast_ops : t -> int

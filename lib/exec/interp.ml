@@ -51,11 +51,6 @@ type machine = {
   pools : (int64, int64 list ref) Hashtbl.t; (* pool descriptor -> members *)
   mutable profiling : bool;
   mutable deopts : int; (* llvm_deopt executions (failed speculation guards) *)
-  mutable deopt_pending : bool;
-  (* set by the llvm_deopt builtin; the engine's dispatch consumes it to
-     route the next call (the deoptimized re-execution of the
-     speculated site) to the interpreter tier *)
-  builtins : (string, machine -> rtval list -> rtval) Hashtbl.t;
   (* Every call site routes through [dispatch], so an execution engine
      (Engine) can intercept calls and pick a tier per function.  The
      default is [exec_func]: pure interpretation. *)
@@ -204,7 +199,10 @@ let rec write_const (mach : machine) table (addr : int64) (ty : Ltype.t)
 
 (* -- Machine construction -------------------------------------------------- *)
 
-let builtin_table () : (string, machine -> rtval list -> rtval) Hashtbl.t =
+(* The runtime that declarations bind to, by name.  No builtin keeps
+   state of its own (each reads and writes the machine it is handed),
+   so one table serves every machine. *)
+let builtins : (string, machine -> rtval list -> rtval) Hashtbl.t =
   let t = Hashtbl.create 32 in
   let out_str mach s = Buffer.add_string mach.out s in
   let int_arg = function
@@ -262,15 +260,13 @@ let builtin_table () : (string, machine -> rtval list -> rtval) Hashtbl.t =
       | None -> ());
       mach.exc <- None;
       Rvoid);
-  Hashtbl.replace t "llvm_profile_hit" (fun _ _ -> Rvoid);
   (* Failed speculation guard (section 3.5's runtime contract): count
-     the deoptimization and ask the engine to run the pending
-     re-execution of the site in the interpreter tier.  The call itself
-     charges the usual one unit at its call site, identically in every
-     tier. *)
+     the deoptimization.  The deopt arm then re-runs the site's original
+     indirect call, which dispatches like any other call.  The call
+     itself charges the usual one unit at its call site, identically in
+     every tier. *)
   Hashtbl.replace t "llvm_deopt" (fun mach _ ->
       mach.deopts <- mach.deopts + 1;
-      mach.deopt_pending <- true;
       Rvoid);
   (* -- the setjmp/longjmp runtime (paper section 2.4) -- *)
   Hashtbl.replace t "llvm_sjlj_throw" (fun mach args ->
@@ -348,9 +344,7 @@ let create (m : modul) : machine =
       fuel = default_fuel; out = Buffer.create 256; exc = None; sjlj = None;
       block_counts = Hashtbl.create 256; call_counts = Hashtbl.create 16;
       pools = Hashtbl.create 8;
-      profiling = false; deopts = 0; deopt_pending = false;
-      builtins = builtin_table ();
-      dispatch = !default_dispatch }
+      profiling = false; deopts = 0; dispatch = !default_dispatch }
   in
   (* Code addresses first: initializers may reference functions. *)
   List.iteri
@@ -705,7 +699,7 @@ and run_instrs (fr : frame) (b : block) (instrs : instr list) : outcome =
 
 let exec_func (mach : machine) (f : func) (args : rtval list) : outcome =
   if is_declaration f then begin
-    match Hashtbl.find_opt mach.builtins f.fname with
+    match Hashtbl.find_opt builtins f.fname with
     | Some impl -> Normal (impl mach args)
     | None -> Memory.trap "call to undefined external function %s" f.fname
   end

@@ -51,10 +51,6 @@ type machine = {
   mutable profiling : bool;
   mutable deopts : int;
       (** [llvm_deopt] executions: failed speculation guards *)
-  mutable deopt_pending : bool;
-      (** set by [llvm_deopt]; the engine consumes it to route the
-          deoptimized re-execution to the interpreter tier *)
-  builtins : (string, machine -> rtval list -> rtval) Hashtbl.t;
   mutable dispatch : machine -> Llvm_ir.Ir.func -> rtval list -> outcome;
       (** Every call site routes through [dispatch] so an execution
           engine can pick a tier per function; defaults to
@@ -65,12 +61,6 @@ val default_fuel : int
 
 (** Raise the trap every tier raises on an exhausted instruction budget. *)
 val fuel_trap : unit -> 'a
-
-(** Builtins available to programs: [putchar], [print_int],
-    [print_long], [print_double], [print_str], [print_newline], [exit],
-    [abort], the [llvm_cxxeh_*] exception runtime, [llvm_profile_hit],
-    [llvm_deopt] and [llvm_bounds_check]. *)
-val builtin_table : unit -> (string, machine -> rtval list -> rtval) Hashtbl.t
 
 (** Materialize a module: allocate globals, write initializers, assign
     code addresses. *)
@@ -84,8 +74,11 @@ val count_block : machine -> int -> unit
     shared with the {!Bytecode} tier). *)
 val record_call_target : machine -> site:int -> Llvm_ir.Ir.func -> unit
 
-(** Execute one function to completion (or unwinding).  Calls to
-    declarations dispatch to builtins.
+(** Execute one function to completion (or unwinding).  A declaration
+    runs the builtin of its name: [putchar], [print_int], [print_long],
+    [print_double], [print_str], [print_newline], [exit], [abort], the
+    [llvm_cxxeh_*] exception runtime, the [llvm_sjlj_*] and
+    [llvm_pool*] runtimes, [llvm_deopt] and [llvm_bounds_check].
     @raise Memory.Trap on memory errors, division by zero, fuel
     exhaustion. *)
 val exec_func : machine -> Llvm_ir.Ir.func -> rtval list -> outcome

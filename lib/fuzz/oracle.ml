@@ -193,7 +193,7 @@ let bitcode_oracle =
 
 let exec_oracle =
   { o_name = "exec";
-    o_descr = "interp, bytecode and tiered execution are identical";
+    o_descr = "interpreter and bytecode execution are identical";
     check =
       (fun m ->
         match run ~profiling:true Engine.Interp_tier m with
@@ -201,27 +201,22 @@ let exec_oracle =
         | r0, _ when Interp.out_of_fuel r0 -> Skip "reference run out of fuel"
         | ({ status = `Trapped _ as s; _ }, _) ->
           Fail ("generated program trapped: " ^ Interp.status_to_string s)
-        | (r0, _) as reference ->
-          let check kind =
-            let name = Engine.kind_name kind in
-            let fail fmt = Printf.ksprintf (fun why -> Some (Fail why)) fmt in
-            match run ~profiling:true kind m with
-            | exception e -> fail "%s tier raised %s" name (Printexc.to_string e)
-            | (r, _) as got -> (
-              match Interp.differences reference got with
-              | [] -> None
-              | Status :: _ ->
-                fail "%s status %s != interp %s" name
-                  (Interp.status_to_string r.status)
-                  (Interp.status_to_string r0.status)
-              | Output :: _ -> fail "%s output differs" name
-              | Instructions :: _ ->
-                fail "%s executed %d instrs, interp %d" name r.instructions
-                  r0.instructions
-              | Profile :: _ -> fail "%s block profile differs" name)
-          in
-          Option.value ~default:Pass
-            (List.find_map check [ Engine.Bytecode_tier; Engine.Tiered ])) }
+        | (r0, _) as reference -> (
+          let fail fmt = Printf.ksprintf (fun why -> Fail why) fmt in
+          match run ~profiling:true Engine.Bytecode_tier m with
+          | exception e -> fail "bytecode tier raised %s" (Printexc.to_string e)
+          | (r, _) as got -> (
+            match Interp.differences reference got with
+            | [] -> Pass
+            | Status :: _ ->
+              fail "bytecode status %s != interp %s"
+                (Interp.status_to_string r.status)
+                (Interp.status_to_string r0.status)
+            | Output :: _ -> fail "bytecode output differs"
+            | Instructions :: _ ->
+              fail "bytecode executed %d instrs, interp %d" r.instructions
+                r0.instructions
+            | Profile :: _ -> fail "bytecode block profile differs"))) }
 
 let check_transform ~what (transform : modul -> unit) baseline (m : modul) :
     verdict =
@@ -329,7 +324,7 @@ let spec_oracle =
               match verify_errors c with
               | Some e -> Fail ("speculated module invalid: " ^ e)
               | None ->
-                (* every tier of the speculated module — hot/cold layout
+                (* both tiers of the speculated module — hot/cold layout
                    driven by the same profile — must reproduce the
                    unspeculated behaviour, deopts included *)
                 let tier kind =
@@ -352,7 +347,7 @@ let spec_oracle =
                 in
                 Option.value ~default:Pass
                   (List.find_map tier
-                     [ Engine.Interp_tier; Engine.Bytecode_tier; Engine.Tiered ]))))) }
+                     [ Engine.Interp_tier; Engine.Bytecode_tier ]))))) }
 
 let all =
   [ verify_oracle; asm_oracle; bitcode_oracle; exec_oracle; opt_oracle;

@@ -33,8 +33,8 @@ val asm_oracle : t
     re-encoding the decoded module is byte-identical. *)
 val bitcode_oracle : t
 
-(** The three execution tiers agree on status, output, dynamic
-    instruction count and block profile; no unexpected trap. *)
+(** The interpreter and bytecode tiers agree on status, output,
+    dynamic instruction count and block profile; no unexpected trap. *)
 val exec_oracle : t
 
 (** -O0 behaviour is preserved by every registered pass individually
@@ -44,7 +44,7 @@ val opt_oracle : t
 (** The speculation-identity check: a profile trained on an
     instrumented run of a clone drives {!Llvm_transforms.Pgo.optimize}
     (guarded call promotion + profile-guided inlining) at the most
-    promotion-happy thresholds, and all three execution tiers — with
+    promotion-happy thresholds, and both execution tiers — with
     profile-guided block layout — must reproduce the unspeculated
     behaviour, status and output exactly, deopts included. *)
 val spec_oracle : t

@@ -54,7 +54,8 @@ let poke_input (mach : Llvm_exec.Interp.machine) (m : modul) (name : string)
    given engine kind (the field default is [Tiered], which compiles each
    function to bytecode on its first call), optionally with a per-run
    input and [m]'s range analysis shared with other runs.  Returns the
-   observable result plus the run's own profile. *)
+   observable result, the run's own profile and its failed speculation
+   guards. *)
 let field_run ?(fuel = default_fuel) ?(kind = Llvm_exec.Engine.Tiered)
     ?input ?profile ?ranges (m : modul) :
     Llvm_exec.Interp.run_result * Profile.t * int =

@@ -19,10 +19,10 @@
    The speculation is sound for *any* profile — even a stale or
    adversarial one — because the guard compares the actual function
    pointer against the predicted target and the deopt arm re-executes
-   the original indirect call unchanged.  [llvm_deopt] additionally
-   asks the execution engine to run that re-execution in the
-   interpreter tier (the runtime half of the deopt protocol; see
-   [Engine]).
+   the original indirect call unchanged.  [llvm_deopt] only counts the
+   failed guard (the runtime half of the deopt protocol; see [Engine]):
+   the re-execution is an ordinary call, so the engine runs its target
+   the way it runs every other function.
 
    An invoke site speculates the same way, with both arms becoming
    invokes into a join block that forwards to the original normal

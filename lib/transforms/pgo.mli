@@ -4,7 +4,7 @@
     indirect call/invoke sites dominated by one observed target are
     rewritten into a guarded direct call with a deopt arm that
     re-executes the original indirect call behind the [llvm_deopt]
-    runtime hook (the engine then falls back to the interpreter tier).
+    runtime hook, which counts the failed guard.
     Sound for any profile, stale or adversarial: the guard compares the
     live function pointer against the prediction.
 

@@ -18,8 +18,7 @@ type stats = {
 (* Fixpoint: may_unwind(f).  Declarations are assumed to unwind unless
    whitelisted as runtime primitives known not to throw. *)
 let nounwind_declarations =
-  [ "printf"; "puts"; "putchar"; "exit"; "llvm_profile_hit";
-    "llvm_bounds_check" ]
+  [ "printf"; "puts"; "putchar"; "exit"; "llvm_bounds_check" ]
 
 let compute_may_unwind (m : modul) : (int, bool) Hashtbl.t =
   let may : (int, bool) Hashtbl.t = Hashtbl.create 64 in

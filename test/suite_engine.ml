@@ -4,8 +4,8 @@
    indistinguishable from the interpreter: same status, same output,
    same dynamic instruction count (fuel), same block profile.  Every
    workload program — the genprog benchmarks, the exception-heavy
-   programs, and randomly generated IR — runs under all three engine
-   kinds and must agree on everything observable. *)
+   programs, and randomly generated IR — runs in both tiers and must
+   agree on everything observable. *)
 
 open Llvm_ir
 open Llvm_exec
@@ -40,21 +40,20 @@ let run_kind ?(fuel = fuel) (kind : Engine.kind) (m : Ir.modul) : snap =
   let r, p = Engine.run_main ~fuel ~profiling:true kind m in
   snapshot r p
 
+(* [Tiered] shares the bytecode tier's dispatch, so one bytecode run
+   covers both kinds. *)
 let check_tiers_agree name (m : Ir.modul) =
   let reference = run_kind Engine.Interp_tier m in
-  List.iter
-    (fun kind ->
-      let got = run_kind kind m in
-      let label what = Fmt.str "%s: %s %s" name (Engine.kind_name kind) what in
-      Alcotest.(check string) (label "status") reference.status got.status;
-      Alcotest.(check string) (label "output") reference.output got.output;
-      Alcotest.(check int)
-        (label "instruction count")
-        reference.instructions got.instructions;
-      Alcotest.(check (list (pair int int)))
-        (label "block profile")
-        reference.profile got.profile)
-    [ Engine.Bytecode_tier; Engine.Tiered ];
+  let got = run_kind Engine.Bytecode_tier m in
+  let label what = Fmt.str "%s: bytecode %s" name what in
+  Alcotest.(check string) (label "status") reference.status got.status;
+  Alcotest.(check string) (label "output") reference.output got.output;
+  Alcotest.(check int)
+    (label "instruction count")
+    reference.instructions got.instructions;
+  Alcotest.(check (list (pair int int)))
+    (label "block profile")
+    reference.profile got.profile;
   reference
 
 let test_genprog_differential () =
@@ -207,8 +206,9 @@ let test_div_trap_in_all_tiers () =
 
    A fleet profile promotes a biased indirect call into a guarded
    direct call (Pgo.promote); runs whose live target differs from the
-   prediction must take the deopt arm, fall back to the interpreter
-   tier, and still produce bit-identical observable behavior. *)
+   prediction must take the deopt arm, whose original indirect call
+   compiles and runs its target like any other call, and still produce
+   bit-identical observable behavior. *)
 
 (* One instrumented interpreter run of a fresh copy of [src], keyed by
    name so it survives recompilation. *)
@@ -223,9 +223,10 @@ let train_profile (src : string) : Llvm_profile.Profile.t =
 
 (* Promote under the trained profile and check: the module stays valid,
    the tiers still agree with each other, and behavior is identical to
-   the unspeculated module.  Returns (deopts, falls) from a bytecode
-   run of the speculated module. *)
-let check_speculation name (src : string) : int * int =
+   the unspeculated module.  Returns the deopts and the functions
+   compiled, in first-call order, of a bytecode run of the speculated
+   module. *)
+let check_speculation name (src : string) : int * string list =
   let baseline = run_kind Engine.Interp_tier (Llvm_minic.Codegen.compile_string src) in
   let profile = train_profile src in
   let m = Llvm_minic.Codegen.compile_string src in
@@ -244,12 +245,12 @@ let check_speculation name (src : string) : int * int =
   let e = Engine.create Engine.Bytecode_tier m in
   let main = Option.get (Ir.find_func m "main") in
   ignore (Interp.run_function ~fuel e.Engine.mach main []);
-  (Engine.deopts e, Engine.deopt_falls e)
+  (Engine.deopts e, Engine.promotions e)
 
 let test_speculation_deopt_midrun () =
   (* 90 calls through [one], then the pointer flips to [big]: the guard
-     must fail exactly 10 times and each failure must re-route the call
-     to the interpreter tier *)
+     must fail exactly 10 times, and the first failure's indirect call
+     compiles [big] *)
   let src =
     {| int one(int x) { return x + 1; }
        int big(int x) { return x * 7 - 2; }
@@ -263,9 +264,10 @@ let test_speculation_deopt_midrun () =
          return acc & 127;
        } |}
   in
-  let deopts, falls = check_speculation "midrun" src in
+  let deopts, compiled = check_speculation "midrun" src in
   Alcotest.(check int) "guard failed once per post-flip call" 10 deopts;
-  Alcotest.(check int) "every deopt fell back to the interpreter" 10 falls
+  Alcotest.(check (list string)) "the deopted target compiled on its first call"
+    [ "main"; "one"; "big" ] compiled
 
 let test_speculation_deopt_monomorphic () =
   (* the profile's prediction always holds: no deopts at all *)
@@ -278,9 +280,10 @@ let test_speculation_deopt_monomorphic () =
          return acc & 127;
        } |}
   in
-  let deopts, falls = check_speculation "mono" src in
+  let deopts, compiled = check_speculation "mono" src in
   Alcotest.(check int) "no guard failures" 0 deopts;
-  Alcotest.(check int) "no interpreter fallbacks" 0 falls
+  Alcotest.(check (list string)) "only the predicted target compiled"
+    [ "main"; "only" ] compiled
 
 let test_speculation_deopt_invoke () =
   (* the indirect site sits inside a try block (an invoke), and the
@@ -301,9 +304,10 @@ let test_speculation_deopt_invoke () =
          return acc & 63;
        } |}
   in
-  let deopts, falls = check_speculation "invoke" src in
+  let deopts, compiled = check_speculation "invoke" src in
   Alcotest.(check int) "guard failed once per boom call" 20 deopts;
-  Alcotest.(check int) "every deopt fell back to the interpreter" 20 falls
+  Alcotest.(check (list string)) "the deopted target compiled on its first call"
+    [ "main"; "calm"; "boom" ] compiled
 
 (* -- Comparing two runs, exit codes, the fuel trap ------------------------- *)
 
@@ -454,7 +458,7 @@ loop:
       let r, _ = Engine.run_main ~fuel:100 kind loop in
       Alcotest.(check bool) (Engine.kind_name kind ^ " ran out of fuel") true
         (Interp.out_of_fuel r))
-    [ Engine.Interp_tier; Engine.Bytecode_tier; Engine.Tiered ];
+    [ Engine.Interp_tier; Engine.Bytecode_tier ];
   let r, _ =
     Engine.run_main Engine.Interp_tier
       (Llvm_minic.Codegen.compile_string {| int main() { int z = 0; return 1 / z; } |})
