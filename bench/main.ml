@@ -13,9 +13,9 @@
                  idle-time reoptimize, rerun
      lint      — per-checker llvm-lint finding counts over the Table-1
                  workloads (analyzer precision tracked like a benchmark)
-     ranges    — value-range analysis: bounds checks eliminated, fast
-                 bytecode ops, exec-time delta, and the analysis's own
-                 time and minor-heap allocation per Table-1 workload
+     ranges    — value-range analysis: bounds checks eliminated,
+                 exec-time delta, and the analysis's own time and
+                 minor-heap allocation per Table-1 workload
                  (BENCH_ranges.json; --quick for the CI variant)
      fuzz      — differential fuzzing smoke: multi-oracle consistency
                  over generated modules and semantics-preserving mutants
@@ -511,7 +511,7 @@ let lifelong () =
     (100. *. (1. -. (float_of_int after /. float_of_int before)));
   say ""
 
-(* -- Value-range analysis: check elimination and fast ops ---------------------- *)
+(* -- Value-range analysis: check elimination ----------------------------------- *)
 
 (* End-to-end measurement of the interprocedural value-range analysis
    and the SAFECode-style bounds checks it discharges (section 4.1.2):
@@ -520,19 +520,16 @@ let lifelong () =
    the eliminated program in both engine tiers.  Every run must be
    bit-for-bit identical across tiers, and elimination must not change
    program status, output or block profile — only the executed
-   instruction count.  Also reports how many guarded bytecode ops the
-   range analysis let [Bytecode.compile] lower to unguarded fast
-   variants, and what [Range.analyze] itself costs on the module
-   [eliminate] analyses: the best wall time of five runs and the
-   minor-heap words of one. *)
+   instruction count.  Also reports what [Range.analyze] itself costs
+   on the module [eliminate] analyses: the best wall time of five runs
+   and the minor-heap words of one. *)
 
 let ranges_bench ?(quick = false) () =
-  say "Value-range analysis: bounds-check elimination and fast ops";
+  say "Value-range analysis: bounds-check elimination";
   if quick then say "(--quick: reduced workload sizes, correctness-focused)";
   say "";
-  say "%-14s %8s %10s %8s %10s %10s %8s %8s %11s %10s" "Benchmark" "inserted"
-    "eliminated" "elim%" "guarded(s)" "elim(s)" "delta%" "fastops" "analyze(ms)"
-    "alloc(kw)";
+  say "%-14s %8s %10s %8s %10s %10s %8s %11s %10s" "Benchmark" "inserted"
+    "eliminated" "elim%" "guarded(s)" "elim(s)" "delta%" "analyze(ms)" "alloc(kw)";
   let mismatches = ref 0 in
   let pct part whole =
     if whole = 0 then 100. else 100. *. float_of_int part /. float_of_int whole
@@ -578,43 +575,38 @@ let ranges_bench ?(quick = false) () =
         let elim =
           time_main ~reps:(Reps guarded.reps) Llvm_exec.Engine.Bytecode_tier m
         in
-        let e = Llvm_exec.Engine.create Llvm_exec.Engine.Bytecode_tier m in
-        ignore (Llvm_exec.Engine.compile_all e);
-        let fast_ops = Llvm_exec.Engine.fast_ops e in
         let delta = 100. *. (1. -. (elim.per_rep_s /. Float.max 1e-9 guarded.per_rep_s)) in
-        say "%-14s %8d %10d %7.0f%% %10.4f %10.4f %7.1f%% %8d %11.2f %10.0f" name inserted
-          eliminated (pct eliminated inserted) guarded.per_rep_s elim.per_rep_s delta fast_ops
+        say "%-14s %8d %10d %7.0f%% %10.4f %10.4f %7.1f%% %11.2f %10.0f" name inserted
+          eliminated (pct eliminated inserted) guarded.per_rep_s elim.per_rep_s delta
           (analyze_s *. 1e3) analyze_kw;
-        ( (inserted, eliminated, fast_ops, analyze_s, analyze_kw),
+        ( (inserted, eliminated, analyze_s, analyze_kw),
           Json.Obj
             [ ("name", jstr name); ("inserted", jint inserted); ("eliminated", jint eliminated);
               ("guarded_s", jnum guarded.per_rep_s); ("eliminated_s", jnum elim.per_rep_s);
               ("guarded_instrs", jint (fst reference).instructions);
-              ("eliminated_instrs", jint (fst after).instructions); ("fast_ops", jint fast_ops);
+              ("eliminated_instrs", jint (fst after).instructions);
               ("analyze_s", jnum analyze_s); ("analyze_minor_kw", jnum analyze_kw) ] ))
       Spec.spec2000
   in
   let total f = List.fold_left (fun a (c, _) -> a + f c) 0 rows in
   let total_f f = List.fold_left (fun a (c, _) -> a +. f c) 0. rows in
-  let tot_i = total (fun (i, _, _, _, _) -> i) in
-  let tot_e = total (fun (_, e, _, _, _) -> e) in
-  let tot_fast = total (fun (_, _, f, _, _) -> f) in
-  let tot_analyze_s = total_f (fun (_, _, _, s, _) -> s) in
-  let tot_analyze_kw = total_f (fun (_, _, _, _, kw) -> kw) in
+  let tot_i = total (fun (i, _, _, _) -> i) in
+  let tot_e = total (fun (_, e, _, _) -> e) in
+  let tot_analyze_s = total_f (fun (_, _, s, _) -> s) in
+  let tot_analyze_kw = total_f (fun (_, _, _, kw) -> kw) in
   let elim_pct = pct tot_e tot_i in
-  say "%-14s %8d %10d %7.0f%% %31s %8d %11.2f %10.0f" "total" tot_i tot_e elim_pct ""
-    tot_fast (tot_analyze_s *. 1e3) tot_analyze_kw;
+  say "%-14s %8d %10d %7.0f%% %31s %11.2f %10.0f" "total" tot_i tot_e elim_pct ""
+    (tot_analyze_s *. 1e3) tot_analyze_kw;
   say "";
   say "%.0f%% of inserted bounds checks eliminated statically (target: 20%%);"
     elim_pct;
-  say "%d bytecode ops compiled to unguarded fast variants" tot_fast;
   if !mismatches > 0 then
     say "*** %d MISMATCHES — range-driven elimination is unsound ***"
       !mismatches;
   write_bench "ranges"
     [ ("benchmarks", Json.Arr (List.map snd rows)); ("inserted_total", jint tot_i);
       ("eliminated_total", jint tot_e); ("eliminated_percent", jnum elim_pct);
-      ("fast_ops_total", jint tot_fast); ("analyze_s_total", jnum tot_analyze_s);
+      ("analyze_s_total", jnum tot_analyze_s);
       ("analyze_minor_kw_total", jnum tot_analyze_kw); ("quick", jbool quick);
       ("tiers_agree", jbool (!mismatches = 0)) ];
   say "";

@@ -6,9 +6,9 @@
     narrowed by descending sweeps, with argument/return ranges
     propagated across the call graph in callee-first SCC order.
 
-    Consumed by the L008-L010 lint checkers, the bounds-check
-    eliminator, the [rangeprop] pass, and the bytecode tier's
-    guard-free fast operations. *)
+    Consumed offline only: by the L008-L010 lint checkers, the
+    bounds-check eliminator and the [rangeprop] pass.  The execution
+    engine runs no range analysis. *)
 
 (** Inclusive interval of canonical (normalized) values, ordered as
     signed int64.  [Bot] on a tracked value means no execution reaches

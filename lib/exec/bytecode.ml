@@ -14,23 +14,15 @@
    the two tiers are bit-for-bit comparable: same outputs, same traps,
    same fuel accounting (one unit per executed IR instruction, with phi
    copies and profiling hooks free, exactly like [Interp.exec_func]),
-   and same block-execution profiles.
-
-   When given a (lazy) [Llvm_analysis.Range] result, [compile]
-   additionally emits unguarded fast variants for accesses the interval
-   analysis proves safe, forcing the analysis only when it meets such a
-   candidate: loads/stores through a gep of a statically-sized alloca
-   whose byte-offset interval fits the allocation (skips the
-   null/liveness/bounds checks in [Memory.locate]), and divisions whose
-   divisor interval excludes zero (skips the division-by-zero guard).
-   Fast ops charge the same fuel and compute the same values, so tier
-   identity is preserved. *)
+   and same block-execution profiles.  Every load, store and division
+   takes the interpreter's guarded path: removing checks with value
+   ranges is the work of the offline passes (rangeprop and bounds-check
+   elimination), not of the translator. *)
 
 open Llvm_ir
 open Ir
 open Interp
 module Ids = Llvm_analysis.Ids
-module Range = Llvm_analysis.Range
 
 type operand =
   | Reg of int (* register slot *)
@@ -59,12 +51,6 @@ type bc =
   | FreeI of operand
   | LoadI of Ltype.t * int * operand (* resolved result type *)
   | StoreI of int * operand * operand (* byte size, value, pointer *)
-  (* range-proven fast variants: same semantics and fuel as the
-     guarded ops above, minus checks the compiler discharged statically
-     using [Llvm_analysis.Range] (see [proves_fast_access]) *)
-  | LoadFast of Ltype.t * int * operand
-  | StoreFast of int * operand * operand
-  | DivF of { rem : bool; dst : int; a : operand; b : operand }
   | GepI of int * operand * operand gstep array
   | GepSlow of int * operand * Ltype.t * (Ltype.t * operand) array
   | CallI of { dst : int; void : bool; callee : callee; args : operand array }
@@ -89,7 +75,6 @@ type compiled = {
   cpool : rtval array;
   code : bc array;
   src_instrs : int; (* IR instructions compiled (statistics) *)
-  fast_ops : int; (* guarded ops compiled to range-proven fast ops *)
   (* recycled register frames for *large* functions: a frame above the
      minor-heap allocation limit is allocated directly on the major heap,
      so without reuse every call to a big (e.g. heavily inlined) function
@@ -110,33 +95,7 @@ type compiled = {
    cannot overflow the OCaml int range the fold uses. *)
 let foldable_index (v : int64) = Int64.abs v < 0x10000000L
 
-(* Division with the zero-divisor guard compiled away: exactly
-   [Fold.int_binop] on Div/Rem minus the [b = 0] test, which the range
-   analysis discharged statically.  [test/suite_bytecode.ml] checks the
-   equivalence against [Fold.int_binop] over every kind. *)
-let div_fast (kind : Ltype.int_kind) ~(rem : bool) (a : int64) (b : int64) :
-    int64 =
-  let bits = Ltype.int_bits kind in
-  let signed = Ltype.is_signed kind in
-  if bits = 64 then
-    if signed then
-      if a = Int64.min_int && b = -1L then (if rem then 0L else a)
-      else if rem then Int64.rem a b
-      else Int64.div a b
-    else if rem then Int64.unsigned_rem a b
-    else Int64.unsigned_div a b
-  else if signed then
-    if a = Int64.min_int && b = -1L then
-      if rem then 0L else normalize_int kind a
-    else normalize_int kind (if rem then Int64.rem a b else Int64.div a b)
-  else
-    let mask = Int64.sub (Int64.shift_left 1L bits) 1L in
-    normalize_int kind
-      ((if rem then Int64.unsigned_rem else Int64.unsigned_div)
-         (Int64.logand a mask) (Int64.logand b mask))
-
-let compile ?(ranges : Llvm_analysis.Range.t Lazy.t option)
-    ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : func) :
+let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : func) :
     compiled =
   if is_declaration f then
     Memory.trap "cannot compile declaration %s to bytecode" f.fname;
@@ -286,64 +245,54 @@ let compile ?(ranges : Llvm_analysis.Range.t Lazy.t option)
      offsets (adjacent ones merged) and index values scaled by their
      element size, in operand order.  [None] when the gep needs
      [GepSlow]: a variable or unfoldable struct index, or an index into
-     a scalar, keeps the interpreter's runtime trap.  Memoized, since
-     every access through the gep asks again for its fast-access
-     proof. *)
-  let gep_steps_memo : (int, value gstep array option) Hashtbl.t =
-    Hashtbl.create 16
-  in
+     a scalar, keeps the interpreter's runtime trap. *)
   let gep_steps (g : instr) : value gstep array option =
-    match Hashtbl.find_opt gep_steps_memo g.iid with
-    | Some steps -> steps
-    | None ->
-      let exception Fallback in
-      let steps = ref [] in
-      let push_off o =
-        match !steps with
-        | Goff p :: rest -> steps := Goff (p + o) :: rest
-        | _ -> steps := Goff o :: !steps
+    let exception Fallback in
+    let steps = ref [] in
+    let push_off o =
+      match !steps with
+      | Goff p :: rest -> steps := Goff (p + o) :: rest
+      | _ -> steps := Goff o :: !steps
+    in
+    let walk () =
+      let cur =
+        match Ltype.resolve table (Ir.type_of table g.operands.(0)) with
+        | Ltype.Pointer pointee -> ref pointee
+        | _ -> raise Fallback (* non-pointer base: traps at runtime *)
       in
-      let walk () =
-        let cur =
-          match Ltype.resolve table (Ir.type_of table g.operands.(0)) with
-          | Ltype.Pointer pointee -> ref pointee
-          | _ -> raise Fallback (* non-pointer base: traps at runtime *)
+      for n = 1 to Array.length g.operands - 1 do
+        let idx = g.operands.(n) in
+        let const_idx =
+          match idx with
+          | Vconst c -> (
+            match const_rtval mach table c with
+            | Rint (_, v) when foldable_index v -> Some v
+            | Rbool b -> Some (if b then 1L else 0L)
+            | _ -> None)
+          | _ -> None
         in
-        for n = 1 to Array.length g.operands - 1 do
-          let idx = g.operands.(n) in
-          let const_idx =
-            match idx with
-            | Vconst c -> (
-              match const_rtval mach table c with
-              | Rint (_, v) when foldable_index v -> Some v
-              | Rbool b -> Some (if b then 1L else 0L)
-              | _ -> None)
-            | _ -> None
-          in
-          let scaled sz =
-            match const_idx with
-            | Some v -> push_off (Int64.to_int v * sz)
-            | None -> steps := Gscale (idx, sz) :: !steps
-          in
-          if n = 1 then
-            (* first index steps over the pointer: scale by pointee size *)
-            scaled (Ltype.size_of table !cur)
-          else
-            match (Ltype.resolve table !cur, const_idx) with
-            | Ltype.Array (_, elt), _ ->
-              scaled (Ltype.size_of table elt);
-              cur := elt
-            | (Ltype.Struct _ as s), Some v ->
-              let k = Int64.to_int v in
-              push_off (Ltype.field_offset table s k);
-              cur := Ltype.field_type table s k
-            | _ -> raise Fallback
-        done;
-        Some (Array.of_list (List.rev !steps))
-      in
-      let result = try walk () with Fallback | Invalid_argument _ -> None in
-      Hashtbl.replace gep_steps_memo g.iid result;
-      result
+        let scaled sz =
+          match const_idx with
+          | Some v -> push_off (Int64.to_int v * sz)
+          | None -> steps := Gscale (idx, sz) :: !steps
+        in
+        if n = 1 then
+          (* first index steps over the pointer: scale by pointee size *)
+          scaled (Ltype.size_of table !cur)
+        else
+          match (Ltype.resolve table !cur, const_idx) with
+          | Ltype.Array (_, elt), _ ->
+            scaled (Ltype.size_of table elt);
+            cur := elt
+          | (Ltype.Struct _ as s), Some v ->
+            let k = Int64.to_int v in
+            push_off (Ltype.field_offset table s k);
+            cur := Ltype.field_type table s k
+          | _ -> raise Fallback
+      done;
+      Some (Array.of_list (List.rev !steps))
+    in
+    try walk () with Fallback | Invalid_argument _ -> None
   in
   let compile_gep (i : instr) =
     let dst = slot_of i.iid in
@@ -365,79 +314,10 @@ let compile ?(ranges : Llvm_analysis.Range.t Lazy.t option)
       in
       emit (GepSlow (dst, base, Ir.type_of table i.operands.(0), idxs))
   in
-  let n_fast = ref 0 in
-  (* Static safety proof for a memory access: the pointer is a
-     getelementptr of a statically-sized alloca, and the interval of the
-     gep's total byte offset — the sum of the steps [GepI] adds, with
-     each scaled index taken at its range in the gep's block — fits in
-     [0, allocation size - access size].  Such an access can skip every
-     [Memory.locate] check: SSA dominance puts the alloca before the
-     gep before the access, stack memory stays live until the frame
-     returns (a [Free] of it traps first, identically in every tier),
-     and the offset can neither underflow nor run off the end. *)
-  let proves_fast_access (ptr : value) (access_size : int) : bool =
-    match (ranges, ptr) with
-    | Some rng, Vinstr g when g.iop = Gep -> (
-      match (g.operands.(0), g.iparent) with
-      | Vinstr a, Some gb when a.iop = Alloca -> (
-        let rng = Lazy.force rng in
-        let exception Unprovable in
-        try
-          let elt_size = Ltype.size_of table (Option.get a.alloc_ty) in
-          let alloc_size =
-            if Array.length a.operands = 0 then elt_size
-            else
-              match a.operands.(0) with
-              | Vconst (Cint (_, n)) when n >= 0L && foldable_index n ->
-                Int64.to_int n * elt_size
-              | _ -> raise Unprovable
-          in
-          let term = function
-            | Goff o -> Range.singleton (Int64.of_int o)
-            | Gscale (v, sz) ->
-              Range.binop Ltype.Long Mul (Range.range_at rng gb v)
-                (Range.singleton (Int64.of_int sz))
-          in
-          match gep_steps g with
-          | None -> false
-          | Some steps -> (
-            access_size <= alloc_size
-            &&
-            match
-              Array.fold_left
-                (fun off step -> Range.binop Ltype.Long Add off (term step))
-                (Range.singleton 0L) steps
-            with
-            | Range.Bot -> true (* the access is never executed *)
-            | Range.Itv (lo, hi) ->
-              lo >= 0L && hi <= Int64.of_int (alloc_size - access_size))
-        with Unprovable | Invalid_argument _ | Ltype.Unresolved _ -> false)
-      | _ -> false)
-    | _ -> false
-  in
   let n_instrs = ref 0 in
   let compile_instr (b : block) (i : instr) =
     incr n_instrs;
     match i.iop with
-    | Div | Rem
-      when (match ranges with
-           | None -> false
-           | Some rng -> (
-             match
-               (Ltype.resolve table (Ir.type_of table i.operands.(0)), i.iparent)
-             with
-             | Ltype.Integer _, Some ib ->
-               not
-                 (Range.contains
-                    (Range.range_at (Lazy.force rng) ib i.operands.(1))
-                    0L)
-             | _ -> false
-             | exception (Ltype.Unresolved _ | Invalid_argument _) -> false)) ->
-      incr n_fast;
-      emit
-        (DivF
-           { rem = i.iop = Rem; dst = slot_of i.iid;
-             a = operand i.operands.(0); b = operand i.operands.(1) })
     | Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr ->
       emit (Bin (i.iop, slot_of i.iid, operand i.operands.(0), operand i.operands.(1)))
     | SetEQ | SetNE | SetLT | SetGT | SetLE | SetGE ->
@@ -463,34 +343,10 @@ let compile ?(ranges : Llvm_analysis.Range.t Lazy.t option)
              on_stack = i.iop = Alloca })
     | Free -> emit (FreeI (operand i.operands.(0)))
     | Load ->
-      let ty = Ltype.resolve table i.ity in
-      let size =
-        match ty with
-        | Ltype.Bool -> Some 1
-        | Ltype.Integer k -> Some (Ltype.int_bits k / 8)
-        | _ -> None
-      in
-      (match size with
-      | Some sz when proves_fast_access i.operands.(0) sz ->
-        incr n_fast;
-        emit (LoadFast (ty, slot_of i.iid, operand i.operands.(0)))
-      | _ -> emit (LoadI (ty, slot_of i.iid, operand i.operands.(0))))
+      emit (LoadI (Ltype.resolve table i.ity, slot_of i.iid, operand i.operands.(0)))
     | Store ->
-      let vty = Ir.type_of table i.operands.(0) in
-      let size = Ltype.size_of table vty in
-      let scalar_int =
-        match Ltype.resolve table vty with
-        | Ltype.Bool | Ltype.Integer _ -> true
-        | _ -> false
-        | exception Ltype.Unresolved _ -> false
-      in
-      if scalar_int && proves_fast_access i.operands.(1) size then begin
-        incr n_fast;
-        emit (StoreFast (size, operand i.operands.(0), operand i.operands.(1)))
-      end
-      else
-        emit
-          (StoreI (size, operand i.operands.(0), operand i.operands.(1)))
+      let size = Ltype.size_of table (Ir.type_of table i.operands.(0)) in
+      emit (StoreI (size, operand i.operands.(0), operand i.operands.(1)))
     | Gep -> compile_gep i
     | Phi -> decr n_instrs (* lowered to edge copies *)
     | Call ->
@@ -570,7 +426,6 @@ let compile ?(ranges : Llvm_analysis.Range.t Lazy.t option)
     cpool = Array.of_list (List.rev !pool_rev);
     code = Array.map retarget code;
     src_instrs = !n_instrs;
-    fast_ops = !n_fast;
     free_frames = [];
     nfree = 0 }
 
@@ -718,65 +573,6 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
         | Reg r -> Array.unsafe_get regs r
         | Cst k -> Array.unsafe_get pool k);
       go (pc + 1)
-    | LoadFast (ty, d, p) ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      let addr =
-        as_ptr
-          (match p with
-          | Reg r -> Array.unsafe_get regs r
-          | Cst k -> Array.unsafe_get pool k)
-      in
-      Array.unsafe_set regs d
-        (match ty with
-        | Ltype.Bool ->
-          rbool (Memory.read_int_unchecked mach.mem addr ~size:1 <> 0L)
-        | Ltype.Integer k ->
-          Rint
-            ( k,
-              normalize_int k
-                (Memory.read_int_unchecked mach.mem addr
-                   ~size:(Ltype.int_bits k / 8)) )
-        | ty -> load_resolved mach addr ty (* not emitted; keep exec total *));
-      go (pc + 1)
-    | StoreFast (size, v, p) ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      let addr =
-        as_ptr
-          (match p with
-          | Reg r -> Array.unsafe_get regs r
-          | Cst k -> Array.unsafe_get pool k)
-      in
-      (match
-         match v with
-         | Reg r -> Array.unsafe_get regs r
-         | Cst k -> Array.unsafe_get pool k
-       with
-      | Rint (_, x) -> Memory.write_int_unchecked mach.mem addr ~size x
-      | Rbool b ->
-        Memory.write_int_unchecked mach.mem addr ~size:1 (if b then 1L else 0L)
-      | v ->
-        (* ill-typed at runtime (e.g. a pointer flowing into an integer
-           slot): fall back to the guarded path, same as [StoreI] *)
-        store_sized mach addr ~size v);
-      go (pc + 1)
-    | DivF { rem; dst; a; b } ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      (match
-         ( (match a with
-           | Reg r -> Array.unsafe_get regs r
-           | Cst k -> Array.unsafe_get pool k),
-           match b with
-           | Reg r -> Array.unsafe_get regs r
-           | Cst k -> Array.unsafe_get pool k )
-       with
-      | Rint (k, x), Rint (_, y) ->
-        Array.unsafe_set regs dst (Rint (k, div_fast k ~rem x y))
-      | x, y ->
-        Array.unsafe_set regs dst (rt_binop (if rem then Rem else Div) x y));
-      go (pc + 1)
     | GepI (d, base, steps) ->
       mach.fuel <- mach.fuel - 1;
       if mach.fuel <= 0 then fuel_trap ();
@@ -890,13 +686,6 @@ let pp_bc fmt = function
   | LoadI (_, d, p) -> Fmt.pf fmt "load r%d <- [%a]" d pp_operand p
   | StoreI (sz, v, p) ->
     Fmt.pf fmt "store [%a] <- %a (%d bytes)" pp_operand p pp_operand v sz
-  | LoadFast (_, d, p) -> Fmt.pf fmt "load.fast r%d <- [%a]" d pp_operand p
-  | StoreFast (sz, v, p) ->
-    Fmt.pf fmt "store.fast [%a] <- %a (%d bytes)" pp_operand p pp_operand v sz
-  | DivF { rem; dst; a; b } ->
-    Fmt.pf fmt "%s.fast r%d <- %a, %a"
-      (if rem then "rem" else "div")
-      dst pp_operand a pp_operand b
   | GepI (d, b, steps) ->
     Fmt.pf fmt "gep r%d <- %a%a" d pp_operand b
       Fmt.(

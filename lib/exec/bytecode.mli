@@ -23,8 +23,7 @@ type 'a gstep =
 
 (** One bytecode instruction.  [Prof]/[Copy]/[Jmp]/[DeadEnd] are free
     bookkeeping with no IR counterpart; everything else charges one
-    fuel unit.  The [*Fast] variants are range-proven unguarded forms
-    with identical semantics and fuel to their guarded counterparts. *)
+    fuel unit. *)
 type bc =
   | Prof of int
   | Copy of int * operand
@@ -43,9 +42,6 @@ type bc =
   | FreeI of operand
   | LoadI of Llvm_ir.Ltype.t * int * operand
   | StoreI of int * operand * operand
-  | LoadFast of Llvm_ir.Ltype.t * int * operand
-  | StoreFast of int * operand * operand
-  | DivF of { rem : bool; dst : int; a : operand; b : operand }
   | GepI of int * operand * operand gstep array
   | GepSlow of
       int * operand * Llvm_ir.Ltype.t * (Llvm_ir.Ltype.t * operand) array
@@ -71,7 +67,6 @@ type compiled = {
   cpool : Interp.rtval array;
   code : bc array;
   src_instrs : int;  (** IR instructions compiled (statistics) *)
-  fast_ops : int;  (** guarded ops compiled to range-proven fast ops *)
   mutable free_frames : Interp.rtval array list;
       (** recycled register frames — frames need no clearing between
           activations because every slot is written (def dominates use)
@@ -79,21 +74,10 @@ type compiled = {
   mutable nfree : int;
 }
 
-(** Division with the zero-divisor guard compiled away: exactly
-    [Fold.int_binop] on Div/Rem minus the [b = 0] test the range
-    analysis discharged statically. *)
-val div_fast :
-  Llvm_ir.Ltype.int_kind -> rem:bool -> int64 -> int64 -> int64
-
 (** Compile one defined function (traps on a declaration).  With
-    [ranges], accesses and divisions the interval analysis proves safe
-    compile to the unguarded fast variants; the analysis is forced only
-    when the function has a candidate (a [Div]/[Rem] on integers, or a
-    load/store through a gep of an alloca).  With [profile], blocks are
-    laid out hot-first (entry pinned) by aggregate weight — pure
-    layout: semantics, fuel and profiles are unchanged. *)
+    [profile], blocks are laid out hot-first (entry pinned) by aggregate
+    weight — pure layout: semantics, fuel and profiles are unchanged. *)
 val compile :
-  ?ranges:Llvm_analysis.Range.t Lazy.t ->
   ?profile:Llvm_profile.Profile.t ->
   Interp.machine ->
   Llvm_ir.Ir.func ->

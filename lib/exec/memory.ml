@@ -5,7 +5,8 @@
    pointer *values* (casts to/from integers work), while loads and stores
    check liveness and bounds like a safe malloc implementation.  Function
    addresses live in a reserved id range so that indirect calls can map
-   an address back to a function. *)
+   an address back to a function.  A freed or released block keeps its id
+   but not its bytes. *)
 
 exception Trap of string
 
@@ -13,15 +14,17 @@ let trap fmt = Fmt.kstr (fun s -> raise (Trap s)) fmt
 
 type alloc = {
   bytes : Bytes.t;
-  mutable live : bool;
+  live : bool;
   on_stack : bool;
 }
 
 (* Allocation ids are handed out sequentially, so the allocation table
    is a growable array indexed by id (slot 0 unused): [locate], the
-   load/store hot path, is a bounds check plus an array read.  Records
-   are never removed — freeing just clears [live] — so indices stay
-   valid for the lifetime of the machine. *)
+   load/store hot path, is a bounds check plus an array read.  Ids are
+   never reused, so no address a program can observe changes; freeing
+   or releasing a block overwrites its slot with one of the shared
+   sentinels below, which lets its bytes be collected while every later
+   access or free traps exactly as the dead block would. *)
 type t = {
   mutable allocs : alloc array;
   mutable next_id : int;
@@ -29,9 +32,10 @@ type t = {
 
 let func_id_base = 0x400000 (* allocation ids at/above this denote code *)
 
-let no_alloc = { bytes = Bytes.empty; live = false; on_stack = false }
+let freed_heap = { bytes = Bytes.empty; live = false; on_stack = false }
+let freed_stack = { bytes = Bytes.empty; live = false; on_stack = true }
 
-let create () = { allocs = Array.make 256 no_alloc; next_id = 1 }
+let create () = { allocs = Array.make 256 freed_heap; next_id = 1 }
 
 let find_alloc (m : t) (id : int) : alloc option =
   if id > 0 && id < m.next_id then Some (Array.unsafe_get m.allocs id)
@@ -49,7 +53,7 @@ let alloc (m : t) ?(on_stack = false) (size : int) : int64 =
   m.next_id <- m.next_id + 1;
   if id >= func_id_base then trap "out of memory: too many allocations";
   if id >= Array.length m.allocs then begin
-    let bigger = Array.make (2 * Array.length m.allocs) no_alloc in
+    let bigger = Array.make (2 * Array.length m.allocs) freed_heap in
     Array.blit m.allocs 0 bigger 0 (Array.length m.allocs);
     m.allocs <- bigger
   end;
@@ -60,10 +64,11 @@ let alloc (m : t) ?(on_stack = false) (size : int) : int64 =
 let free (m : t) (addr : int64) : unit =
   if is_null addr then () (* free(null) is a no-op *)
   else begin
-    match find_alloc m (id_of addr) with
+    let id = id_of addr in
+    match find_alloc m id with
     | Some a when a.live && not a.on_stack ->
       if offset_of addr <> 0 then trap "free of interior pointer";
-      a.live <- false
+      m.allocs.(id) <- freed_heap
     | Some a when a.on_stack -> trap "free of stack memory"
     | Some _ -> trap "double free"
     | None -> trap "free of invalid pointer %Lx" addr
@@ -71,9 +76,8 @@ let free (m : t) (addr : int64) : unit =
 
 (* Release a stack allocation on function return. *)
 let release_stack (m : t) (addr : int64) : unit =
-  match find_alloc m (id_of addr) with
-  | Some a -> a.live <- false
-  | None -> ()
+  let id = id_of addr in
+  if id > 0 && id < m.next_id then m.allocs.(id) <- freed_stack
 
 (* The bytes of the live allocation [addr] points into, after checking
    that [len] bytes from its offset are in bounds.  The offset is
@@ -124,17 +128,6 @@ let read_int (m : t) (addr : int64) ~(size : int) : int64 =
 
 let write_int (m : t) (addr : int64) ~(size : int) (v : int64) : unit =
   set_int (locate m addr size) (offset_of addr) ~size v
-
-(* Unchecked accessors for the bytecode tier's fast memory ops: the
-   compiler has proven the address's allocation live and the access in
-   bounds, so [locate]'s null/liveness/bounds checks are skipped.  The
-   underlying [Bytes] accessors remain checked by the runtime, so an
-   unsound proof raises rather than corrupting the machine. *)
-let read_int_unchecked (m : t) (addr : int64) ~(size : int) : int64 =
-  get_int (Array.unsafe_get m.allocs (id_of addr)).bytes (offset_of addr) ~size
-
-let write_int_unchecked (m : t) (addr : int64) ~(size : int) (v : int64) : unit =
-  set_int (Array.unsafe_get m.allocs (id_of addr)).bytes (offset_of addr) ~size v
 
 (* Read a NUL-terminated string (for the print_str builtin). *)
 let read_cstring (m : t) (addr : int64) : string =

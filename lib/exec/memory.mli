@@ -4,7 +4,8 @@
     and a byte offset (low 32): pointers are real values — casts to and
     from integers work — while every access checks liveness and bounds
     like a safe malloc implementation.  Allocation ids at or above
-    {!func_id_base} denote code addresses for indirect calls. *)
+    {!func_id_base} denote code addresses for indirect calls.  Ids are
+    never reused; a freed or released block's bytes are dropped. *)
 
 exception Trap of string
 
@@ -35,15 +36,6 @@ val release_stack : t -> int64 -> unit
 val read_int : t -> int64 -> size:int -> int64
 
 val write_int : t -> int64 -> size:int -> int64 -> unit
-
-(** Accessors without the null/liveness/bounds checks, for addresses a
-    compiler has proven live and in bounds ({!Bytecode}'s range-proven
-    fast memory ops).  The underlying [Bytes] operations are still
-    bounds-checked by the OCaml runtime, so an unsound caller raises
-    rather than corrupting unrelated allocations. *)
-val read_int_unchecked : t -> int64 -> size:int -> int64
-
-val write_int_unchecked : t -> int64 -> size:int -> int64 -> unit
 
 (** Read a NUL-terminated string (for the print_str builtin). *)
 val read_cstring : t -> int64 -> string

@@ -53,13 +53,12 @@ let poke_input (mach : Llvm_exec.Interp.machine) (m : modul) (name : string)
 (* One simulated end-user run: instrumented (profiling on), under the
    given engine kind (the field default is [Tiered], which compiles each
    function to bytecode on its first call), optionally with a per-run
-   input and [m]'s range analysis shared with other runs.  Returns the
-   observable result, the run's own profile and its failed speculation
-   guards. *)
+   input.  Returns the observable result, the run's own profile and its
+   failed speculation guards. *)
 let field_run ?(fuel = default_fuel) ?(kind = Llvm_exec.Engine.Tiered)
-    ?input ?profile ?ranges (m : modul) :
+    ?input ?profile (m : modul) :
     Llvm_exec.Interp.run_result * Profile.t * int =
-  let e = Llvm_exec.Engine.create ~profiling:true ?profile ?ranges kind m in
+  let e = Llvm_exec.Engine.create ~profiling:true ?profile kind m in
   let mach = e.Llvm_exec.Engine.mach in
   (match input with
   | Some (name, v) -> poke_input mach m name v
@@ -78,18 +77,15 @@ let rec ensure_dir (dir : string) : unit =
    the program once with that input, persist the run's profile under
    [dir], then re-load every file and fold it into the aggregate with
    its weight.  The aggregate is independent of schedule order by
-   construction (saturating weighted merge).  Every run executes the
-   same module, so they share one range analysis, computed at most
-   once. *)
+   construction (saturating weighted merge). *)
 let simulate ?fuel ?kind ?(input_global = "fleet_input") ~(dir : string)
     ~(schedule : (int * int) list) (m : modul) : report =
   ensure_dir dir;
-  let ranges = lazy (Llvm_analysis.Range.analyze m) in
   let runs =
     List.map
       (fun (input, weight) ->
         let result, p, deopts =
-          field_run ?fuel ?kind ~input:(input_global, input) ~ranges m
+          field_run ?fuel ?kind ~input:(input_global, input) m
         in
         let file = Filename.concat dir (Printf.sprintf "run%d.llpf" input) in
         Profile.save file p;

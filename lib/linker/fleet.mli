@@ -30,9 +30,7 @@ val default_fuel : int
 (** One simulated end-user run: instrumented (profiling on), under
     [kind] (default [Tiered]: first-call bytecode compilation), with
     [input = (global, value)] poked into the program's environment
-    global first, [profile] (if any) driving hot/cold block layout, and
-    [ranges] (if any) the module's range analysis, shared with other
-    runs ({!Llvm_exec.Engine.create}).
+    global first, and [profile] (if any) driving hot/cold block layout.
     Returns the result, the run's own one-run profile, and the run's
     failed-guard count. *)
 val field_run :
@@ -40,15 +38,13 @@ val field_run :
   ?kind:Llvm_exec.Engine.kind ->
   ?input:string * int ->
   ?profile:Llvm_profile.Profile.t ->
-  ?ranges:Llvm_analysis.Range.t Lazy.t ->
   Llvm_ir.Ir.modul ->
   Llvm_exec.Interp.run_result * Llvm_profile.Profile.t * int
 
 (** [simulate ~dir ~schedule m] runs the program once per distinct
     [(input, weight)] of the schedule, persists each run's profile
     under [dir] ([run<input>.llpf]), and merges the re-loaded files
-    into the weighted aggregate.  Order-independent by construction.
-    The runs share one range analysis of [m]. *)
+    into the weighted aggregate.  Order-independent by construction. *)
 val simulate :
   ?fuel:int ->
   ?kind:Llvm_exec.Engine.kind ->

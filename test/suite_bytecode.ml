@@ -205,37 +205,6 @@ let test_disassembler () =
         (Astring_contains.contains text needle))
     [ "max"; "ret"; "prof" ]
 
-(* The unguarded division emitted for range-proven-nonzero divisors must
-   agree with the constant folder (which the checked interpreter path
-   delegates to) on every kind and edge case. *)
-let test_div_fast_matches_fold () =
-  let kinds =
-    Ltype.[ Sbyte; Ubyte; Short; Ushort; Int; Uint; Long; Ulong ]
-  in
-  let pairs =
-    [ (10L, 3L); (-10L, 3L); (10L, -3L); (-10L, -3L);
-      (Int64.min_int, -1L); (Int64.min_int, 1L); (Int64.max_int, 7L);
-      (255L, 2L); (-128L, 5L); (65535L, 255L); (1L, 1L); (0L, 9L) ]
-  in
-  List.iter
-    (fun k ->
-      List.iter
-        (fun (a, b) ->
-          List.iter
-            (fun rem ->
-              let op = if rem then Rem else Div in
-              let name =
-                Printf.sprintf "%s %s %Ld %Ld" (Ltype.string_of_int_kind k)
-                  (if rem then "rem" else "div") a b
-              in
-              Alcotest.(check (option int64))
-                name
-                (Fold.int_binop k op a b)
-                (Some (Bytecode.div_fast k ~rem a b)))
-            [ false; true ])
-        pairs)
-    kinds
-
 let tests =
   [ Alcotest.test_case "branch targets resolve to code offsets" `Quick
       test_branch_targets_resolved;
@@ -247,6 +216,4 @@ let tests =
     Alcotest.test_case "declarations are rejected" `Quick
       test_rejects_declarations;
     Alcotest.test_case "disassembler prints a listing" `Quick
-      test_disassembler;
-    Alcotest.test_case "fast division matches the constant folder" `Quick
-      test_div_fast_matches_fold ]
+      test_disassembler ]
