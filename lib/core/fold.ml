@@ -14,20 +14,95 @@ let to_unsigned bits (v : int64) =
   if bits = 64 then v
   else Int64.logand v (Int64.sub (Int64.shift_left 1L bits) 1L)
 
-(* [int_binop_exn] is the one integer opcode table: total, raising
-   [Undefined] on a zero divisor or a non-arithmetic opcode, so the
-   execution engine's hot path allocates no option.  [int_binop] is the
-   constant folder's view of it. *)
+(* [word_binop_exn] and [int_binop_exn] are the one integer opcode
+   table: total, raising [Undefined] on a zero divisor or a
+   non-arithmetic opcode, so the execution engine's hot path allocates
+   no option.  [int_binop] is the constant folder's view of it. *)
 exception Undefined
 
+(* -- Words ---------------------------------------------------------------
+
+   An integer of 32 bits or fewer computes as an immediate OCaml int, a
+   "word", holding the same canonical value as its stored int64.  The
+   bytecode tier keeps such values unboxed; [int_binop_exn] and
+   [int_cmp] run their sub-64-bit kinds through the same table, so
+   every tier and the constant folder share one. *)
+
+(* Three per-kind tables, written out so that an operation makes no
+   call beyond them: the execution engine runs one per instruction.
+   They take kinds of 32 bits or fewer. *)
+
+(* [v]'s low bits, as many as [kind] has *)
+let word_low kind (v : int) : int =
+  match kind with
+  | Ltype.Sbyte | Ltype.Ubyte -> v land 0xFF
+  | Ltype.Short | Ltype.Ushort -> v land 0xFFFF
+  | _ -> v land 0xFFFF_FFFF
+
+(* [v] in [kind]'s canonical form: the low bits, sign-extended for
+   signed kinds and zero-extended for unsigned ones *)
+let word_norm kind (v : int) : int =
+  match kind with
+  | Ltype.Sbyte -> (v lsl (Sys.int_size - 8)) asr (Sys.int_size - 8)
+  | Ltype.Short -> (v lsl (Sys.int_size - 16)) asr (Sys.int_size - 16)
+  | Ltype.Int -> (v lsl (Sys.int_size - 32)) asr (Sys.int_size - 32)
+  | _ -> word_low kind v
+
+(* [v] as a signed int in [kind]'s order: an unsigned kind's low bits
+   are non-negative, so plain int order, division and arithmetic shift
+   on them are the unsigned ones *)
+let word_key kind (v : int) : int =
+  match kind with
+  | Ltype.Sbyte | Ltype.Short | Ltype.Int -> v
+  | _ -> word_low kind v
+
+let word_binop_exn kind op (a : int) (b : int) : int =
+  match op with
+  | Add -> word_norm kind (a + b)
+  | Sub -> word_norm kind (a - b)
+  | Mul -> word_norm kind (a * b)
+  | Div ->
+    if b = 0 then raise Undefined
+    else word_norm kind (word_key kind a / word_key kind b)
+  | Rem ->
+    if b = 0 then raise Undefined
+    else word_norm kind (word_key kind a mod word_key kind b)
+  | And -> word_norm kind (a land b)
+  | Or -> word_norm kind (a lor b)
+  | Xor -> word_norm kind (a lxor b)
+  | Shl ->
+    (* a count from the kind's width up to 63 shifts every low bit out *)
+    let s = word_low kind b in
+    if s >= 64 then 0 else word_norm kind (a lsl s)
+  | Shr ->
+    (* arithmetic on signed types, logical on unsigned (LLVM 1.x) *)
+    let s = word_low kind b and a = word_key kind a in
+    if s >= 64 then (if a < 0 then -1 else 0) else word_norm kind (a asr s)
+  | _ -> raise Undefined
+
+(* an ordering opcode on two ints *)
+let order op (a : int) (b : int) : bool =
+  match op with
+  | SetEQ -> a = b
+  | SetNE -> a <> b
+  | SetLT -> a < b
+  | SetGT -> a > b
+  | SetLE -> a <= b
+  | SetGE -> a >= b
+  | _ -> invalid_arg "int_cmp"
+
+let word_cmp kind op (a : int) (b : int) : bool =
+  order op (word_key kind a) (word_key kind b)
+
 let int_binop_exn kind op (a : int64) (b : int64) : int64 =
-  let bits = Ltype.int_bits kind in
-  let signed = Ltype.is_signed kind in
-  if bits = 64 then
-    (* 64-bit fast path: normalization is the identity, and stored
-       values are already canonical, so [to_unsigned] is too.  This is
-       also the execution engine's hot path: no closures, and the result
-       is the only allocation. *)
+  if Ltype.int_bits kind < 64 then
+    Int64.of_int (word_binop_exn kind op (Int64.to_int a) (Int64.to_int b))
+  else
+    let signed = Ltype.is_signed kind in
+    (* 64-bit: normalization is the identity, and stored values are
+       already canonical, so [to_unsigned] is too.  This is also the
+       execution engine's hot path for boxed integers: no closures, and
+       the result is the only allocation. *)
     match op with
     | Add -> Int64.add a b
     | Sub -> Int64.sub a b
@@ -53,46 +128,6 @@ let int_binop_exn kind op (a : int64) (b : int64) : int64 =
       if s < 0 || s >= 64 then (if signed && a < 0L then -1L else 0L)
       else if signed then Int64.shift_right a s
       else Int64.shift_right_logical a s
-    | _ -> raise Undefined
-  else
-    let mask = Int64.sub (Int64.shift_left 1L bits) 1L in
-    let sign_bit = Int64.shift_left 1L (bits - 1) in
-    (* normalize_int with bits/mask hoisted out, written in-line in each
-       arm so the intermediate int64s stay unboxed *)
-    let norm v =
-      let low = Int64.logand v mask in
-      if signed && Int64.logand low sign_bit <> 0L then
-        Int64.logor low (Int64.lognot mask)
-      else low
-    in
-    match op with
-    | Add -> norm (Int64.add a b)
-    | Sub -> norm (Int64.sub a b)
-    | Mul -> norm (Int64.mul a b)
-    | Div ->
-      if b = 0L then raise Undefined
-      else if signed then
-        if a = Int64.min_int && b = -1L then norm a
-        else norm (Int64.div a b)
-      else norm (Int64.unsigned_div (Int64.logand a mask) (Int64.logand b mask))
-    | Rem ->
-      if b = 0L then raise Undefined
-      else if signed then
-        if a = Int64.min_int && b = -1L then 0L
-        else norm (Int64.rem a b)
-      else norm (Int64.unsigned_rem (Int64.logand a mask) (Int64.logand b mask))
-    | And -> norm (Int64.logand a b)
-    | Or -> norm (Int64.logor a b)
-    | Xor -> norm (Int64.logxor a b)
-    | Shl ->
-      let s = Int64.to_int (Int64.logand b mask) in
-      if s >= bits || s < 0 then 0L else norm (Int64.shift_left a s)
-    | Shr ->
-      (* shr is arithmetic on signed types, logical on unsigned (LLVM 1.x). *)
-      let s = Int64.to_int (Int64.logand b mask) in
-      if s < 0 || s >= 64 then (if signed && a < 0L then -1L else 0L)
-      else if signed then norm (Int64.shift_right a s)
-      else norm (Int64.shift_right_logical (Int64.logand a mask) s)
     | _ -> raise Undefined
 
 let int_binop kind op (a : int64) (b : int64) : int64 option =
@@ -128,25 +163,10 @@ let fold_binop op (ca : const) (cb : const) : const option =
   | _ -> None
 
 let int_cmp kind op (a : int64) (b : int64) : bool =
-  let c =
-    if Ltype.is_signed kind then Int64.compare a b
-    else
-      let bits = Ltype.int_bits kind in
-      if bits = 64 then Int64.unsigned_compare a b
-      else
-        (* masked values are non-negative, so signed compare agrees with
-           unsigned compare *)
-        let mask = Int64.sub (Int64.shift_left 1L bits) 1L in
-        Int64.compare (Int64.logand a mask) (Int64.logand b mask)
-  in
-  match op with
-  | SetEQ -> c = 0
-  | SetNE -> c <> 0
-  | SetLT -> c < 0
-  | SetGT -> c > 0
-  | SetLE -> c <= 0
-  | SetGE -> c >= 0
-  | _ -> invalid_arg "int_cmp"
+  if Ltype.int_bits kind < 64 then
+    word_cmp kind op (Int64.to_int a) (Int64.to_int b)
+  else if Ltype.is_signed kind then order op (Int64.compare a b) 0
+  else order op (Int64.unsigned_compare a b) 0
 
 let float_cmp op (a : float) (b : float) : bool =
   match op with

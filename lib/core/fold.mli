@@ -8,8 +8,29 @@
 (** Zero-extend the stored representation of an integer to [bits]. *)
 val to_unsigned : int -> int64 -> int64
 
-(** Raised by {!int_binop_exn} on an operation with no defined result. *)
+(** Raised by {!int_binop_exn} and {!word_binop_exn} on an operation
+    with no defined result. *)
 exception Undefined
+
+(** {1 Words}
+
+    An integer of 32 bits or fewer as an immediate int (a "word")
+    holding the canonical value its stored int64 holds.  These are the
+    one table for such kinds: the sub-64-bit arms of {!int_binop_exn}
+    and {!int_cmp} run through them. *)
+
+(** The canonical form of a word of the given kind (32 bits or fewer):
+    its low bits, sign-extended for signed kinds, zero-extended for
+    unsigned ones. *)
+val word_norm : Ltype.int_kind -> int -> int
+
+(** The result of a binary operation on two canonical words of a kind
+    of 32 bits or fewer.
+    @raise Undefined on a zero divisor or a non-arithmetic opcode. *)
+val word_binop_exn : Ltype.int_kind -> Ir.opcode -> int -> int -> int
+
+(** A comparison of two canonical words of a kind of 32 bits or fewer. *)
+val word_cmp : Ltype.int_kind -> Ir.opcode -> int -> int -> bool
 
 (** The integer opcode table, total: the result of a binary operation
     on two stored values of the given kind.

@@ -2,22 +2,36 @@
 
    [compile] translates one function from the IR graph into a flat,
    register-based bytecode: every instruction and argument gets a fixed
-   register slot, constants are evaluated once into a pool, branch and
-   call targets are resolved to code offsets, getelementptr address
-   arithmetic is folded to precomputed offsets and scales, and phi nodes
-   are lowered to parallel copies on dedicated edge stubs.  [exec] then
-   runs that bytecode in a tight dispatch loop with no hashtable lookups
-   or list traversals on the hot path.
+   register slot, constants are evaluated once, branch and call targets
+   are resolved to code offsets, getelementptr address arithmetic is
+   folded to precomputed offsets and scales, and phi nodes are lowered
+   to parallel copies on dedicated edge stubs.  [exec] then runs that
+   bytecode in a tight dispatch loop with no hashtable lookups or list
+   traversals on the hot path.
+
+   The instruction set is typed (section 2.2), so the compiler knows
+   each value's type before it runs, and an activation has two register
+   files.  A value whose type is an integer of 32 bits or fewer, or
+   bool, is a "word" (see [Interp.is_word]): it lives unboxed in an
+   [int array], where storing it neither allocates nor needs a write
+   barrier, and word constants sit in that file from the start.  Every
+   other value is a boxed [rtval].  Arithmetic, compares, casts,
+   selects, phi copies, loads and stores of words have word arms that
+   run [Fold]'s word table; any other op reads a word directly or boxes
+   it once (call arguments, [ret]).  A word enters from outside only as
+   an argument or a call result, through [Interp.word_of_rtval], the
+   check the interpreter makes at the same points.
 
    Semantics are shared with the tree-walking interpreter down to the
-   helper functions ([Interp.rt_binop], [Interp.load_resolved], ...), so
-   the two tiers are bit-for-bit comparable: same outputs, same traps,
-   same fuel accounting (one unit per executed IR instruction, with phi
-   copies and profiling hooks free, exactly like [Interp.exec_func]),
-   and same block-execution profiles.  Every load, store and division
-   takes the interpreter's guarded path: removing checks with value
-   ranges is the work of the offline passes (rangeprop and bounds-check
-   elimination), not of the translator. *)
+   helper functions ([Interp.rt_binop], [Fold.word_binop_exn],
+   [Interp.load_resolved], ...), so the two tiers are bit-for-bit
+   comparable: same outputs, same traps, same fuel accounting (one unit
+   per executed IR instruction, with phi copies and profiling hooks
+   free, exactly like [Interp.exec_func]), and same block-execution
+   profiles.  Every load, store and division takes the interpreter's
+   guarded path: removing checks with value ranges is the work of the
+   offline passes (rangeprop and bounds-check elimination), not of the
+   translator. *)
 
 open Llvm_ir
 open Ir
@@ -25,8 +39,9 @@ open Interp
 module Ids = Llvm_analysis.Ids
 
 type operand =
-  | Reg of int (* register slot *)
+  | Reg of int (* boxed register slot *)
   | Cst of int (* constant-pool index *)
+  | Wrd of int * Ltype.t (* word register slot, and its resolved word type *)
 
 type callee =
   | Direct of func
@@ -39,23 +54,31 @@ type 'a gstep =
 type bc =
   (* free (no fuel): bookkeeping that has no IR-instruction counterpart *)
   | Prof of int (* block id: profile hook at every block head *)
-  | Copy of int * operand (* phi-lowering move *)
+  | Copy of int * operand (* boxed phi-lowering move *)
+  | Wmov of int * int (* word phi-lowering move *)
   | Jmp of int (* edge-stub tail jump *)
   | DeadEnd of string (* fell off an unterminated block *)
-  (* one fuel unit each: real IR instructions *)
-  | Bin of opcode * int * operand * operand
-  | Cmp of opcode * int * operand * operand
-  | CastI of Ltype.t * int * operand (* resolved target type *)
-  | Sel of int * operand * operand * operand
+  (* one fuel unit each: real IR instructions.  The W ops read and write
+     word registers only. *)
+  | Wbin of opcode * Ltype.int_kind * int * int * int (* kind, dst, a, b *)
+  | Wcmp of opcode * Ltype.int_kind * int * int * int
+  | Wcast of Ltype.t * int * int (* word target type, dst, src *)
+  | Wsel of int * int * int * int
+  | Wload of Ltype.t * int * operand (* word type, dst, pointer *)
+  | Wstore of int * int * operand (* byte size, word, pointer *)
+  | Bin of opcode * operand * operand * operand (* dst, a, b *)
+  | Cmp of opcode * int * operand * operand (* dst is a word: a bool *)
+  | CastI of Ltype.t * operand * operand (* resolved target type *)
+  | Sel of operand * operand * operand * operand
   | AllocI of { dst : int; elt_size : int; count : operand option; on_stack : bool }
   | FreeI of operand
   | LoadI of Ltype.t * int * operand (* resolved result type *)
   | StoreI of int * operand * operand (* byte size, value, pointer *)
   | GepI of int * operand * operand gstep array
   | GepSlow of int * operand * Ltype.t * (Ltype.t * operand) array
-  | CallI of { dst : int; void : bool; callee : callee; args : operand array }
+  | CallI of { dst : operand; void : bool; callee : callee; args : operand array }
   | InvokeI of {
-      dst : int;
+      dst : operand;
       void : bool;
       callee : callee;
       args : operand array;
@@ -70,24 +93,37 @@ type bc =
 
 type compiled = {
   cname : string;
-  nregs : int; (* frame size, including phi-copy temporaries *)
-  arg_slots : int array;
+  nregs : int; (* boxed frame size, including phi-copy temporaries *)
+  arg_slots : operand array; (* where each argument lands: [Reg] or [Wrd] *)
   cpool : rtval array;
+  wfile : int array;
+  (* the word register file as every activation starts it: word
+     constants in their slots, zeros elsewhere *)
+  wconsts : (int * int) list; (* word constants: slot, value *)
   code : bc array;
   src_instrs : int; (* IR instructions compiled (statistics) *)
-  (* recycled register frames for *large* functions: a frame above the
+  (* recycled register files for *large* functions: a file above the
      minor-heap allocation limit is allocated directly on the major heap,
      so without reuse every call to a big (e.g. heavily inlined) function
-     pays a major-heap allocation plus O(nregs) initialization.  Small
-     frames stay minor-heap allocations — pooling those would promote
+     pays a major-heap allocation plus O(size) initialization.  Small
+     files stay minor-heap allocations — pooling boxed ones would promote
      them to the major heap and tax every register store with the write
-     barrier.  Frames need no clearing between uses: the compiler hands
+     barrier.  Files need no clearing between uses: the compiler hands
      out one slot per SSA value, and every use is dominated by its def,
      so a slot is always written in the current activation before it is
-     read. *)
+     read (word constants are never written at all). *)
   mutable free_frames : rtval array list;
   mutable nfree : int;
+  mutable free_wfiles : int array list;
+  mutable nwfree : int;
 }
+
+(* A function whose values cannot all take their slots: ill-typed IR
+   the verifier rejects (an operand whose type disagrees with its
+   instruction's), or a constant without its type's canonical form,
+   which only hostile bitcode makes.  The engine runs such a function
+   in the interpreter. *)
+exception Unsupported
 
 (* -- Compilation ----------------------------------------------------------- *)
 
@@ -121,19 +157,26 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
       let hot = List.stable_sort (fun (w1, _) (w2, _) -> compare w2 w1) hot in
       entry :: (List.map snd hot @ List.map snd cold)
   in
-  (* register slots *)
-  let slots : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  (* register slots, by value id: a word slot for a word type, else a
+     boxed one *)
+  let slots : (int, operand) Hashtbl.t = Hashtbl.create 64 in
   let nregs = ref 0 in
-  let slot_of id =
-    match Hashtbl.find_opt slots id with
-    | Some s -> s
-    | None ->
-      let s = !nregs in
-      incr nregs;
-      Hashtbl.replace slots id s;
-      s
+  let nwords = ref 0 in
+  let fresh n =
+    let s = !n in
+    incr n;
+    s
   in
-  let arg_slots = Array.of_list (List.map (fun a -> slot_of a.aid) f.fargs) in
+  let place id ty : operand =
+    match Hashtbl.find_opt slots id with
+    | Some o -> o
+    | None ->
+      let t = Ltype.resolve table ty in
+      let o = if is_word t then Wrd (fresh nwords, t) else Reg (fresh nregs) in
+      Hashtbl.replace slots id o;
+      o
+  in
+  let arg_slots = Array.of_list (List.map (fun a -> place a.aid a.aty) f.fargs) in
   (* constant pool: evaluate each distinct constant once *)
   let pool_index : (rtval, int) Hashtbl.t = Hashtbl.create 32 in
   let pool_rev = ref [] in
@@ -148,14 +191,40 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
       pool_rev := v :: !pool_rev;
       Cst k
   in
+  (* word constants get word slots of their own, one per distinct word;
+     a constant without its type's exact shape has no word *)
+  let wconst_slot : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let wconsts = ref [] in
+  let wconst t (c : const) : operand =
+    let w =
+      match word_of_rtval t (const_rtval mach table c) with
+      | w -> w
+      | exception Memory.Trap _ -> raise Unsupported
+    in
+    match Hashtbl.find_opt wconst_slot w with
+    | Some s -> Wrd (s, t)
+    | None ->
+      let s = fresh nwords in
+      Hashtbl.replace wconst_slot w s;
+      wconsts := (s, w) :: !wconsts;
+      Wrd (s, t)
+  in
   let operand (v : value) : operand =
     match v with
-    | Vconst c -> cst (const_rtval mach table c)
-    | Vinstr i -> Reg (slot_of i.iid)
-    | Varg a -> Reg (slot_of a.aid)
+    | Vconst c ->
+      let t = Ltype.resolve table (type_of_const table c) in
+      if is_word t then wconst t c else cst (const_rtval mach table c)
+    | Vinstr i -> place i.iid i.ity
+    | Varg a -> place a.aid a.aty
     | Vglobal g -> cst (const_rtval mach table (Cgvar g))
     | Vfunc fn -> cst (Rptr (func_address mach fn))
     | Vblock _ -> Memory.trap "block used as a value"
+  in
+  let dest (i : instr) = place i.iid i.ity in
+  (* the boxed slot of an instruction whose result is never a word (an
+     address, or a load of a boxed type) *)
+  let boxed_dest (i : instr) =
+    match dest i with Reg d -> d | Cst _ | Wrd _ -> raise Unsupported
   in
   (* code emission into label space; labels become pcs in a final pass *)
   let buf = ref [] in
@@ -171,7 +240,7 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
     incr next_label;
     l
   in
-  let place l = Hashtbl.replace labels l !buf_n in
+  let place_label l = Hashtbl.replace labels l !buf_n in
   let block_label : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let label_of_block (b : block) : int =
     match Hashtbl.find_opt block_label b.bid with
@@ -198,14 +267,18 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
         l
   in
   let emit_stub (l, (src : block), (dst : block)) =
-    place l;
+    place_label l;
     let moves =
       List.filter_map
         (fun i ->
           if i.iop <> Phi then None
           else
             match List.find_opt (fun (_, blk) -> blk == src) (phi_incoming i) with
-            | Some (v, _) -> Some (slot_of i.iid, operand v)
+            | Some (v, _) -> (
+              match (dest i, operand v) with
+              | Wrd (d, t), Wrd (s, t') when t = t' -> Some (Wmov (d, s))
+              | Reg d, ((Reg _ | Cst _) as s) -> Some (Copy (d, s))
+              | _ -> raise Unsupported)
             | None ->
               Memory.trap "phi %%%s has no entry for predecessor %%%s" i.iname
                 src.bname)
@@ -213,25 +286,33 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
     in
     (* phis assign in parallel: when a source register is also a
        destination, stage everything through temporaries *)
-    let dsts = List.map fst moves in
     let overlaps =
       List.exists
-        (fun (_, s) -> match s with Reg r -> List.mem r dsts | Cst _ -> false)
+        (function
+          | Wmov (_, s) ->
+            List.exists (function Wmov (d, _) -> d = s | _ -> false) moves
+          | Copy (_, Reg s) ->
+            List.exists (function Copy (d, _) -> d = s | _ -> false) moves
+          | _ -> false)
         moves
     in
-    if overlaps then begin
-      let staged =
+    let moves =
+      if not overlaps then moves
+      else
         List.map
-          (fun (d, s) ->
-            let t = !nregs in
-            incr nregs;
-            (d, s, t))
+          (function
+            | Wmov (d, s) ->
+              let t = fresh nwords in
+              emit (Wmov (t, s));
+              Wmov (d, t)
+            | Copy (d, s) ->
+              let t = fresh nregs in
+              emit (Copy (t, s));
+              Copy (d, Reg t)
+            | m -> m)
           moves
-      in
-      List.iter (fun (_, s, t) -> emit (Copy (t, s))) staged;
-      List.iter (fun (d, _, t) -> emit (Copy (d, Reg t))) staged
-    end
-    else List.iter (fun (d, s) -> emit (Copy (d, s))) moves;
+    in
+    List.iter emit moves;
     emit (Jmp (label_of_block dst))
   in
   let compile_callee (site : instr) : callee =
@@ -295,7 +376,7 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
     try walk () with Fallback | Invalid_argument _ -> None
   in
   let compile_gep (i : instr) =
-    let dst = slot_of i.iid in
+    let dst = boxed_dest i in
     let base = operand i.operands.(0) in
     match gep_steps i with
     | Some steps ->
@@ -317,48 +398,74 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
   let n_instrs = ref 0 in
   let compile_instr (b : block) (i : instr) =
     incr n_instrs;
+    let op k = operand i.operands.(k) in
     match i.iop with
-    | Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr ->
-      emit (Bin (i.iop, slot_of i.iid, operand i.operands.(0), operand i.operands.(1)))
-    | SetEQ | SetNE | SetLT | SetGT | SetLE | SetGE ->
-      emit (Cmp (i.iop, slot_of i.iid, operand i.operands.(0), operand i.operands.(1)))
-    | Cast ->
-      emit (CastI (Ltype.resolve table i.ity, slot_of i.iid, operand i.operands.(0)))
-    | Select ->
-      emit
-        (Sel
-           ( slot_of i.iid,
-             operand i.operands.(0),
-             operand i.operands.(1),
-             operand i.operands.(2) ))
+    | Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr -> (
+      match (dest i, op 0, op 1) with
+      | Wrd (d, t), Wrd (x, tx), Wrd (y, ty) when tx = t && ty = t -> (
+        match (t, i.iop) with
+        | Ltype.Integer k, _ -> emit (Wbin (i.iop, k, d, x, y))
+        | _, (And | Or | Xor) ->
+          (* on 0 and 1 these agree with the bool table *)
+          emit (Wbin (i.iop, Ltype.Ubyte, d, x, y))
+        | _ -> (* bool arithmetic: traps in [rt_binop] *)
+          emit (Bin (i.iop, Wrd (d, t), Wrd (x, tx), Wrd (y, ty))))
+      | Wrd _, _, _ -> raise Unsupported
+      | d, a, b -> emit (Bin (i.iop, d, a, b)))
+    | SetEQ | SetNE | SetLT | SetGT | SetLE | SetGE -> (
+      match (dest i, op 0, op 1) with
+      | Wrd (d, Ltype.Bool), Wrd (x, Ltype.Integer k), Wrd (y, Ltype.Integer _) ->
+        emit (Wcmp (i.iop, k, d, x, y))
+      | Wrd (d, Ltype.Bool), Wrd (x, Ltype.Bool), Wrd (y, Ltype.Bool) ->
+        (* bools compare as the bytes 0 and 1, as in [rt_cmp] *)
+        emit (Wcmp (i.iop, Ltype.Ubyte, d, x, y))
+      | Wrd (d, Ltype.Bool), a, b -> emit (Cmp (i.iop, d, a, b))
+      | _ -> raise Unsupported)
+    | Cast -> (
+      match (dest i, op 0) with
+      | Wrd (d, t), Wrd (x, _) -> emit (Wcast (t, d, x))
+      | d, a -> emit (CastI (Ltype.resolve table i.ity, d, a)))
+    | Select -> (
+      match (dest i, op 0, op 1, op 2) with
+      | Wrd (d, t), Wrd (c, _), Wrd (x, tx), Wrd (y, ty) when tx = t && ty = t ->
+        emit (Wsel (d, c, x, y))
+      | (Wrd (_, t) as d), c, (Wrd (_, tx) as x), (Wrd (_, ty) as y)
+        when tx = t && ty = t ->
+        emit (Sel (d, c, x, y))
+      | Wrd _, _, _, _ -> raise Unsupported
+      | d, c, x, y -> emit (Sel (d, c, x, y)))
     | Alloca | Malloc ->
       let elt = Option.get i.alloc_ty in
       let count =
-        if Array.length i.operands > 0 then Some (operand i.operands.(0))
+        if Array.length i.operands > 0 then Some (op 0)
         else None
       in
       emit
         (AllocI
-           { dst = slot_of i.iid; elt_size = Ltype.size_of table elt; count;
+           { dst = boxed_dest i; elt_size = Ltype.size_of table elt; count;
              on_stack = i.iop = Alloca })
-    | Free -> emit (FreeI (operand i.operands.(0)))
-    | Load ->
-      emit (LoadI (Ltype.resolve table i.ity, slot_of i.iid, operand i.operands.(0)))
-    | Store ->
+    | Free -> emit (FreeI (op 0))
+    | Load -> (
+      match dest i with
+      | Wrd (d, t) -> emit (Wload (t, d, op 0))
+      | _ -> emit (LoadI (Ltype.resolve table i.ity, boxed_dest i, op 0)))
+    | Store -> (
       let size = Ltype.size_of table (Ir.type_of table i.operands.(0)) in
-      emit (StoreI (size, operand i.operands.(0), operand i.operands.(1)))
+      match op 0 with
+      | Wrd (v, _) -> emit (Wstore (size, v, op 1))
+      | v -> emit (StoreI (size, v, op 1)))
     | Gep -> compile_gep i
     | Phi -> decr n_instrs (* lowered to edge copies *)
     | Call ->
       emit
         (CallI
-           { dst = slot_of i.iid; void = i.ity = Ltype.Void;
+           { dst = dest i; void = i.ity = Ltype.Void;
              callee = compile_callee i;
              args = Array.of_list (List.map operand (call_args i)) })
     | Invoke ->
       emit
         (InvokeI
-           { dst = slot_of i.iid; void = i.ity = Ltype.Void;
+           { dst = dest i; void = i.ity = Ltype.Void;
              callee = compile_callee i;
              args = Array.of_list (List.map operand (call_args i));
              normal = target ~src:b (as_block i.operands.(1));
@@ -366,7 +473,7 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
     | Ret ->
       emit
         (RetI
-           (if Array.length i.operands = 1 then Some (operand i.operands.(0))
+           (if Array.length i.operands = 1 then Some (op 0)
             else None))
     | Br ->
       if Array.length i.operands = 1 then
@@ -374,25 +481,31 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
       else
         emit
           (Bra
-             ( operand i.operands.(0),
+             ( op 0,
                target ~src:b (as_block i.operands.(1)),
                target ~src:b (as_block i.operands.(2)) ))
     | Switch ->
+      let v = op 0 in
+      (* a word condition drops the cases that can never equal it: a
+         bool matches only bool cases, an integer only integer ones *)
       let cases =
-        List.map
-          (fun (c, blk) -> (const_rtval mach table c, target ~src:b blk))
+        List.filter_map
+          (fun (c, blk) ->
+            let cv = const_rtval mach table c in
+            match (v, cv) with
+            | Wrd (_, Ltype.Bool), Rbool _
+            | Wrd (_, Ltype.Integer _), Rint _
+            | (Reg _ | Cst _), _ ->
+              Some (cv, target ~src:b blk)
+            | _ -> None)
           (switch_cases i)
       in
-      emit
-        (Sw
-           ( operand i.operands.(0),
-             Array.of_list cases,
-             target ~src:b (as_block i.operands.(1)) ))
+      emit (Sw (v, Array.of_list cases, target ~src:b (as_block i.operands.(1))))
     | Unwind -> emit UnwindI
   in
   List.iter
     (fun b ->
-      place (label_of_block b);
+      place_label (label_of_block b);
       (* Specialize for the instrumentation setting at compile time: with
          profiling off there is no block-head hook at all.  The engine
          fixes [profiling] at creation, before any function is
@@ -420,28 +533,376 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
     | InvokeI r -> InvokeI { r with normal = pc_of r.normal; unwind = pc_of r.unwind }
     | i -> i
   in
+  let wfile = Array.make !nwords 0 in
+  List.iter (fun (s, w) -> wfile.(s) <- w) !wconsts;
   { cname = f.fname;
     nregs = !nregs;
     arg_slots;
     cpool = Array.of_list (List.rev !pool_rev);
+    wfile;
+    wconsts = List.rev !wconsts;
     code = Array.map retarget code;
     src_instrs = !n_instrs;
     free_frames = [];
-    nfree = 0 }
+    nfree = 0;
+    free_wfiles = [];
+    nwfree = 0 }
 
 (* -- Execution ------------------------------------------------------------- *)
 
-(* The dispatch loop.  No hashtable lookups or list traversals on the
-   straight-line path; fuel accounting is inlined into every charging
-   arm (no flambda, so helper closures would cost a call per
-   instruction).  Register indices come from the compiler, which only
-   hands out slots below [nregs], so register access is unchecked. *)
 let max_free_frames = 64
 
 (* OCaml's minor-heap allocation limit (Max_young_wosize) is 256 words:
    frames at least this big are major-heap allocations and worth
    recycling; smaller ones are cheaper fresh. *)
 let pooled_frame_size = 256
+
+(* Arguments into their slots, left to right, each word through the
+   call-boundary check. *)
+let rec bind_args (slots : operand array) (regs : rtval array) (wregs : int array) k
+    = function
+  | [] -> ()
+  | v :: rest ->
+    (match Array.unsafe_get slots k with
+    | Wrd (r, ty) -> Array.unsafe_set wregs r (word_of_rtval ty v)
+    | Reg r -> Array.unsafe_set regs r v
+    | Cst _ -> invalid_arg "Bytecode: constant argument slot");
+    bind_args slots regs wregs (k + 1) rest
+
+(* The first case target equal to a boxed switch value, else [dflt]. *)
+let rec find_case (cases : (rtval * int) array) (x : rtval) k dflt =
+  if k = Array.length cases then dflt
+  else
+    let cv, t = Array.unsafe_get cases k in
+    let hit =
+      match (cv, x) with
+      | Rint (_, a), Rint (_, b) -> a = b
+      | Rbool a, Rbool b -> a = b
+      | _ -> false
+    in
+    if hit then t else find_case cases x (k + 1) dflt
+
+(* The same for a word; the compiler kept only the cases of its shape. *)
+let rec find_word_case (cases : (rtval * int) array) (w : int) k dflt =
+  if k = Array.length cases then dflt
+  else
+    let cv, t = Array.unsafe_get cases k in
+    let hit =
+      match cv with
+      | Rint (_, a) -> a = Int64.of_int w
+      | Rbool a -> Bool.to_int a = w
+      | _ -> false
+    in
+    if hit then t else find_word_case cases w (k + 1) dflt
+
+(* One activation: its register files, and the stack allocations to
+   release when it returns.  The dispatch loop and its helpers are
+   top-level functions of the frame, so a call allocates this record
+   and its files, not a closure per helper. *)
+type frame = {
+  mach : machine;
+  c : compiled;
+  code : bc array;
+  pool : rtval array;
+  regs : rtval array;
+  wregs : int array;
+  mutable stack_allocs : int64 list;
+}
+
+let ev (fr : frame) = function
+  | Reg r -> Array.unsafe_get fr.regs r
+  | Cst k -> Array.unsafe_get fr.pool k
+  | Wrd (r, ty) -> rtval_of_word ty (Array.unsafe_get fr.wregs r)
+
+(* a value into its destination slot; a word destination only ever
+   receives a value of its type's exact shape, a call result through
+   the call-boundary check *)
+let set (fr : frame) d v =
+  match d with
+  | Reg r -> Array.unsafe_set fr.regs r v
+  | Wrd (r, ty) -> Array.unsafe_set fr.wregs r (word_of_rtval ty v)
+  | Cst _ -> invalid_arg "Bytecode: constant destination"
+
+let truth (fr : frame) = function
+  | Wrd (r, _) -> Array.unsafe_get fr.wregs r <> 0
+  | o -> as_bool (ev fr o)
+
+(* the call's arguments from operand [k] on, boxed *)
+let rec actuals (fr : frame) (args : operand array) k =
+  if k = Array.length args then []
+  else
+    let v = ev fr (Array.unsafe_get args k) in
+    v :: actuals fr args (k + 1)
+
+let finish (fr : frame) (out : outcome) : outcome =
+  let c = fr.c in
+  (match fr.stack_allocs with
+  | [] -> ()
+  | addrs -> List.iter (Memory.release_stack fr.mach.mem) addrs);
+  (* recycle the files; a trap abandons them instead (the run is over
+     anyway), so no exception handler is needed on the hot path *)
+  if c.nregs >= pooled_frame_size && c.nfree < max_free_frames then begin
+    c.free_frames <- fr.regs :: c.free_frames;
+    c.nfree <- c.nfree + 1
+  end;
+  if Array.length fr.wregs >= pooled_frame_size && c.nwfree < max_free_frames
+  then begin
+    c.free_wfiles <- fr.wregs :: c.free_wfiles;
+    c.nwfree <- c.nwfree + 1
+  end;
+  out
+
+let resolve (fr : frame) = function
+  | Direct fn -> fn
+  | Indirect (o, site) -> (
+    let mach = fr.mach in
+    let addr = as_ptr (ev fr o) in
+    match Ids.find mach.func_of_id (Memory.id_of addr) with
+    | fn ->
+      if mach.profiling then record_call_target mach ~site fn;
+      fn
+    | exception Not_found ->
+      Memory.trap "indirect call to non-code address %Lx" addr)
+
+(* The dispatch loop.  No hashtable lookups or list traversals on the
+   straight-line path; fuel accounting is inlined into every charging
+   arm (no flambda, so helper closures would cost a call per
+   instruction).  Register indices come from the compiler, which only
+   hands out slots below each file's size, so register access is
+   unchecked. *)
+let rec go (fr : frame) (pc : int) : outcome =
+  let mach = fr.mach and regs = fr.regs and wregs = fr.wregs in
+  match Array.unsafe_get fr.code pc with
+  | Prof bid ->
+    count_block mach bid;
+    go fr (pc + 1)
+  | Copy (d, s) ->
+    Array.unsafe_set regs d
+      (match s with
+      | Reg r -> Array.unsafe_get regs r
+      | s -> ev fr s);
+    go fr (pc + 1)
+  | Wmov (d, s) ->
+    Array.unsafe_set wregs d (Array.unsafe_get wregs s);
+    go fr (pc + 1)
+  | Jmp t -> go fr t
+  | DeadEnd bname -> Memory.trap "fell off the end of block %%%s" bname
+  | Wbin (op, k, d, a, b) ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    let r =
+      match
+        Fold.word_binop_exn k op (Array.unsafe_get wregs a)
+          (Array.unsafe_get wregs b)
+      with
+      | r -> r
+      | exception Fold.Undefined -> Memory.trap "integer division by zero"
+    in
+    Array.unsafe_set wregs d r;
+    go fr (pc + 1)
+  | Wcmp (op, k, d, a, b) ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    Array.unsafe_set wregs d
+      (Bool.to_int
+         (Fold.word_cmp k op (Array.unsafe_get wregs a) (Array.unsafe_get wregs b)));
+    go fr (pc + 1)
+  | Wcast (ty, d, a) ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    let w = Array.unsafe_get wregs a in
+    Array.unsafe_set wregs d
+      (match ty with
+      | Ltype.Integer k -> Fold.word_norm k w
+      | _ -> Bool.to_int (w <> 0));
+    go fr (pc + 1)
+  | Wsel (d, cnd, a, b) ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    Array.unsafe_set wregs d
+      (Array.unsafe_get wregs (if Array.unsafe_get wregs cnd <> 0 then a else b));
+    go fr (pc + 1)
+  | Wload (ty, d, p) ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    let addr =
+      as_ptr
+        (match p with
+        | Reg r -> Array.unsafe_get regs r
+        | p -> ev fr p)
+    in
+    Array.unsafe_set wregs d
+      (match ty with
+      | Ltype.Integer k ->
+        Fold.word_norm k (Memory.read_word mach.mem addr ~size:(Ltype.int_bits k / 8))
+      | _ -> Bool.to_int (Memory.read_word mach.mem addr ~size:1 <> 0));
+    go fr (pc + 1)
+  | Wstore (size, v, p) ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    Memory.write_word mach.mem
+      (as_ptr
+         (match p with
+         | Reg r -> Array.unsafe_get regs r
+         | p -> ev fr p))
+      ~size (Array.unsafe_get wregs v);
+    go fr (pc + 1)
+  | Bin (op, d, a, b) ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    set fr d
+      (rt_binop op
+         (match a with
+         | Reg r -> Array.unsafe_get regs r
+         | a -> ev fr a)
+         (match b with
+         | Reg r -> Array.unsafe_get regs r
+         | b -> ev fr b));
+    go fr (pc + 1)
+  | Cmp (op, d, a, b) ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    Array.unsafe_set wregs d
+      (Bool.to_int
+         (as_bool
+            (rt_cmp op
+               (match a with
+               | Reg r -> Array.unsafe_get regs r
+               | a -> ev fr a)
+               (match b with
+               | Reg r -> Array.unsafe_get regs r
+               | b -> ev fr b))));
+    go fr (pc + 1)
+  | CastI (ty, d, a) ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    set fr d (cast_resolved (ev fr a) ty);
+    go fr (pc + 1)
+  | Sel (d, cnd, a, b) ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    set fr d (if truth fr cnd then ev fr a else ev fr b);
+    go fr (pc + 1)
+  | AllocI { dst; elt_size; count; on_stack } ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    let n =
+      match count with
+      | None -> 1
+      | Some (Wrd (r, _)) -> Array.unsafe_get wregs r
+      | Some o -> Int64.to_int (as_int (ev fr o))
+    in
+    if n < 0 then Memory.trap "negative allocation count";
+    let addr = Memory.alloc mach.mem ~on_stack (n * elt_size) in
+    if on_stack then fr.stack_allocs <- addr :: fr.stack_allocs;
+    Array.unsafe_set regs dst (Rptr addr);
+    go fr (pc + 1)
+  | FreeI o ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    Memory.free mach.mem (as_ptr (ev fr o));
+    go fr (pc + 1)
+  | LoadI (ty, d, p) ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    Array.unsafe_set regs d
+      (load_resolved mach
+         (as_ptr
+            (match p with
+            | Reg r -> Array.unsafe_get regs r
+            | p -> ev fr p))
+         ty);
+    go fr (pc + 1)
+  | StoreI (size, v, p) ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    store_sized mach
+      (as_ptr
+         (match p with
+         | Reg r -> Array.unsafe_get regs r
+         | p -> ev fr p))
+      ~size
+      (match v with
+      | Reg r -> Array.unsafe_get regs r
+      | v -> ev fr v);
+    go fr (pc + 1)
+  | GepI (d, base, steps) ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    let addr = ref (as_ptr (ev fr base)) in
+    for k = 0 to Array.length steps - 1 do
+      match Array.unsafe_get steps k with
+      | Goff o -> addr := Int64.add !addr (Int64.of_int o)
+      | Gscale (o, sz) ->
+        let idx =
+          match o with
+          | Wrd (r, _) -> Int64.of_int (Array.unsafe_get wregs r)
+          | o -> as_int (ev fr o)
+        in
+        addr := Int64.add !addr (Int64.mul idx (Int64.of_int sz))
+    done;
+    Array.unsafe_set regs d (Rptr !addr);
+    go fr (pc + 1)
+  | GepSlow (d, base, pty, idxs) ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    let indices = Array.to_list (Array.map (fun (t, o) -> (t, ev fr o)) idxs) in
+    Array.unsafe_set regs d
+      (Rptr (gep_address mach.modul.mtypes (as_ptr (ev fr base)) pty indices));
+    go fr (pc + 1)
+  | CallI { dst; void; callee; args } -> (
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    let fn = resolve fr callee in
+    let actuals = actuals fr args 0 in
+    match mach.dispatch mach fn actuals with
+    | Normal r ->
+      if not void then set fr dst r;
+      go fr (pc + 1)
+    | Unwinding -> finish fr Unwinding)
+  | InvokeI { dst; void; callee; args; normal; unwind } -> (
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    let fn = resolve fr callee in
+    let actuals = actuals fr args 0 in
+    match mach.dispatch mach fn actuals with
+    | Normal r ->
+      if not void then set fr dst r;
+      go fr normal
+    | Unwinding -> go fr unwind)
+  | RetI None ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    finish fr (Normal Rvoid)
+  | RetI (Some o) ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    finish fr (Normal (ev fr o))
+  | Br1 t ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    go fr t
+  | Bra (cnd, t, e) ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    if
+      match cnd with
+      | Wrd (r, _) -> Array.unsafe_get wregs r <> 0
+      | Reg r -> as_bool (Array.unsafe_get regs r)
+      | Cst k -> as_bool (Array.unsafe_get fr.pool k)
+    then go fr t
+    else go fr e
+  | Sw (v, cases, dflt) ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    go fr
+      (match v with
+      | Wrd (r, _) -> find_word_case cases (Array.unsafe_get wregs r) 0 dflt
+      | v -> find_case cases (ev fr v) 0 dflt)
+  | UnwindI ->
+    mach.fuel <- mach.fuel - 1;
+    if mach.fuel <= 0 then fuel_trap ();
+    finish fr Unwinding
 
 let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
   let regs =
@@ -452,232 +913,48 @@ let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
       f
     | [] -> Array.make c.nregs Rvoid
   in
+  let wregs =
+    match c.free_wfiles with
+    | f :: rest ->
+      c.free_wfiles <- rest;
+      c.nwfree <- c.nwfree - 1;
+      f
+    | [] -> Array.copy c.wfile
+  in
   if List.length args <> Array.length c.arg_slots then
     Memory.trap "arity mismatch calling %s" c.cname;
-  List.iteri (fun k v -> regs.(Array.unsafe_get c.arg_slots k) <- v) args;
-  let stack_allocs = ref [] in
-  let pool = c.cpool in
-  let code = c.code in
-  let table = mach.modul.mtypes in
-  let ev = function
-    | Reg r -> Array.unsafe_get regs r
-    | Cst k -> Array.unsafe_get pool k
-  in
-  let finish (out : outcome) : outcome =
-    List.iter (Memory.release_stack mach.mem) !stack_allocs;
-    (* recycle the frame; a trap abandons its frame instead (the run is
-       over anyway), so no exception handler is needed on the hot path *)
-    if c.nregs >= pooled_frame_size && c.nfree < max_free_frames then begin
-      c.free_frames <- regs :: c.free_frames;
-      c.nfree <- c.nfree + 1
-    end;
-    out
-  in
-  let resolve = function
-    | Direct fn -> fn
-    | Indirect (o, site) -> (
-      let addr = as_ptr (ev o) in
-      match Ids.find mach.func_of_id (Memory.id_of addr) with
-      | fn ->
-        if mach.profiling then record_call_target mach ~site fn;
-        fn
-      | exception Not_found ->
-        Memory.trap "indirect call to non-code address %Lx" addr)
-  in
-  let rec go (pc : int) : outcome =
-    match Array.unsafe_get code pc with
-    | Prof bid ->
-      count_block mach bid;
-      go (pc + 1)
-    | Copy (d, s) ->
-      Array.unsafe_set regs d
-        (match s with
-        | Reg r -> Array.unsafe_get regs r
-        | Cst k -> Array.unsafe_get pool k);
-      go (pc + 1)
-    | Jmp t -> go t
-    | DeadEnd bname -> Memory.trap "fell off the end of block %%%s" bname
-    | Bin (op, d, a, b) ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      Array.unsafe_set regs d
-        (rt_binop op
-           (match a with
-           | Reg r -> Array.unsafe_get regs r
-           | Cst k -> Array.unsafe_get pool k)
-           (match b with
-           | Reg r -> Array.unsafe_get regs r
-           | Cst k -> Array.unsafe_get pool k));
-      go (pc + 1)
-    | Cmp (op, d, a, b) ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      Array.unsafe_set regs d
-        (rt_cmp op
-           (match a with
-           | Reg r -> Array.unsafe_get regs r
-           | Cst k -> Array.unsafe_get pool k)
-           (match b with
-           | Reg r -> Array.unsafe_get regs r
-           | Cst k -> Array.unsafe_get pool k));
-      go (pc + 1)
-    | CastI (ty, d, a) ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      Array.unsafe_set regs d (cast_resolved (ev a) ty);
-      go (pc + 1)
-    | Sel (d, cnd, a, b) ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      Array.unsafe_set regs d (if as_bool (ev cnd) then ev a else ev b);
-      go (pc + 1)
-    | AllocI { dst; elt_size; count; on_stack } ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      let n =
-        match count with
-        | None -> 1
-        | Some o -> Int64.to_int (as_int (ev o))
-      in
-      if n < 0 then Memory.trap "negative allocation count";
-      let addr = Memory.alloc mach.mem ~on_stack (n * elt_size) in
-      if on_stack then stack_allocs := addr :: !stack_allocs;
-      Array.unsafe_set regs dst (Rptr addr);
-      go (pc + 1)
-    | FreeI o ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      Memory.free mach.mem (as_ptr (ev o));
-      go (pc + 1)
-    | LoadI (ty, d, p) ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      Array.unsafe_set regs d
-        (load_resolved mach
-           (as_ptr
-              (match p with
-              | Reg r -> Array.unsafe_get regs r
-              | Cst k -> Array.unsafe_get pool k))
-           ty);
-      go (pc + 1)
-    | StoreI (size, v, p) ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      store_sized mach
-        (as_ptr
-           (match p with
-           | Reg r -> Array.unsafe_get regs r
-           | Cst k -> Array.unsafe_get pool k))
-        ~size
-        (match v with
-        | Reg r -> Array.unsafe_get regs r
-        | Cst k -> Array.unsafe_get pool k);
-      go (pc + 1)
-    | GepI (d, base, steps) ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      let addr = ref (as_ptr (ev base)) in
-      for k = 0 to Array.length steps - 1 do
-        match Array.unsafe_get steps k with
-        | Goff o -> addr := Int64.add !addr (Int64.of_int o)
-        | Gscale (o, sz) ->
-          addr := Int64.add !addr (Int64.mul (as_int (ev o)) (Int64.of_int sz))
-      done;
-      Array.unsafe_set regs d (Rptr !addr);
-      go (pc + 1)
-    | GepSlow (d, base, pty, idxs) ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      let indices = Array.to_list (Array.map (fun (t, o) -> (t, ev o)) idxs) in
-      Array.unsafe_set regs d
-        (Rptr (gep_address table (as_ptr (ev base)) pty indices));
-      go (pc + 1)
-    | CallI { dst; void; callee; args } -> (
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      let fn = resolve callee in
-      let actuals = Array.fold_right (fun o acc -> ev o :: acc) args [] in
-      match mach.dispatch mach fn actuals with
-      | Normal r ->
-        if not void then Array.unsafe_set regs dst r;
-        go (pc + 1)
-      | Unwinding -> finish Unwinding)
-    | InvokeI { dst; void; callee; args; normal; unwind } -> (
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      let fn = resolve callee in
-      let actuals = Array.fold_right (fun o acc -> ev o :: acc) args [] in
-      match mach.dispatch mach fn actuals with
-      | Normal r ->
-        if not void then Array.unsafe_set regs dst r;
-        go normal
-      | Unwinding -> go unwind)
-    | RetI None ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      finish (Normal Rvoid)
-    | RetI (Some o) ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      finish (Normal (ev o))
-    | Br1 t ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      go t
-    | Bra (cnd, t, e) ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      if
-        as_bool
-          (match cnd with
-          | Reg r -> Array.unsafe_get regs r
-          | Cst k -> Array.unsafe_get pool k)
-      then go t
-      else go e
-    | Sw (v, cases, dflt) ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      let x = ev v in
-      let n = Array.length cases in
-      let rec find k =
-        if k = n then dflt
-        else
-          let cv, t = Array.unsafe_get cases k in
-          let hit =
-            match (cv, x) with
-            | Rint (_, a), Rint (_, b) -> a = b
-            | Rbool a, Rbool b -> a = b
-            | _ -> false
-          in
-          if hit then t else find (k + 1)
-      in
-      go (find 0)
-    | UnwindI ->
-      mach.fuel <- mach.fuel - 1;
-      if mach.fuel <= 0 then fuel_trap ();
-      finish Unwinding
-  in
-  go 0
+  bind_args c.arg_slots regs wregs 0 args;
+  go { mach; c; code = c.code; pool = c.cpool; regs; wregs; stack_allocs = [] } 0
 
 (* -- Introspection (tests, debugging) -------------------------------------- *)
 
 let pp_operand fmt = function
   | Reg r -> Fmt.pf fmt "r%d" r
   | Cst k -> Fmt.pf fmt "c%d" k
+  | Wrd (r, _) -> Fmt.pf fmt "w%d" r
 
 let pp_bc fmt = function
   | Prof bid -> Fmt.pf fmt "prof b%d" bid
   | Copy (d, s) -> Fmt.pf fmt "copy r%d <- %a" d pp_operand s
+  | Wmov (d, s) -> Fmt.pf fmt "copy w%d <- w%d" d s
   | Jmp t -> Fmt.pf fmt "jmp %d" t
   | DeadEnd b -> Fmt.pf fmt "deadend %%%s" b
+  | Wbin (op, k, d, a, b) | Wcmp (op, k, d, a, b) ->
+    Fmt.pf fmt "%s.%s w%d <- w%d, w%d" (opcode_name op)
+      (Ltype.to_string (Ltype.Integer k)) d a b
+  | Wcast (ty, d, a) -> Fmt.pf fmt "cast w%d <- w%d to %s" d a (Ltype.to_string ty)
+  | Wsel (d, c, a, b) -> Fmt.pf fmt "select w%d <- w%d ? w%d : w%d" d c a b
+  | Wload (_, d, p) -> Fmt.pf fmt "load w%d <- [%a]" d pp_operand p
+  | Wstore (sz, v, p) -> Fmt.pf fmt "store [%a] <- w%d (%d bytes)" pp_operand p v sz
   | Bin (op, d, a, b) ->
-    Fmt.pf fmt "%s r%d <- %a, %a" (opcode_name op) d pp_operand a pp_operand b
+    Fmt.pf fmt "%s %a <- %a, %a" (opcode_name op) pp_operand d pp_operand a
+      pp_operand b
   | Cmp (op, d, a, b) ->
-    Fmt.pf fmt "%s r%d <- %a, %a" (opcode_name op) d pp_operand a pp_operand b
+    Fmt.pf fmt "%s w%d <- %a, %a" (opcode_name op) d pp_operand a pp_operand b
   | CastI (ty, d, a) ->
-    Fmt.pf fmt "cast r%d <- %a to %s" d pp_operand a (Ltype.to_string ty)
+    Fmt.pf fmt "cast %a <- %a to %s" pp_operand d pp_operand a (Ltype.to_string ty)
   | Sel (d, c, a, b) ->
-    Fmt.pf fmt "select r%d <- %a ? %a : %a" d pp_operand c pp_operand a
+    Fmt.pf fmt "select %a <- %a ? %a : %a" pp_operand d pp_operand c pp_operand a
       pp_operand b
   | AllocI { dst; elt_size; on_stack; _ } ->
     Fmt.pf fmt "%s r%d (%d bytes)" (if on_stack then "alloca" else "malloc") dst
@@ -695,12 +972,12 @@ let pp_bc fmt = function
       steps
   | GepSlow (d, b, _, _) -> Fmt.pf fmt "gep.slow r%d <- %a ..." d pp_operand b
   | CallI { dst; callee; args; _ } ->
-    Fmt.pf fmt "call r%d <- %s(%a)" dst
+    Fmt.pf fmt "call %a <- %s(%a)" pp_operand dst
       (match callee with Direct f -> f.fname | Indirect _ -> "<indirect>")
       Fmt.(array ~sep:comma pp_operand)
       args
   | InvokeI { dst; normal; unwind; _ } ->
-    Fmt.pf fmt "invoke r%d normal=%d unwind=%d" dst normal unwind
+    Fmt.pf fmt "invoke %a normal=%d unwind=%d" pp_operand dst normal unwind
   | RetI None -> Fmt.string fmt "ret void"
   | RetI (Some o) -> Fmt.pf fmt "ret %a" pp_operand o
   | Br1 t -> Fmt.pf fmt "br %d" t
@@ -713,8 +990,11 @@ let pp_bc fmt = function
 let disassemble (c : compiled) : string =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
-    (Fmt.str "%s: %d regs, %d consts, %d instrs@." c.cname c.nregs
-       (Array.length c.cpool) (Array.length c.code));
+    (Fmt.str "%s: %d regs, %d words, %d consts, %d instrs@." c.cname c.nregs
+       (Array.length c.wfile) (Array.length c.cpool) (Array.length c.code));
+  List.iter
+    (fun (s, w) -> Buffer.add_string buf (Fmt.str "  w%d = %d@." s w))
+    c.wconsts;
   Array.iteri
     (fun pc i -> Buffer.add_string buf (Fmt.str "  %4d: %a@." pc pp_bc i))
     c.code;

@@ -10,8 +10,11 @@
     depend on this stated API, not on compiler internals. *)
 
 type operand =
-  | Reg of int  (** register slot *)
+  | Reg of int  (** boxed register slot *)
   | Cst of int  (** constant-pool index *)
+  | Wrd of int * Llvm_ir.Ltype.t
+      (** word register slot, and its resolved word type (an integer of
+          32 bits or fewer, or bool: see {!Interp.is_word}) *)
 
 type callee =
   | Direct of Llvm_ir.Ir.func
@@ -21,18 +24,27 @@ type 'a gstep =
   | Goff of int  (** constant byte offset *)
   | Gscale of 'a * int  (** dynamic index times element size *)
 
-(** One bytecode instruction.  [Prof]/[Copy]/[Jmp]/[DeadEnd] are free
-    bookkeeping with no IR counterpart; everything else charges one
-    fuel unit. *)
+(** One bytecode instruction.  [Prof]/[Copy]/[Wmov]/[Jmp]/[DeadEnd]
+    are free bookkeeping with no IR counterpart; everything else charges
+    one fuel unit.  The [W] instructions read and write word registers
+    only.  In the others a bare [int] destination is a boxed register,
+    except in [Cmp], whose bool result is a word. *)
 type bc =
   | Prof of int
   | Copy of int * operand
+  | Wmov of int * int
   | Jmp of int
   | DeadEnd of string
-  | Bin of Llvm_ir.Ir.opcode * int * operand * operand
+  | Wbin of Llvm_ir.Ir.opcode * Llvm_ir.Ltype.int_kind * int * int * int
+  | Wcmp of Llvm_ir.Ir.opcode * Llvm_ir.Ltype.int_kind * int * int * int
+  | Wcast of Llvm_ir.Ltype.t * int * int
+  | Wsel of int * int * int * int
+  | Wload of Llvm_ir.Ltype.t * int * operand
+  | Wstore of int * int * operand
+  | Bin of Llvm_ir.Ir.opcode * operand * operand * operand
   | Cmp of Llvm_ir.Ir.opcode * int * operand * operand
-  | CastI of Llvm_ir.Ltype.t * int * operand
-  | Sel of int * operand * operand * operand
+  | CastI of Llvm_ir.Ltype.t * operand * operand
+  | Sel of operand * operand * operand * operand
   | AllocI of {
       dst : int;
       elt_size : int;
@@ -45,9 +57,9 @@ type bc =
   | GepI of int * operand * operand gstep array
   | GepSlow of
       int * operand * Llvm_ir.Ltype.t * (Llvm_ir.Ltype.t * operand) array
-  | CallI of { dst : int; void : bool; callee : callee; args : operand array }
+  | CallI of { dst : operand; void : bool; callee : callee; args : operand array }
   | InvokeI of {
-      dst : int;
+      dst : operand;
       void : bool;
       callee : callee;
       args : operand array;
@@ -62,17 +74,31 @@ type bc =
 
 type compiled = {
   cname : string;
-  nregs : int;  (** frame size, including phi-copy temporaries *)
-  arg_slots : int array;
+  nregs : int;  (** boxed file size, including phi-copy temporaries *)
+  arg_slots : operand array;  (** each argument's slot: [Reg] or [Wrd] *)
   cpool : Interp.rtval array;
+  wfile : int array;
+      (** the word file as every activation starts it: word constants
+          in their slots, zeros elsewhere; its length is the word file
+          size *)
+  wconsts : (int * int) list;  (** word constants: slot, value *)
   code : bc array;
   src_instrs : int;  (** IR instructions compiled (statistics) *)
   mutable free_frames : Interp.rtval array list;
-      (** recycled register frames — frames need no clearing between
-          activations because every slot is written (def dominates use)
-          before it is read *)
+      (** recycled boxed files of large functions — files need no
+          clearing between activations because every slot is written
+          (def dominates use) before it is read *)
   mutable nfree : int;
+  mutable free_wfiles : int array list;  (** the same for word files *)
+  mutable nwfree : int;
 }
+
+(** Raised by {!compile} on a function whose values cannot all take
+    their slots: ill-typed IR the verifier rejects (an operand whose
+    type disagrees with its instruction's), or a constant without its
+    type's canonical form, which only hostile bitcode makes.  {!Engine}
+    runs such a function in the interpreter. *)
+exception Unsupported
 
 (** Compile one defined function (traps on a declaration).  With
     [profile], blocks are laid out hot-first (entry pinned) by aggregate

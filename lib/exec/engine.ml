@@ -11,9 +11,10 @@
 
    The engine installs itself as [machine.dispatch], so every call site
    routes back through the tier decision.  Declarations (builtins) go to
-   [Interp.exec_func].  A failed speculation guard needs nothing from
-   the engine: its deopt arm re-runs the original indirect call, which
-   dispatches like any other call. *)
+   [Interp.exec_func], and so does an ill-typed function the bytecode
+   compiler refuses ([Bytecode.Unsupported]).  A failed speculation
+   guard needs nothing from the engine: its deopt arm re-runs the
+   original indirect call, which dispatches like any other call. *)
 
 open Llvm_ir
 open Ir
@@ -28,19 +29,26 @@ let kind_name = function
 
 type t = {
   mach : machine;
-  compiled : (int, Bytecode.compiled) Hashtbl.t; (* func id -> bytecode *)
+  compiled : (int, Bytecode.compiled option) Hashtbl.t;
+  (* func id -> bytecode, or [None] when the function is ill-typed
+     ([Bytecode.Unsupported]) and stays in the interpreter *)
   (* aggregate profile for hot/cold block layout in [Bytecode.compile] *)
   layout_profile : Llvm_profile.Profile.t option;
   mutable promotions : string list; (* functions compiled, newest first *)
 }
 
-let get_compiled (e : t) (f : func) : Bytecode.compiled =
-  match Hashtbl.find_opt e.compiled f.fid with
-  | Some c -> c
-  | None ->
-    let c = Bytecode.compile ?profile:e.layout_profile e.mach f in
+let get_compiled (e : t) (f : func) : Bytecode.compiled option =
+  match Hashtbl.find e.compiled f.fid with
+  | c -> c
+  | exception Not_found ->
+    let c =
+      match Bytecode.compile ?profile:e.layout_profile e.mach f with
+      | c ->
+        e.promotions <- f.fname :: e.promotions;
+        Some c
+      | exception Bytecode.Unsupported -> None
+    in
     Hashtbl.replace e.compiled f.fid c;
-    e.promotions <- f.fname :: e.promotions;
     c
 
 let create ?(profiling = false) ?profile (kind : kind) (m : modul) : t =
@@ -56,7 +64,10 @@ let create ?(profiling = false) ?profile (kind : kind) (m : modul) : t =
     mach.dispatch <-
       (fun mach f args ->
         if is_declaration f then exec_func mach f args
-        else Bytecode.exec mach (get_compiled e f) args));
+        else
+          match get_compiled e f with
+          | Some c -> Bytecode.exec mach c args
+          | None -> exec_func mach f args));
   e
 
 (* Functions compiled to bytecode, in compile order: first-call order
@@ -75,7 +86,10 @@ let compile_all (e : t) : int * int =
   List.fold_left
     (fun (nf, ni) f ->
       if is_declaration f then (nf, ni)
-      else (nf + 1, ni + (get_compiled e f).Bytecode.src_instrs))
+      else
+        match get_compiled e f with
+        | Some c -> (nf + 1, ni + c.Bytecode.src_instrs)
+        | None -> (nf, ni))
     (0, 0) e.mach.modul.mfuncs
 
 (* -- Entry points ---------------------------------------------------------- *)

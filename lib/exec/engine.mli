@@ -6,7 +6,9 @@
     the default, is that same first-call policy under the name the wire
     format and the tools use.  The engine installs itself as
     [machine.dispatch], so every call site routes back through the tier
-    decision; declarations (builtins) run in the interpreter.
+    decision; declarations (builtins) run in the interpreter, and so
+    does an ill-typed function the bytecode compiler refuses
+    ({!Bytecode.Unsupported}).
     Compilation runs no analysis of the module: every load, store and
     division compiles to the guarded op the interpreter runs. *)
 
@@ -16,7 +18,9 @@ val kind_name : kind -> string
 
 type t = {
   mach : Interp.machine;
-  compiled : (int, Bytecode.compiled) Hashtbl.t;  (** func id -> bytecode *)
+  compiled : (int, Bytecode.compiled option) Hashtbl.t;
+      (** func id -> bytecode, or [None] for an ill-typed function
+          ({!Bytecode.Unsupported}), which runs in the interpreter *)
   layout_profile : Llvm_profile.Profile.t option;
       (** aggregate profile for hot/cold block layout *)
   mutable promotions : string list;  (** functions compiled, newest first *)

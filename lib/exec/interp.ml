@@ -432,6 +432,58 @@ let as_bool = function
   | Rint (_, v) -> v <> 0L
   | _ -> Memory.trap "bool expected"
 
+(* -- Words -------------------------------------------------------------------
+
+   A value whose static type is an integer of 32 bits or fewer, or bool,
+   is a "word": the bytecode tier keeps it unboxed, as an immediate int
+   holding [Fold]'s canonical value (a bool as 0 or 1).  Inside a
+   function such a value always has its type's exact shape, since every
+   instruction that makes one makes it from its own type.  Only a call
+   boundary can bring in another shape: an argument or a call result,
+   through a function pointer cast to a different type.  Both tiers
+   check there with [word_of_rtval], so both trap with the same text at
+   the same point. *)
+
+(* Is the resolved type [t] a word type? *)
+let is_word (t : Ltype.t) : bool =
+  match t with
+  | Ltype.Bool -> true
+  | Ltype.Integer k -> Ltype.int_bits k <= 32
+  | _ -> false
+
+let shape_name = function
+  | Rvoid -> "void"
+  | Rbool _ -> "bool"
+  | Rint (k, _) -> Ltype.to_string (Ltype.Integer k)
+  | Rfloat (t, _) -> Ltype.to_string t
+  | Rptr _ -> "pointer"
+
+let boundary_trap (ty : Ltype.t) (v : rtval) =
+  Memory.trap "call boundary: %s value where %s expected" (shape_name v)
+    (Ltype.to_string ty)
+
+let word_of_rtval (ty : Ltype.t) (v : rtval) : int =
+  match (ty, v) with
+  | Ltype.Bool, Rbool b -> Bool.to_int b
+  | Ltype.Integer k, Rint (k', x) when k = k' ->
+    let w = Int64.to_int x in
+    if Int64.of_int w = x && Fold.word_norm k w = w then w
+    else boundary_trap ty v
+  | _ -> boundary_trap ty v
+
+let rtval_of_word (ty : Ltype.t) (w : int) : rtval =
+  match ty with
+  | Ltype.Bool -> rbool (w <> 0)
+  | Ltype.Integer k -> Rint (k, Int64.of_int w)
+  | _ -> invalid_arg "Interp.rtval_of_word"
+
+(* [v], entering a slot of static type [ty] at a call boundary, after
+   the word check when [ty] is a word type *)
+let checked_entry table (ty : Ltype.t) (v : rtval) : rtval =
+  let t = Ltype.resolve table ty in
+  if is_word t then ignore (word_of_rtval t v);
+  v
+
 (* getelementptr address computation (paper section 2.2). *)
 let gep_address table (base : int64) (ptr_ty : Ltype.t)
     (indices : (Ltype.t * rtval) list) : int64 =
@@ -656,7 +708,7 @@ and run_instrs (fr : frame) (b : block) (instrs : instr list) : outcome =
       let args = eval_from fr i.operands 1 in
       match mach.dispatch mach callee args with
       | Normal r ->
-        if i.ity <> Ltype.Void then set fr i r;
+        if i.ity <> Ltype.Void then set fr i (checked_entry table i.ity r);
         run_instrs fr b rest
       | Unwinding -> finish fr Unwinding)
     | Invoke -> (
@@ -664,7 +716,7 @@ and run_instrs (fr : frame) (b : block) (instrs : instr list) : outcome =
       let args = eval_from fr i.operands 3 in
       match mach.dispatch mach callee args with
       | Normal r ->
-        if i.ity <> Ltype.Void then set fr i r;
+        if i.ity <> Ltype.Void then set fr i (checked_entry table i.ity r);
         run_block fr b (as_block i.operands.(1))
       | Unwinding -> run_block fr b (as_block i.operands.(2)))
     | Ret ->
@@ -697,6 +749,16 @@ and run_instrs (fr : frame) (b : block) (instrs : instr list) : outcome =
       run_block fr b target
     | Unwind -> finish fr Unwinding)
 
+(* Arguments into their slots, left to right, each through the call
+   boundary's word check. *)
+let rec bind_args table (slots : rtval array) k (args : rtval list)
+    (fargs : arg list) =
+  match (args, fargs) with
+  | v :: args, a :: fargs ->
+    slots.(k) <- checked_entry table a.aty v;
+    bind_args table slots (k + 1) args fargs
+  | _ -> ()
+
 let exec_func (mach : machine) (f : func) (args : rtval list) : outcome =
   if is_declaration f then begin
     match Hashtbl.find_opt builtins f.fname with
@@ -708,7 +770,7 @@ let exec_func (mach : machine) (f : func) (args : rtval list) : outcome =
     let slots = Array.make (Ids.Numbering.count layout) unset in
     if List.length args <> List.length f.fargs then
       Memory.trap "arity mismatch calling %s" f.fname;
-    List.iteri (fun k v -> slots.(k) <- v) args;
+    bind_args mach.modul.mtypes slots 0 args f.fargs;
     let fr = { mach; layout; slots; stack_allocs = [] } in
     (* the entry block has no predecessor, so no phis run *)
     let entry = entry_block f in

@@ -103,6 +103,29 @@ val rt_binop : Llvm_ir.Ir.opcode -> rtval -> rtval -> rtval
 (** A comparison's result, as {!rbool}. *)
 val rt_cmp : Llvm_ir.Ir.opcode -> rtval -> rtval -> rtval
 
+(** {1 Words}
+
+    A value whose static type is an integer of 32 bits or fewer, or
+    bool, is a word: the {!Bytecode} tier keeps it unboxed, as an
+    immediate int holding {!Llvm_ir.Fold}'s canonical value (a bool as 0
+    or 1).  Inside a function such a value always has its type's exact
+    shape; only a call boundary (an argument or a call result, through a
+    function pointer cast to a different type) can bring in another.
+    Both tiers check there with {!word_of_rtval}. *)
+
+(** Is this resolved type a word type? *)
+val is_word : Llvm_ir.Ltype.t -> bool
+
+(** The word a value carries into a slot of the given (resolved) word
+    type.  The value must have that type's exact shape: [Rbool] for
+    bool, or [Rint] of that very kind holding a canonical value.
+    @raise Memory.Trap otherwise, with the one call-boundary text both
+    tiers use. *)
+val word_of_rtval : Llvm_ir.Ltype.t -> rtval -> int
+
+(** The boxed form of a word of the given (resolved) word type. *)
+val rtval_of_word : Llvm_ir.Ltype.t -> int -> rtval
+
 val as_ptr : rtval -> int64
 val as_int : rtval -> int64
 val as_bool : rtval -> bool

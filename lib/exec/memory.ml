@@ -95,11 +95,25 @@ let locate (m : t) (addr : int64) (len : int) : Bytes.t =
       (Bytes.length a.bytes)
   else a.bytes
 
+(* Widths of 4 bytes or fewer read and write immediate ints ("words"),
+   zero-extended, so the bytecode tier's word registers reach memory
+   without boxing an int64; the int64 accessors use them for those
+   widths. *)
+let get_word (b : Bytes.t) (off : int) ~(size : int) : int =
+  match size with
+  | 1 -> Char.code (Bytes.get b off)
+  | 2 -> Bytes.get_uint16_le b off
+  | _ -> Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
+
+let set_word (b : Bytes.t) (off : int) ~(size : int) (v : int) : unit =
+  match size with
+  | 1 -> Bytes.set b off (Char.unsafe_chr (v land 0xFF))
+  | 2 -> Bytes.set_uint16_le b off (v land 0xFFFF)
+  | _ -> Bytes.set_int32_le b off (Int32.of_int v)
+
 let get_int (b : Bytes.t) (off : int) ~(size : int) : int64 =
   match size with
-  | 1 -> Int64.of_int (Char.code (Bytes.get b off))
-  | 2 -> Int64.of_int (Bytes.get_uint16_le b off)
-  | 4 -> Int64.logand (Int64.of_int32 (Bytes.get_int32_le b off)) 0xFFFFFFFFL
+  | 1 | 2 | 4 -> Int64.of_int (get_word b off ~size)
   | 8 -> Bytes.get_int64_le b off
   | _ ->
     let rec go k acc =
@@ -113,9 +127,7 @@ let get_int (b : Bytes.t) (off : int) ~(size : int) : int64 =
 
 let set_int (b : Bytes.t) (off : int) ~(size : int) (v : int64) : unit =
   match size with
-  | 1 -> Bytes.set b off (Char.unsafe_chr (Int64.to_int v land 0xFF))
-  | 2 -> Bytes.set_uint16_le b off (Int64.to_int v land 0xFFFF)
-  | 4 -> Bytes.set_int32_le b off (Int64.to_int32 v)
+  | 1 | 2 | 4 -> set_word b off ~size (Int64.to_int v)
   | 8 -> Bytes.set_int64_le b off v
   | _ ->
     for k = 0 to size - 1 do
@@ -128,6 +140,12 @@ let read_int (m : t) (addr : int64) ~(size : int) : int64 =
 
 let write_int (m : t) (addr : int64) ~(size : int) (v : int64) : unit =
   set_int (locate m addr size) (offset_of addr) ~size v
+
+let read_word (m : t) (addr : int64) ~(size : int) : int =
+  get_word (locate m addr size) (offset_of addr) ~size
+
+let write_word (m : t) (addr : int64) ~(size : int) (v : int) : unit =
+  set_word (locate m addr size) (offset_of addr) ~size v
 
 (* Read a NUL-terminated string (for the print_str builtin). *)
 let read_cstring (m : t) (addr : int64) : string =

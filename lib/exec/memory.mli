@@ -37,6 +37,13 @@ val read_int : t -> int64 -> size:int -> int64
 
 val write_int : t -> int64 -> size:int -> int64 -> unit
 
+(** The same for widths of 1, 2 or 4 bytes, on immediate ints: a read
+    zero-extends, a write keeps the low [8 * size] bits.  Neither
+    allocates. *)
+val read_word : t -> int64 -> size:int -> int
+
+val write_word : t -> int64 -> size:int -> int -> unit
+
 (** Read a NUL-terminated string (for the print_str builtin). *)
 val read_cstring : t -> int64 -> string
 

@@ -1,6 +1,7 @@
 (* Unit tests for the bytecode compiler itself: branch-target
-   resolution, phi-copy lowering, constant pooling, and fuel-accounting
-   parity with the interpreter. *)
+   resolution, phi-copy lowering, constant pooling, fuel-accounting
+   parity with the interpreter, unboxed word registers and the
+   call-boundary check that guards them. *)
 
 open Llvm_ir
 open Ir
@@ -57,6 +58,36 @@ let swap_module ~(trips : int64) () =
   Builder.position_at_end b exit_;
   let ten = Builder.build_mul b pa (Vconst (cint Ltype.Long 10L)) in
   let r = Builder.build_add b ten pb in
+  ignore (Builder.build_ret b (Some r));
+  (m, f)
+
+(* spin(n): an i32 loop of add/xor/rem/compare/branch, n trips *)
+let word_loop_module () =
+  let m = mk_module "wordloop" in
+  let b = Builder.for_module m in
+  let f =
+    Builder.start_function b m ~linkage:External "spin" Ltype.int_ [ ("n", Ltype.int_) ]
+  in
+  let n = Varg (List.hd f.fargs) in
+  let i32 v = Vconst (cint Ltype.Int v) in
+  let entry = Builder.insertion_block b in
+  let loop = Builder.append_new_block b f "loop" in
+  let exit_ = Builder.append_new_block b f "done" in
+  ignore (Builder.build_br b loop);
+  Builder.position_at_end b loop;
+  let pi = Builder.build_phi b Ltype.int_ [ (i32 0L, entry) ] in
+  let pacc = Builder.build_phi b Ltype.int_ [ (i32 1L, entry) ] in
+  let x = Builder.build_xor b (Builder.build_add b pacc pi) (i32 0x5bd1e995L) in
+  let r = Builder.build_rem b x (i32 1000003L) in
+  let i' = Builder.build_add b pi (i32 1L) in
+  (match (pi, pacc) with
+  | Vinstr ii, Vinstr ia ->
+    phi_add_incoming ii i' loop;
+    phi_add_incoming ia r loop
+  | _ -> assert false);
+  let c = Builder.build_setlt b i' n in
+  ignore (Builder.build_condbr b c loop exit_);
+  Builder.position_at_end b exit_;
   ignore (Builder.build_ret b (Some r));
   (m, f)
 
@@ -194,16 +225,120 @@ let test_rejects_declarations () =
   | _ -> Alcotest.fail "compiling a declaration should trap"
 
 let test_disassembler () =
-  let m, f = diamond_module () in
+  let listing (m, f) =
+    let mach = Interp.create m in
+    mach.Interp.profiling <- true;
+    Bytecode.disassemble (Bytecode.compile mach f)
+  in
+  let mentions text needles =
+    List.iter
+      (fun needle ->
+        Alcotest.(check bool) ("listing mentions " ^ needle) true
+          (Astring_contains.contains text needle))
+      needles
+  in
+  mentions (listing (diamond_module ())) [ "max"; "ret"; "prof"; "r0" ];
+  (* an i32 function keeps its values in word registers, printed w<n>:
+     arithmetic, phi copies, the branch condition and the constants *)
+  mentions
+    (listing (word_loop_module ()))
+    [ "spin"; "add.int w"; "rem.int w"; "setlt.int w"; "copy w"; "br w"; "= 1000003" ]
+
+(* The word loop runs without allocating: the minor words of a long run
+   less those of a short one, per extra trip.  [Gc.minor_words], since
+   [Gc.counters] crashes traced runs on OCaml 5.1.1. *)
+let test_word_loop_allocation () =
+  let m, f = word_loop_module () in
   let mach = Interp.create m in
-  mach.Interp.profiling <- true;
   let c = Bytecode.compile mach f in
-  let text = Bytecode.disassemble c in
+  let run n =
+    mach.Interp.fuel <- max_int;
+    let w0 = Gc.minor_words () in
+    let r = Bytecode.exec mach c [ Interp.Rint (Ltype.Int, Int64.of_int n) ] in
+    (Gc.minor_words () -. w0, r)
+  in
+  let short, _ = run 1_000 in
+  let long, r = run 101_000 in
+  let per_trip = (long -. short) /. 100_000. in
+  Alcotest.(check bool)
+    (Fmt.str "%.3f minor words per trip (< 1)" per_trip)
+    true (per_trip < 1.0);
+  mach.Interp.fuel <- max_int;
+  let expect = Interp.exec_func mach f [ Interp.Rint (Ltype.Int, 101_000L) ] in
+  match (expect, r) with
+  | Interp.Normal e, Interp.Normal v -> Alcotest.check rt "bytecode agrees" e v
+  | _ -> Alcotest.fail "unexpected unwind"
+
+(* main calls [callee] through a pointer to it cast to [fty] *)
+let cast_call_module ~name ~(fty : Ltype.t) ~(args : value list)
+    (callee : Builder.t -> modul -> func) : modul =
+  let m = mk_module name in
+  let b = Builder.for_module m in
+  let fn = callee b m in
+  ignore (Builder.start_function b m ~linkage:External "main" Ltype.int_ []);
+  let fp = Builder.build_cast b (Vfunc fn) (Ltype.pointer fty) in
+  ignore (Builder.build_ret b (Some (Builder.build_call b fp args)));
+  Verify.assert_valid m;
+  m
+
+(* A value reaches a word register from outside only as an argument or a
+   call result.  Through a cast function pointer either can have the
+   wrong shape; both tiers check at the same point and trap alike. *)
+let test_call_boundary () =
+  let long_to_int =
+    cast_call_module ~name:"arg" ~fty:(Ltype.func Ltype.int_ [ Ltype.long ])
+      ~args:[ Vconst (cint Ltype.Long 5L) ]
+      (fun b m ->
+        let f =
+          Builder.start_function b m ~linkage:Internal "twice" Ltype.int_
+            [ ("x", Ltype.int_) ]
+        in
+        let x = Varg (List.hd f.fargs) in
+        ignore (Builder.build_ret b (Some (Builder.build_add b x x)));
+        f)
+  in
+  let pointer_to_int =
+    cast_call_module ~name:"result" ~fty:(Ltype.func Ltype.int_ []) ~args:[]
+      (fun b m ->
+        let f =
+          Builder.start_function b m ~linkage:Internal "cell"
+            (Ltype.pointer Ltype.int_) []
+        in
+        ignore (Builder.build_ret b (Some (Builder.build_malloc b Ltype.int_)));
+        f)
+  in
   List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("listing mentions " ^ needle) true
-        (Astring_contains.contains text needle))
-    [ "max"; "ret"; "prof" ]
+    (fun (m, msg, instructions) ->
+      let ri = Engine.run_main ~profiling:true Engine.Interp_tier m in
+      let rb = Engine.run_main ~profiling:true Engine.Bytecode_tier m in
+      Alcotest.(check string) "interp traps" ("trapped: " ^ msg)
+        (Interp.status_to_string (fst ri).Interp.status);
+      Alcotest.(check int) "at the boundary" instructions (fst ri).Interp.instructions;
+      Alcotest.(check (list string)) "tiers agree" []
+        (List.map Interp.field_name (Interp.differences ri rb)))
+    [ (long_to_int, "call boundary: long value where int expected", 2);
+      (pointer_to_int, "call boundary: pointer value where int expected", 4) ]
+
+(* A constant without its type's canonical form (only hostile bitcode
+   makes one: the verifier does not look at constant values) has no
+   word; the compiler refuses the function and the engine interprets it,
+   so the tiers still agree. *)
+let test_ill_shaped_constant () =
+  let m = mk_module "odd" in
+  let b = Builder.for_module m in
+  let f = Builder.start_function b m ~linkage:External "main" Ltype.int_ [] in
+  let odd = Vconst (Cint (Ltype.int_, 0x1_0000_0007L)) in
+  ignore
+    (Builder.build_ret b (Some (Builder.build_div b odd (Vconst (cint Ltype.Int 2L)))));
+  (match Bytecode.compile (Interp.create m) f with
+  | exception Bytecode.Unsupported -> ()
+  | _ -> Alcotest.fail "an ill-shaped word constant compiled");
+  let e = Engine.create ~profiling:true Engine.Bytecode_tier m in
+  let rb = (Interp.run_loaded e.Engine.mach, e.Engine.mach.Interp.block_counts) in
+  let ri = Engine.run_main ~profiling:true Engine.Interp_tier m in
+  Alcotest.(check (list string)) "interpreted, not compiled" [] (Engine.promotions e);
+  Alcotest.(check (list string)) "tiers agree" []
+    (List.map Interp.field_name (Interp.differences ri rb))
 
 let tests =
   [ Alcotest.test_case "branch targets resolve to code offsets" `Quick
@@ -216,4 +351,10 @@ let tests =
     Alcotest.test_case "declarations are rejected" `Quick
       test_rejects_declarations;
     Alcotest.test_case "disassembler prints a listing" `Quick
-      test_disassembler ]
+      test_disassembler;
+    Alcotest.test_case "an i32 loop allocates nothing" `Quick
+      test_word_loop_allocation;
+    Alcotest.test_case "call boundary traps alike in both tiers" `Quick
+      test_call_boundary;
+    Alcotest.test_case "ill-shaped constants stay interpreted" `Quick
+      test_ill_shaped_constant ]

@@ -344,6 +344,73 @@ let test_fold_cast () =
     (Fold.fold_cast (Cnull (Ltype.pointer Ltype.int_)) (Ltype.pointer Ltype.sbyte)
     = Some (Cnull (Ltype.pointer Ltype.sbyte)))
 
+(* The word table (integers of 32 bits or fewer as immediate ints)
+   against results worked out from each kind's width, and the int64 view
+   [int_binop_exn]/[int_cmp] takes of the same table. *)
+let test_fold_words () =
+  List.iter
+    (fun k ->
+      let bits = Ltype.int_bits k and signed = Ltype.is_signed k in
+      let name = Ltype.to_string (Ltype.Integer k) in
+      let top = 1 lsl (bits - 1) and all = (1 lsl bits) - 1 in
+      (* canonical forms: the top bit set, -1, the least and greatest *)
+      let hi = if signed then -top else top in
+      let m1 = if signed then -1 else all in
+      let minv = if signed then -top else 0 in
+      let maxv = if signed then top - 1 else all in
+      let bin op a b expect =
+        let what = Fmt.str "%s %s %d, %d" (opcode_name op) name a b in
+        Alcotest.(check int) what expect (Fold.word_binop_exn k op a b);
+        Alcotest.(check int64) (what ^ " (int64)") (Int64.of_int expect)
+          (Fold.int_binop_exn k op (Int64.of_int a) (Int64.of_int b))
+      in
+      let cmp op a b expect =
+        let what = Fmt.str "%s %s %d, %d" (opcode_name op) name a b in
+        Alcotest.(check bool) what expect (Fold.word_cmp k op a b);
+        Alcotest.(check bool) (what ^ " (int64)") expect
+          (Fold.int_cmp k op (Int64.of_int a) (Int64.of_int b))
+      in
+      (* wraparound *)
+      bin Add maxv 1 minv;
+      bin Sub minv 1 maxv;
+      bin Mul maxv 2 (if signed then -2 else all - 1);
+      bin Mul hi 2 0;
+      (* min / -1, and -1 as the greatest unsigned divisor *)
+      if signed then begin
+        bin Div minv (-1) minv;
+        bin Rem minv (-1) 0
+      end
+      else begin
+        bin Div hi m1 0;
+        bin Div m1 m1 1;
+        bin Rem hi m1 hi
+      end;
+      (* division with the top bit set: truncating when signed, on the
+         unsigned magnitude otherwise *)
+      bin Div hi 3 (if signed then -(top / 3) else top / 3);
+      bin Rem hi 3 (if signed then -(top mod 3) else top mod 3);
+      Alcotest.check_raises (name ^ " div by zero") Fold.Undefined (fun () ->
+          ignore (Fold.word_binop_exn k Div 1 0));
+      Alcotest.check_raises (name ^ " rem by zero") Fold.Undefined (fun () ->
+          ignore (Fold.word_binop_exn k Rem hi 0));
+      (* shift counts bits-1, bits, 63 and 64 *)
+      bin Shl 1 (bits - 1) hi;
+      List.iter (fun s -> bin Shl 1 s 0) [ bits; 63; 64 ];
+      bin Shr m1 (bits - 1) (if signed then -1 else 1);
+      List.iter (fun s -> bin Shr m1 s (if signed then -1 else 0)) [ bits; 63; 64 ];
+      bin Shr maxv (bits - 1) (if signed then 0 else 1);
+      (* a negative count is a huge unsigned one *)
+      bin Shl 1 m1 0;
+      (* compares: -1 is the greatest value when unsigned *)
+      cmp SetLT m1 1 signed;
+      cmp SetGT m1 1 (not signed);
+      cmp SetGT hi 1 (not signed);
+      cmp SetGE m1 hi true;
+      cmp SetLE minv maxv true;
+      cmp SetEQ m1 m1 true;
+      cmp SetNE 0 m1 true)
+    Ltype.[ Sbyte; Ubyte; Short; Ushort; Int; Uint ]
+
 let tests =
   [ Alcotest.test_case "opcode count is 31" `Quick test_opcode_count;
     Alcotest.test_case "primitive type sizes" `Quick test_type_sizes;
@@ -381,6 +448,7 @@ let tests =
     Alcotest.test_case "constant types" `Quick test_constant_types;
     Alcotest.test_case "constant folding: arithmetic" `Quick test_fold_arith;
     Alcotest.test_case "constant folding: comparisons" `Quick test_fold_cmp;
+    Alcotest.test_case "constant folding: the word table" `Quick test_fold_words;
     Alcotest.test_case "constant folding: casts" `Quick test_fold_cast ]
 
 (* -- qcheck properties on the type system and integer model ------------------ *)
