@@ -12,6 +12,9 @@
    - operand types obey the instruction type rules (section 2.2), e.g.
      both operands of a binary op share the result type, stored values
      match the pointee type, comparisons yield bool;
+   - every integer constant operand, bare or under a constant cast, has
+     an integer type and holds that type's canonical value (what
+     [Ir.cint] makes), so no value is wider than its type;
    - use-lists are consistent with operand arrays;
    - module-level names are unique;
    - every named type that is resolved is defined.
@@ -206,6 +209,41 @@ let check_types table errors (fname : string) (i : instr) =
     | _ -> ())
   | Ret | Unwind -> ()
 
+(* -- Integer constants -----------------------------------------------------
+
+   Checked on every operand of every instruction, so allocation-free on
+   constants that pass: no [Ltype.resolve], no closures. *)
+
+(* Is [v] the canonical value of kind [k], the one [Ir.normalize_int]
+   makes: in the kind's signed or unsigned range? *)
+let canonical_int (k : Ltype.int_kind) (v : int64) =
+  match k with
+  | Ltype.Sbyte -> v >= -0x80L && v < 0x80L
+  | Ltype.Ubyte -> v >= 0L && v < 0x100L
+  | Ltype.Short -> v >= -0x8000L && v < 0x8000L
+  | Ltype.Ushort -> v >= 0L && v < 0x1_0000L
+  | Ltype.Int -> v >= -0x8000_0000L && v < 0x8000_0000L
+  | Ltype.Uint -> v >= 0L && v < 0x1_0000_0000L
+  | Ltype.Long | Ltype.Ulong -> true
+
+let rec canonical_const = function
+  | Cint (Ltype.Integer k, v) -> canonical_int k v
+  | Cint _ -> false
+  | Ccast (_, c) -> canonical_const c
+  | _ -> true
+
+let rec check_consts table errors fname (i : instr) k =
+  if k < Array.length i.operands then begin
+    (match i.operands.(k) with
+    | Vconst c when not (canonical_const c) ->
+      fail_at errors fname
+        (fun () -> opcode_name i.iop)
+        "constant %a is not a canonical integer of its type" Printer.pp_typed_const
+        (type_of_const table c, c)
+    | _ -> ());
+    check_consts table errors fname i (k + 1)
+  end
+
 (* Check the shape of each of [instrs]; false when any is malformed. *)
 let rec well_shaped errors fname ok (instrs : instr list) =
   match instrs with
@@ -269,7 +307,8 @@ let verify_func table errors (f : func) =
             (match i.iparent with
             | Some p when p == b -> ()
             | _ -> fail "instruction with stale parent pointer");
-            check_types table errors fname i)
+            check_types table errors fname i;
+            check_consts table errors fname i 0)
           b.instrs)
       f.fblocks;
     (* Returns must match the function's return type. *)

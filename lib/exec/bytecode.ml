@@ -31,7 +31,12 @@
    profiles.  Every load, store and division takes the interpreter's
    guarded path: removing checks with value ranges is the work of the
    offline passes (rangeprop and bounds-check elimination), not of the
-   translator. *)
+   translator.
+
+   The tier runs verified modules: every defined function of one
+   compiles to this single form, and every activation runs on freshly
+   allocated register files.  Only unverified IR can make a function
+   the compiler cannot translate, and that ends the run with a trap. *)
 
 open Llvm_ir
 open Ir
@@ -47,9 +52,9 @@ type callee =
   | Direct of func
   | Indirect of operand * int (* dynamic callee, call-site instr id *)
 
-type 'a gstep =
+type gstep =
   | Goff of int (* constant byte offset *)
-  | Gscale of 'a * int (* dynamic index times element size *)
+  | Gscale of operand * int (* index operand times element size *)
 
 type bc =
   (* free (no fuel): bookkeeping that has no IR-instruction counterpart *)
@@ -57,7 +62,6 @@ type bc =
   | Copy of int * operand (* boxed phi-lowering move *)
   | Wmov of int * int (* word phi-lowering move *)
   | Jmp of int (* edge-stub tail jump *)
-  | DeadEnd of string (* fell off an unterminated block *)
   (* one fuel unit each: real IR instructions.  The W ops read and write
      word registers only. *)
   | Wbin of opcode * Ltype.int_kind * int * int * int (* kind, dst, a, b *)
@@ -74,8 +78,7 @@ type bc =
   | FreeI of operand
   | LoadI of Ltype.t * int * operand (* resolved result type *)
   | StoreI of int * operand * operand (* byte size, value, pointer *)
-  | GepI of int * operand * operand gstep array
-  | GepSlow of int * operand * Ltype.t * (Ltype.t * operand) array
+  | GepI of int * operand * gstep array
   | CallI of { dst : operand; void : bool; callee : callee; args : operand array }
   | InvokeI of {
       dst : operand;
@@ -102,28 +105,7 @@ type compiled = {
   wconsts : (int * int) list; (* word constants: slot, value *)
   code : bc array;
   src_instrs : int; (* IR instructions compiled (statistics) *)
-  (* recycled register files for *large* functions: a file above the
-     minor-heap allocation limit is allocated directly on the major heap,
-     so without reuse every call to a big (e.g. heavily inlined) function
-     pays a major-heap allocation plus O(size) initialization.  Small
-     files stay minor-heap allocations — pooling boxed ones would promote
-     them to the major heap and tax every register store with the write
-     barrier.  Files need no clearing between uses: the compiler hands
-     out one slot per SSA value, and every use is dominated by its def,
-     so a slot is always written in the current activation before it is
-     read (word constants are never written at all). *)
-  mutable free_frames : rtval array list;
-  mutable nfree : int;
-  mutable free_wfiles : int array list;
-  mutable nwfree : int;
 }
-
-(* A function whose values cannot all take their slots: ill-typed IR
-   the verifier rejects (an operand whose type disagrees with its
-   instruction's), or a constant without its type's canonical form,
-   which only hostile bitcode makes.  The engine runs such a function
-   in the interpreter. *)
-exception Unsupported
 
 (* -- Compilation ----------------------------------------------------------- *)
 
@@ -136,6 +118,10 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
   if is_declaration f then
     Memory.trap "cannot compile declaration %s to bytecode" f.fname;
   let table = mach.modul.mtypes in
+  (* The one failure: a function whose values cannot all take their
+     slots, or whose blocks do not all end in a terminator, is IR the
+     verifier rejects, and it ends the run. *)
+  let ill_typed () = Memory.trap "bytecode: ill-typed function %s" f.fname in
   (* Hot/cold block layout (section 3.5): with an aggregate profile,
      order the body hot-first — entry pinned first, then blocks by
      profile weight, never-executed ("cold") blocks last in source
@@ -159,7 +145,7 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
   in
   (* register slots, by value id: a word slot for a word type, else a
      boxed one *)
-  let slots : (int, operand) Hashtbl.t = Hashtbl.create 64 in
+  let slots : operand Ids.t = Ids.create 64 in
   let nregs = ref 0 in
   let nwords = ref 0 in
   let fresh n =
@@ -168,46 +154,62 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
     s
   in
   let place id ty : operand =
-    match Hashtbl.find_opt slots id with
+    match Ids.find_opt slots id with
     | Some o -> o
     | None ->
       let t = Ltype.resolve table ty in
       let o = if is_word t then Wrd (fresh nwords, t) else Reg (fresh nregs) in
-      Hashtbl.replace slots id o;
+      Ids.replace slots id o;
       o
   in
   let arg_slots = Array.of_list (List.map (fun a -> place a.aid a.aty) f.fargs) in
-  (* constant pool: evaluate each distinct constant once *)
-  let pool_index : (rtval, int) Hashtbl.t = Hashtbl.create 32 in
+  (* constant pool: evaluate each distinct constant once, and make one
+     operand for it *)
+  let pool_index : (rtval, operand) Hashtbl.t = Hashtbl.create 32 in
   let pool_rev = ref [] in
   let pool_n = ref 0 in
   let cst (v : rtval) : operand =
     match Hashtbl.find_opt pool_index v with
-    | Some k -> Cst k
+    | Some o -> o
     | None ->
-      let k = !pool_n in
-      incr pool_n;
-      Hashtbl.replace pool_index v k;
+      let o = Cst (fresh pool_n) in
+      Hashtbl.replace pool_index v o;
       pool_rev := v :: !pool_rev;
-      Cst k
+      o
   in
-  (* word constants get word slots of their own, one per distinct word;
-     a constant without its type's exact shape has no word *)
-  let wconst_slot : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let wconsts = ref [] in
-  let wconst t (c : const) : operand =
-    let w =
+  (* A word constant's word.  A verified integer constant already holds
+     its kind's canonical value; only a constant cast, undef or zero
+     needs evaluating. *)
+  let word_of_const t (c : const) : int =
+    match (t, c) with
+    | Ltype.Integer k, Cint (_, v) ->
+      let w = Int64.to_int v in
+      if Int64.of_int w <> v || Fold.word_norm k w <> w then ill_typed ();
+      w
+    | Ltype.Bool, Cbool b -> Bool.to_int b
+    | _ -> (
       match word_of_rtval t (const_rtval mach table c) with
       | w -> w
-      | exception Memory.Trap _ -> raise Unsupported
-    in
-    match Hashtbl.find_opt wconst_slot w with
-    | Some s -> Wrd (s, t)
+      | exception Memory.Trap _ -> ill_typed ())
+  in
+  (* word constants get word slots of their own, one per distinct word,
+     and one operand per word and type, made once *)
+  let wconst_ops : (int, int * operand) Hashtbl.t = Hashtbl.create 16 in
+  let wconsts = ref [] in
+  let wconst_op w s t =
+    let o = Wrd (s, t) in
+    Hashtbl.replace wconst_ops w (s, o);
+    o
+  in
+  let wconst t (c : const) : operand =
+    let w = word_of_const t c in
+    match Hashtbl.find_opt wconst_ops w with
+    | Some (_, (Wrd (_, t') as o)) when t' = t -> o
+    | Some (s, _) -> wconst_op w s t
     | None ->
       let s = fresh nwords in
-      Hashtbl.replace wconst_slot w s;
       wconsts := (s, w) :: !wconsts;
-      Wrd (s, t)
+      wconst_op w s t
   in
   let operand (v : value) : operand =
     match v with
@@ -218,13 +220,13 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
     | Varg a -> place a.aid a.aty
     | Vglobal g -> cst (const_rtval mach table (Cgvar g))
     | Vfunc fn -> cst (Rptr (func_address mach fn))
-    | Vblock _ -> Memory.trap "block used as a value"
+    | Vblock _ -> ill_typed ()
   in
   let dest (i : instr) = place i.iid i.ity in
   (* the boxed slot of an instruction whose result is never a word (an
      address, or a load of a boxed type) *)
   let boxed_dest (i : instr) =
-    match dest i with Reg d -> d | Cst _ | Wrd _ -> raise Unsupported
+    match dest i with Reg d -> d | Cst _ | Wrd _ -> ill_typed ()
   in
   (* code emission into label space; labels become pcs in a final pass *)
   let buf = ref [] in
@@ -278,10 +280,8 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
               match (dest i, operand v) with
               | Wrd (d, t), Wrd (s, t') when t = t' -> Some (Wmov (d, s))
               | Reg d, ((Reg _ | Cst _) as s) -> Some (Copy (d, s))
-              | _ -> raise Unsupported)
-            | None ->
-              Memory.trap "phi %%%s has no entry for predecessor %%%s" i.iname
-                src.bname)
+              | _ -> ill_typed ())
+            | None -> ill_typed ())
         dst.instrs
     in
     (* phis assign in parallel: when a source register is also a
@@ -323,85 +323,58 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
     | v -> Indirect (operand v, site.iid)
   in
   (* A gep as the address arithmetic [GepI] performs: constant byte
-     offsets (adjacent ones merged) and index values scaled by their
-     element size, in operand order.  [None] when the gep needs
-     [GepSlow]: a variable or unfoldable struct index, or an index into
-     a scalar, keeps the interpreter's runtime trap. *)
-  let gep_steps (g : instr) : value gstep array option =
-    let exception Fallback in
+     offsets (adjacent ones merged) and index operands scaled by their
+     element size, in operand order.  A constant index too large to fold
+     is scaled at run time, in the same [Int64] arithmetic as the
+     interpreter's gep. *)
+  let compile_gep (g : instr) =
+    let dst = boxed_dest g in
+    let base = operand g.operands.(0) in
     let steps = ref [] in
     let push_off o =
       match !steps with
       | Goff p :: rest -> steps := Goff (p + o) :: rest
       | _ -> steps := Goff o :: !steps
     in
-    let walk () =
-      let cur =
-        match Ltype.resolve table (Ir.type_of table g.operands.(0)) with
-        | Ltype.Pointer pointee -> ref pointee
-        | _ -> raise Fallback (* non-pointer base: traps at runtime *)
-      in
-      for n = 1 to Array.length g.operands - 1 do
-        let idx = g.operands.(n) in
-        let const_idx =
-          match idx with
-          | Vconst c -> (
-            match const_rtval mach table c with
-            | Rint (_, v) when foldable_index v -> Some v
-            | Rbool b -> Some (if b then 1L else 0L)
-            | _ -> None)
-          | _ -> None
-        in
-        let scaled sz =
-          match const_idx with
-          | Some v -> push_off (Int64.to_int v * sz)
-          | None -> steps := Gscale (idx, sz) :: !steps
-        in
-        if n = 1 then
-          (* first index steps over the pointer: scale by pointee size *)
-          scaled (Ltype.size_of table !cur)
-        else
-          match (Ltype.resolve table !cur, const_idx) with
-          | Ltype.Array (_, elt), _ ->
-            scaled (Ltype.size_of table elt);
-            cur := elt
-          | (Ltype.Struct _ as s), Some v ->
-            let k = Int64.to_int v in
-            push_off (Ltype.field_offset table s k);
-            cur := Ltype.field_type table s k
-          | _ -> raise Fallback
-      done;
-      Some (Array.of_list (List.rev !steps))
+    let cur =
+      match Ltype.resolve table (Ir.type_of table g.operands.(0)) with
+      | Ltype.Pointer pointee -> ref pointee
+      | _ -> ill_typed ()
     in
-    try walk () with Fallback | Invalid_argument _ -> None
-  in
-  let compile_gep (i : instr) =
-    let dst = boxed_dest i in
-    let base = operand i.operands.(0) in
-    match gep_steps i with
-    | Some steps ->
-      let step = function
-        | Goff o -> Goff o
-        | Gscale (v, sz) -> Gscale (operand v, sz)
+    for n = 1 to Array.length g.operands - 1 do
+      let idx = g.operands.(n) in
+      let scaled sz =
+        match idx with
+        | Vconst (Cint (_, v)) when foldable_index v -> push_off (Int64.to_int v * sz)
+        | Vconst (Cbool b) -> push_off (Bool.to_int b * sz)
+        | _ -> steps := Gscale (operand idx, sz) :: !steps
       in
-      emit (GepI (dst, base, Array.map step steps))
-    | None ->
-      let idxs =
-        Array.init
-          (Array.length i.operands - 1)
-          (fun k ->
-            let v = i.operands.(k + 1) in
-            (Ir.type_of table v, operand v))
-      in
-      emit (GepSlow (dst, base, Ir.type_of table i.operands.(0), idxs))
+      if n = 1 then
+        (* first index steps over the pointer: scale by pointee size *)
+        scaled (Ltype.size_of table !cur)
+      else
+        match (Ltype.resolve table !cur, idx) with
+        | Ltype.Array (_, elt), _ ->
+          scaled (Ltype.size_of table elt);
+          cur := elt
+        | (Ltype.Struct _ as s), Vconst (Cint (_, v)) when foldable_index v -> (
+          let k = Int64.to_int v in
+          match (Ltype.field_offset table s k, Ltype.field_type table s k) with
+          | off, fty ->
+            push_off off;
+            cur := fty
+          | exception Invalid_argument _ -> ill_typed ())
+        | _ -> ill_typed ()
+    done;
+    emit (GepI (dst, base, Array.of_list (List.rev !steps)))
   in
   let n_instrs = ref 0 in
   let compile_instr (b : block) (i : instr) =
     incr n_instrs;
-    let op k = operand i.operands.(k) in
+    let ops = i.operands in
     match i.iop with
     | Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr -> (
-      match (dest i, op 0, op 1) with
+      match (dest i, operand ops.(0), operand ops.(1)) with
       | Wrd (d, t), Wrd (x, tx), Wrd (y, ty) when tx = t && ty = t -> (
         match (t, i.iop) with
         | Ltype.Integer k, _ -> emit (Wbin (i.iop, k, d, x, y))
@@ -410,50 +383,50 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
           emit (Wbin (i.iop, Ltype.Ubyte, d, x, y))
         | _ -> (* bool arithmetic: traps in [rt_binop] *)
           emit (Bin (i.iop, Wrd (d, t), Wrd (x, tx), Wrd (y, ty))))
-      | Wrd _, _, _ -> raise Unsupported
+      | Wrd _, _, _ -> ill_typed ()
       | d, a, b -> emit (Bin (i.iop, d, a, b)))
     | SetEQ | SetNE | SetLT | SetGT | SetLE | SetGE -> (
-      match (dest i, op 0, op 1) with
+      match (dest i, operand ops.(0), operand ops.(1)) with
       | Wrd (d, Ltype.Bool), Wrd (x, Ltype.Integer k), Wrd (y, Ltype.Integer _) ->
         emit (Wcmp (i.iop, k, d, x, y))
       | Wrd (d, Ltype.Bool), Wrd (x, Ltype.Bool), Wrd (y, Ltype.Bool) ->
         (* bools compare as the bytes 0 and 1, as in [rt_cmp] *)
         emit (Wcmp (i.iop, Ltype.Ubyte, d, x, y))
       | Wrd (d, Ltype.Bool), a, b -> emit (Cmp (i.iop, d, a, b))
-      | _ -> raise Unsupported)
+      | _ -> ill_typed ())
     | Cast -> (
-      match (dest i, op 0) with
+      match (dest i, operand ops.(0)) with
       | Wrd (d, t), Wrd (x, _) -> emit (Wcast (t, d, x))
       | d, a -> emit (CastI (Ltype.resolve table i.ity, d, a)))
     | Select -> (
-      match (dest i, op 0, op 1, op 2) with
+      match (dest i, operand ops.(0), operand ops.(1), operand ops.(2)) with
       | Wrd (d, t), Wrd (c, _), Wrd (x, tx), Wrd (y, ty) when tx = t && ty = t ->
         emit (Wsel (d, c, x, y))
       | (Wrd (_, t) as d), c, (Wrd (_, tx) as x), (Wrd (_, ty) as y)
         when tx = t && ty = t ->
         emit (Sel (d, c, x, y))
-      | Wrd _, _, _, _ -> raise Unsupported
+      | Wrd _, _, _, _ -> ill_typed ()
       | d, c, x, y -> emit (Sel (d, c, x, y)))
     | Alloca | Malloc ->
       let elt = Option.get i.alloc_ty in
       let count =
-        if Array.length i.operands > 0 then Some (op 0)
+        if Array.length i.operands > 0 then Some (operand ops.(0))
         else None
       in
       emit
         (AllocI
            { dst = boxed_dest i; elt_size = Ltype.size_of table elt; count;
              on_stack = i.iop = Alloca })
-    | Free -> emit (FreeI (op 0))
+    | Free -> emit (FreeI (operand ops.(0)))
     | Load -> (
       match dest i with
-      | Wrd (d, t) -> emit (Wload (t, d, op 0))
-      | _ -> emit (LoadI (Ltype.resolve table i.ity, boxed_dest i, op 0)))
+      | Wrd (d, t) -> emit (Wload (t, d, operand ops.(0)))
+      | _ -> emit (LoadI (Ltype.resolve table i.ity, boxed_dest i, operand ops.(0))))
     | Store -> (
       let size = Ltype.size_of table (Ir.type_of table i.operands.(0)) in
-      match op 0 with
-      | Wrd (v, _) -> emit (Wstore (size, v, op 1))
-      | v -> emit (StoreI (size, v, op 1)))
+      match operand ops.(0) with
+      | Wrd (v, _) -> emit (Wstore (size, v, operand ops.(1)))
+      | v -> emit (StoreI (size, v, operand ops.(1))))
     | Gep -> compile_gep i
     | Phi -> decr n_instrs (* lowered to edge copies *)
     | Call ->
@@ -473,7 +446,7 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
     | Ret ->
       emit
         (RetI
-           (if Array.length i.operands = 1 then Some (op 0)
+           (if Array.length i.operands = 1 then Some (operand ops.(0))
             else None))
     | Br ->
       if Array.length i.operands = 1 then
@@ -481,11 +454,11 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
       else
         emit
           (Bra
-             ( op 0,
+             ( operand ops.(0),
                target ~src:b (as_block i.operands.(1)),
                target ~src:b (as_block i.operands.(2)) ))
     | Switch ->
-      let v = op 0 in
+      let v = operand ops.(0) in
       (* a word condition drops the cases that can never equal it: a
          bool matches only bool cases, an integer only integer ones *)
       let cases =
@@ -512,9 +485,7 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
          compiled, so the setting cannot change under compiled code. *)
       if mach.profiling then emit (Prof b.bid);
       List.iter (fun i -> if i.iop <> Phi then compile_instr b i) b.instrs;
-      match terminator b with
-      | Some _ -> ()
-      | None -> emit (DeadEnd b.bname))
+      match terminator b with Some _ -> () | None -> ill_typed ())
     layout_blocks;
   List.iter emit_stub (List.rev !pending_stubs);
   (* resolve label-space targets to code offsets *)
@@ -522,7 +493,7 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
   let pc_of l =
     match Hashtbl.find_opt labels l with
     | Some pc -> pc
-    | None -> Memory.trap "bytecode: unresolved label in %s" f.fname
+    | None -> ill_typed () (* a branch to another function's block *)
   in
   let retarget = function
     | Jmp l -> Jmp (pc_of l)
@@ -542,20 +513,9 @@ let compile ?(profile : Llvm_profile.Profile.t option) (mach : machine) (f : fun
     wfile;
     wconsts = List.rev !wconsts;
     code = Array.map retarget code;
-    src_instrs = !n_instrs;
-    free_frames = [];
-    nfree = 0;
-    free_wfiles = [];
-    nwfree = 0 }
+    src_instrs = !n_instrs }
 
 (* -- Execution ------------------------------------------------------------- *)
-
-let max_free_frames = 64
-
-(* OCaml's minor-heap allocation limit (Max_young_wosize) is 256 words:
-   frames at least this big are major-heap allocations and worth
-   recycling; smaller ones are cheaper fresh. *)
-let pooled_frame_size = 256
 
 (* Arguments into their slots, left to right, each word through the
    call-boundary check. *)
@@ -595,13 +555,12 @@ let rec find_word_case (cases : (rtval * int) array) (w : int) k dflt =
     in
     if hit then t else find_word_case cases w (k + 1) dflt
 
-(* One activation: its register files, and the stack allocations to
-   release when it returns.  The dispatch loop and its helpers are
-   top-level functions of the frame, so a call allocates this record
-   and its files, not a closure per helper. *)
+(* One activation: its register files, freshly allocated, and the
+   stack allocations to release when it returns.  The dispatch loop and
+   its helpers are top-level functions of the frame, so a call allocates
+   this record and its files, not a closure per helper. *)
 type frame = {
   mach : machine;
-  c : compiled;
   code : bc array;
   pool : rtval array;
   regs : rtval array;
@@ -635,21 +594,9 @@ let rec actuals (fr : frame) (args : operand array) k =
     v :: actuals fr args (k + 1)
 
 let finish (fr : frame) (out : outcome) : outcome =
-  let c = fr.c in
   (match fr.stack_allocs with
   | [] -> ()
   | addrs -> List.iter (Memory.release_stack fr.mach.mem) addrs);
-  (* recycle the files; a trap abandons them instead (the run is over
-     anyway), so no exception handler is needed on the hot path *)
-  if c.nregs >= pooled_frame_size && c.nfree < max_free_frames then begin
-    c.free_frames <- fr.regs :: c.free_frames;
-    c.nfree <- c.nfree + 1
-  end;
-  if Array.length fr.wregs >= pooled_frame_size && c.nwfree < max_free_frames
-  then begin
-    c.free_wfiles <- fr.wregs :: c.free_wfiles;
-    c.nwfree <- c.nwfree + 1
-  end;
   out
 
 let resolve (fr : frame) = function
@@ -686,7 +633,6 @@ let rec go (fr : frame) (pc : int) : outcome =
     Array.unsafe_set wregs d (Array.unsafe_get wregs s);
     go fr (pc + 1)
   | Jmp t -> go fr t
-  | DeadEnd bname -> Memory.trap "fell off the end of block %%%s" bname
   | Wbin (op, k, d, a, b) ->
     mach.fuel <- mach.fuel - 1;
     if mach.fuel <= 0 then fuel_trap ();
@@ -843,13 +789,6 @@ let rec go (fr : frame) (pc : int) : outcome =
     done;
     Array.unsafe_set regs d (Rptr !addr);
     go fr (pc + 1)
-  | GepSlow (d, base, pty, idxs) ->
-    mach.fuel <- mach.fuel - 1;
-    if mach.fuel <= 0 then fuel_trap ();
-    let indices = Array.to_list (Array.map (fun (t, o) -> (t, ev fr o)) idxs) in
-    Array.unsafe_set regs d
-      (Rptr (gep_address mach.modul.mtypes (as_ptr (ev fr base)) pty indices));
-    go fr (pc + 1)
   | CallI { dst; void; callee; args } -> (
     mach.fuel <- mach.fuel - 1;
     if mach.fuel <= 0 then fuel_trap ();
@@ -905,26 +844,11 @@ let rec go (fr : frame) (pc : int) : outcome =
     finish fr Unwinding
 
 let exec (mach : machine) (c : compiled) (args : rtval list) : outcome =
-  let regs =
-    match c.free_frames with
-    | f :: rest ->
-      c.free_frames <- rest;
-      c.nfree <- c.nfree - 1;
-      f
-    | [] -> Array.make c.nregs Rvoid
-  in
-  let wregs =
-    match c.free_wfiles with
-    | f :: rest ->
-      c.free_wfiles <- rest;
-      c.nwfree <- c.nwfree - 1;
-      f
-    | [] -> Array.copy c.wfile
-  in
+  let regs = Array.make c.nregs Rvoid and wregs = Array.copy c.wfile in
   if List.length args <> Array.length c.arg_slots then
     Memory.trap "arity mismatch calling %s" c.cname;
   bind_args c.arg_slots regs wregs 0 args;
-  go { mach; c; code = c.code; pool = c.cpool; regs; wregs; stack_allocs = [] } 0
+  go { mach; code = c.code; pool = c.cpool; regs; wregs; stack_allocs = [] } 0
 
 (* -- Introspection (tests, debugging) -------------------------------------- *)
 
@@ -938,7 +862,6 @@ let pp_bc fmt = function
   | Copy (d, s) -> Fmt.pf fmt "copy r%d <- %a" d pp_operand s
   | Wmov (d, s) -> Fmt.pf fmt "copy w%d <- w%d" d s
   | Jmp t -> Fmt.pf fmt "jmp %d" t
-  | DeadEnd b -> Fmt.pf fmt "deadend %%%s" b
   | Wbin (op, k, d, a, b) | Wcmp (op, k, d, a, b) ->
     Fmt.pf fmt "%s.%s w%d <- w%d, w%d" (opcode_name op)
       (Ltype.to_string (Ltype.Integer k)) d a b
@@ -970,7 +893,6 @@ let pp_bc fmt = function
           | Goff o -> pf fmt " +%d" o
           | Gscale (op, sz) -> pf fmt " +%a*%d" pp_operand op sz))
       steps
-  | GepSlow (d, b, _, _) -> Fmt.pf fmt "gep.slow r%d <- %a ..." d pp_operand b
   | CallI { dst; callee; args; _ } ->
     Fmt.pf fmt "call %a <- %s(%a)" pp_operand dst
       (match callee with Direct f -> f.fname | Indirect _ -> "<indirect>")

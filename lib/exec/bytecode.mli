@@ -2,6 +2,13 @@
     of IR into a flat, register-based bytecode plus a tight dispatch
     loop.
 
+    The tier runs verified modules: on one, {!compile} turns every
+    defined function into this one form, and {!exec} runs it on freshly
+    allocated register files.  A function only unverified IR can make
+    (an operand whose type disagrees with its instruction's, a constant
+    without its type's canonical form, a block without a terminator)
+    traps at compile time with [bytecode: ill-typed function <f>].
+
     Semantics are shared with the tree-walking interpreter down to the
     helper functions, so the two tiers are bit-for-bit comparable: same
     outputs, same traps, same fuel accounting (one unit per executed IR
@@ -20,13 +27,15 @@ type callee =
   | Direct of Llvm_ir.Ir.func
   | Indirect of operand * int  (** dynamic callee, call-site instr id *)
 
-type 'a gstep =
+type gstep =
   | Goff of int  (** constant byte offset *)
-  | Gscale of 'a * int  (** dynamic index times element size *)
+  | Gscale of operand * int
+      (** index operand times element size: a variable index, or a
+          constant too large to fold *)
 
-(** One bytecode instruction.  [Prof]/[Copy]/[Wmov]/[Jmp]/[DeadEnd]
-    are free bookkeeping with no IR counterpart; everything else charges
-    one fuel unit.  The [W] instructions read and write word registers
+(** One bytecode instruction.  [Prof]/[Copy]/[Wmov]/[Jmp] are free
+    bookkeeping with no IR counterpart; everything else charges one fuel
+    unit.  The [W] instructions read and write word registers
     only.  In the others a bare [int] destination is a boxed register,
     except in [Cmp], whose bool result is a word. *)
 type bc =
@@ -34,7 +43,6 @@ type bc =
   | Copy of int * operand
   | Wmov of int * int
   | Jmp of int
-  | DeadEnd of string
   | Wbin of Llvm_ir.Ir.opcode * Llvm_ir.Ltype.int_kind * int * int * int
   | Wcmp of Llvm_ir.Ir.opcode * Llvm_ir.Ltype.int_kind * int * int * int
   | Wcast of Llvm_ir.Ltype.t * int * int
@@ -54,9 +62,7 @@ type bc =
   | FreeI of operand
   | LoadI of Llvm_ir.Ltype.t * int * operand
   | StoreI of int * operand * operand
-  | GepI of int * operand * operand gstep array
-  | GepSlow of
-      int * operand * Llvm_ir.Ltype.t * (Llvm_ir.Ltype.t * operand) array
+  | GepI of int * operand * gstep array
   | CallI of { dst : operand; void : bool; callee : callee; args : operand array }
   | InvokeI of {
       dst : operand;
@@ -84,23 +90,10 @@ type compiled = {
   wconsts : (int * int) list;  (** word constants: slot, value *)
   code : bc array;
   src_instrs : int;  (** IR instructions compiled (statistics) *)
-  mutable free_frames : Interp.rtval array list;
-      (** recycled boxed files of large functions — files need no
-          clearing between activations because every slot is written
-          (def dominates use) before it is read *)
-  mutable nfree : int;
-  mutable free_wfiles : int array list;  (** the same for word files *)
-  mutable nwfree : int;
 }
 
-(** Raised by {!compile} on a function whose values cannot all take
-    their slots: ill-typed IR the verifier rejects (an operand whose
-    type disagrees with its instruction's), or a constant without its
-    type's canonical form, which only hostile bitcode makes.  {!Engine}
-    runs such a function in the interpreter. *)
-exception Unsupported
-
-(** Compile one defined function (traps on a declaration).  With
+(** Compile one defined function (traps on a declaration, and on a
+    function of unverified IR: see above).  With
     [profile], blocks are laid out hot-first (entry pinned) by aggregate
     weight — pure layout: semantics, fuel and profiles are unchanged. *)
 val compile :

@@ -9,12 +9,15 @@
      [Bytecode_tier], which is what the paper's JIT does.  It is kept as
      its own name because the wire format, [lli] and [llvmd] name it.
 
-   The engine installs itself as [machine.dispatch], so every call site
-   routes back through the tier decision.  Declarations (builtins) go to
-   [Interp.exec_func], and so does an ill-typed function the bytecode
-   compiler refuses ([Bytecode.Unsupported]).  A failed speculation
-   guard needs nothing from the engine: its deopt arm re-runs the
-   original indirect call, which dispatches like any other call. *)
+   The engine runs verified modules, as [lli] and [llvmd] do.  It
+   installs itself as [machine.dispatch], so every call site routes
+   back through the tier decision.  Declarations (builtins) go to
+   [Interp.exec_func]; under a bytecode kind every definition runs as
+   bytecode, and a function of unverified IR the compiler cannot
+   translate traps ([bytecode: ill-typed function <f>]).  A failed
+   speculation guard needs nothing from the engine: its deopt arm
+   re-runs the original indirect call, which dispatches like any other
+   call. *)
 
 open Llvm_ir
 open Ir
@@ -29,25 +32,18 @@ let kind_name = function
 
 type t = {
   mach : machine;
-  compiled : (int, Bytecode.compiled option) Hashtbl.t;
-  (* func id -> bytecode, or [None] when the function is ill-typed
-     ([Bytecode.Unsupported]) and stays in the interpreter *)
+  compiled : (int, Bytecode.compiled) Hashtbl.t; (* func id -> bytecode *)
   (* aggregate profile for hot/cold block layout in [Bytecode.compile] *)
   layout_profile : Llvm_profile.Profile.t option;
   mutable promotions : string list; (* functions compiled, newest first *)
 }
 
-let get_compiled (e : t) (f : func) : Bytecode.compiled option =
+let get_compiled (e : t) (f : func) : Bytecode.compiled =
   match Hashtbl.find e.compiled f.fid with
   | c -> c
   | exception Not_found ->
-    let c =
-      match Bytecode.compile ?profile:e.layout_profile e.mach f with
-      | c ->
-        e.promotions <- f.fname :: e.promotions;
-        Some c
-      | exception Bytecode.Unsupported -> None
-    in
+    let c = Bytecode.compile ?profile:e.layout_profile e.mach f in
+    e.promotions <- f.fname :: e.promotions;
     Hashtbl.replace e.compiled f.fid c;
     c
 
@@ -64,10 +60,7 @@ let create ?(profiling = false) ?profile (kind : kind) (m : modul) : t =
     mach.dispatch <-
       (fun mach f args ->
         if is_declaration f then exec_func mach f args
-        else
-          match get_compiled e f with
-          | Some c -> Bytecode.exec mach c args
-          | None -> exec_func mach f args));
+        else Bytecode.exec mach (get_compiled e f) args));
   e
 
 (* Functions compiled to bytecode, in compile order: first-call order
@@ -86,10 +79,7 @@ let compile_all (e : t) : int * int =
   List.fold_left
     (fun (nf, ni) f ->
       if is_declaration f then (nf, ni)
-      else
-        match get_compiled e f with
-        | Some c -> (nf + 1, ni + c.Bytecode.src_instrs)
-        | None -> (nf, ni))
+      else (nf + 1, ni + (get_compiled e f).Bytecode.src_instrs))
     (0, 0) e.mach.modul.mfuncs
 
 (* -- Entry points ---------------------------------------------------------- *)

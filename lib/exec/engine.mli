@@ -4,13 +4,18 @@
     [Interp_tier] tree-walks every call; [Bytecode_tier] compiles
     every defined function to {!Bytecode} on its first call.  [Tiered],
     the default, is that same first-call policy under the name the wire
-    format and the tools use.  The engine installs itself as
-    [machine.dispatch], so every call site routes back through the tier
-    decision; declarations (builtins) run in the interpreter, and so
-    does an ill-typed function the bytecode compiler refuses
-    ({!Bytecode.Unsupported}).
-    Compilation runs no analysis of the module: every load, store and
-    division compiles to the guarded op the interpreter runs. *)
+    format and the tools use.
+
+    The engine runs verified modules ([lli] and [llvmd] verify
+    everything they run).  It installs itself as [machine.dispatch], so
+    every call site routes back through the tier decision; declarations
+    (builtins) run in the interpreter, and under a bytecode kind every
+    definition runs as bytecode.  A function of unverified IR that the
+    compiler cannot translate ends the run with the trap
+    [bytecode: ill-typed function <f>], reported by {!run_main} as a
+    [`Trapped] result.  Compilation runs no analysis of the module:
+    every load, store and division compiles to the guarded op the
+    interpreter runs. *)
 
 type kind = Interp_tier | Bytecode_tier | Tiered
 
@@ -18,9 +23,7 @@ val kind_name : kind -> string
 
 type t = {
   mach : Interp.machine;
-  compiled : (int, Bytecode.compiled option) Hashtbl.t;
-      (** func id -> bytecode, or [None] for an ill-typed function
-          ({!Bytecode.Unsupported}), which runs in the interpreter *)
+  compiled : (int, Bytecode.compiled) Hashtbl.t;  (** func id -> bytecode *)
   layout_profile : Llvm_profile.Profile.t option;
       (** aggregate profile for hot/cold block layout *)
   mutable promotions : string list;  (** functions compiled, newest first *)

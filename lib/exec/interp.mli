@@ -130,14 +130,6 @@ val as_ptr : rtval -> int64
 val as_int : rtval -> int64
 val as_bool : rtval -> bool
 
-(** getelementptr address computation (paper section 2.2). *)
-val gep_address :
-  Llvm_ir.Ltype.table ->
-  int64 ->
-  Llvm_ir.Ltype.t ->
-  (Llvm_ir.Ltype.t * rtval) list ->
-  int64
-
 type status =
   [ `Returned of rtval | `Unwound | `Exited of int | `Trapped of string ]
 

@@ -151,5 +151,21 @@ let exceptions_module () =
   ignore (Builder.build_ret b (Some (Vconst (cint Ltype.Int 1L))));
   m
 
+(* int main() { return 0x1_0000_0007 / 2; }, with the constant kept
+   wider than [int], as only hand-built IR or hostile bitcode has it
+   ([Ir.cint] would normalize it to 7).  The verifier rejects it. *)
+let ill_shaped_constant_module () =
+  let m = mk_module "odd" in
+  let b = Builder.for_module m in
+  ignore (Builder.start_function b m ~linkage:External "main" Ltype.int_ []);
+  let odd = Vconst (Cint (Ltype.int_, 0x1_0000_0007L)) in
+  ignore
+    (Builder.build_ret b (Some (Builder.build_div b odd (Vconst (cint Ltype.Int 2L)))));
+  m
+
+(* The verifier's message for [ill_shaped_constant_module]. *)
+let ill_shaped_constant_error =
+  "main/div: constant int 4294967303 is not a canonical integer of its type"
+
 let all () =
   [ add1_module (); fact_module (); kitchen_sink_module (); exceptions_module () ]

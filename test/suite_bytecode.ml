@@ -1,7 +1,8 @@
 (* Unit tests for the bytecode compiler itself: branch-target
    resolution, phi-copy lowering, constant pooling, fuel-accounting
    parity with the interpreter, unboxed word registers and the
-   call-boundary check that guards them. *)
+   call-boundary check that guards them, and the verified-module
+   contract. *)
 
 open Llvm_ir
 open Ir
@@ -319,24 +320,86 @@ let test_call_boundary () =
     [ (long_to_int, "call boundary: long value where int expected", 2);
       (pointer_to_int, "call boundary: pointer value where int expected", 4) ]
 
-(* A constant without its type's canonical form (only hostile bitcode
-   makes one: the verifier does not look at constant values) has no
-   word; the compiler refuses the function and the engine interprets it,
-   so the tiers still agree. *)
+(* A constant without its type's canonical form (only hand-built IR or
+   hostile bitcode makes one) is rejected by the verifier, in memory and
+   after a bitcode round trip, so no verified module reaches the
+   bytecode tier with a word its type cannot hold. *)
 let test_ill_shaped_constant () =
-  let m = mk_module "odd" in
+  let m = Samples.ill_shaped_constant_module () in
+  let errors m = List.map (Fmt.str "%a" Verify.pp_error) (Verify.verify_module m) in
+  Alcotest.(check (list string)) "verifier rejects"
+    [ Samples.ill_shaped_constant_error ] (errors m);
+  let image, _ = Llvm_bitcode.Encoder.encode m in
+  match Llvm_serve.Loader.of_bytes ~name:"odd.bc" image with
+  | Error e -> Alcotest.failf "decoder refused the image: %s" e
+  | Ok m' ->
+    Alcotest.(check (list string)) "rejected after bitcode"
+      [ Samples.ill_shaped_constant_error ] (errors m')
+
+(* The tier runs verified modules.  A function only unverified IR can
+   make ends the run with one trap, reported as a result: operands
+   that disagree with their instruction's type, a block without a
+   terminator, a constant wider than its type. *)
+let test_ill_typed_traps () =
+  let main_with build =
+    let m = mk_module "bad" in
+    let b = Builder.for_module m in
+    ignore (Builder.start_function b m ~linkage:External "main" Ltype.int_ []);
+    build b;
+    m
+  in
+  let mixed =
+    main_with (fun b ->
+        let add =
+          Builder.insert b
+            (mk_instr ~ty:Ltype.int_ Add
+               [ Vconst (cint Ltype.Long 1L); Vconst (cint Ltype.Int 2L) ])
+        in
+        ignore (Builder.build_ret b (Some (Vinstr add))))
+  in
+  let unterminated =
+    main_with (fun b ->
+        ignore (Builder.build_add b (Vconst (cint Ltype.Int 1L)) (Vconst (cint Ltype.Int 2L))))
+  in
+  List.iter
+    (fun (what, m) ->
+      Alcotest.(check bool) (what ^ ": unverified") true (Verify.verify_module m <> []);
+      let r, _ = Engine.run_main Engine.Bytecode_tier m in
+      Alcotest.(check string) what "trapped: bytecode: ill-typed function main"
+        (Interp.status_to_string r.Interp.status))
+    [ ("mixed operand types", mixed); ("unterminated block", unterminated);
+      ("ill-shaped constant", Samples.ill_shaped_constant_module ()) ]
+
+(* A constant gep index too large to fold into a byte offset is scaled
+   at run time, with the interpreter's arithmetic: a boxed [long] first
+   index and an [int] word index into an array. *)
+let test_huge_gep_index () =
+  let m = mk_module "huge" in
   let b = Builder.for_module m in
-  let f = Builder.start_function b m ~linkage:External "main" Ltype.int_ [] in
-  let odd = Vconst (Cint (Ltype.int_, 0x1_0000_0007L)) in
-  ignore
-    (Builder.build_ret b (Some (Builder.build_div b odd (Vconst (cint Ltype.Int 2L)))));
-  (match Bytecode.compile (Interp.create m) f with
-  | exception Bytecode.Unsupported -> ()
-  | _ -> Alcotest.fail "an ill-shaped word constant compiled");
-  let e = Engine.create ~profiling:true Engine.Bytecode_tier m in
-  let rb = (Interp.run_loaded e.Engine.mach, e.Engine.mach.Interp.block_counts) in
+  ignore (Builder.start_function b m ~linkage:External "main" Ltype.int_ []);
+  let arr = Builder.build_malloc b (Ltype.array 4 Ltype.int_) in
+  let p =
+    Builder.build_gep b arr
+      [ Vconst (cint Ltype.Long 0x1000_0000L); Vconst (cint Ltype.Int 0x2000_0000L) ]
+  in
+  let addr v = Builder.build_cast b v Ltype.long in
+  let delta = Builder.build_sub b (addr p) (addr arr) in
+  let high = Builder.build_shr b delta (Vconst (cint Ltype.Long 28L)) in
+  ignore (Builder.build_ret b (Some (Builder.build_cast b high Ltype.int_)));
+  Verify.assert_valid m;
+  let c = Bytecode.compile (Interp.create m) (Option.get (find_func m "main")) in
+  Alcotest.(check bool) "scaled at run time" true
+    (Array.exists
+       (function
+         | Bytecode.GepI (_, _, steps) ->
+           Array.for_all (function Bytecode.Gscale _ -> true | Goff _ -> false) steps
+         | _ -> false)
+       c.Bytecode.code);
   let ri = Engine.run_main ~profiling:true Engine.Interp_tier m in
-  Alcotest.(check (list string)) "interpreted, not compiled" [] (Engine.promotions e);
+  let rb = Engine.run_main ~profiling:true Engine.Bytecode_tier m in
+  (* 0x1000_0000 * 16 + 0x2000_0000 * 4 bytes, shifted down by 28 *)
+  Alcotest.(check string) "offset" "returned 24"
+    (Interp.status_to_string (fst ri).Interp.status);
   Alcotest.(check (list string)) "tiers agree" []
     (List.map Interp.field_name (Interp.differences ri rb))
 
@@ -356,5 +419,9 @@ let tests =
       test_word_loop_allocation;
     Alcotest.test_case "call boundary traps alike in both tiers" `Quick
       test_call_boundary;
-    Alcotest.test_case "ill-shaped constants stay interpreted" `Quick
-      test_ill_shaped_constant ]
+    Alcotest.test_case "ill-shaped constants fail verification" `Quick
+      test_ill_shaped_constant;
+    Alcotest.test_case "ill-typed functions trap, never raise" `Quick
+      test_ill_typed_traps;
+    Alcotest.test_case "huge constant gep indices agree" `Quick
+      test_huge_gep_index ]

@@ -182,7 +182,19 @@ let test_opt_rejects_hostile_bitcode () =
     Alcotest.(check int) "opt fails cleanly" 1 code;
     Alcotest.(check string) "declared error message"
       (path ^ ": malformed bitcode: bad count -1\n")
-      err
+      err;
+    (* well-formed bitcode whose constant is wider than its type: the
+       verifier's message, from both the optimizer and the engine *)
+    let path = tmp "ill_shaped.bc" in
+    write path (fst (Llvm_bitcode.Encoder.encode (Samples.ill_shaped_constant_module ())));
+    List.iter
+      (fun cmd ->
+        let code, _, err = capture "%s %s" cmd path in
+        Alcotest.(check int) (cmd ^ " fails cleanly") 1 code;
+        Alcotest.(check string) "verifier message"
+          (Samples.ill_shaped_constant_error ^ "\nmodule verification failed\n")
+          err)
+      [ bin "opt" ^ " -O 2"; bin "lli" ]
   end
 
 (* A module that names an undefined type is reported by the verifier,
