@@ -82,19 +82,10 @@ let use_profile =
            ~doc:"load an aggregate .llpf profile and lay out bytecode \
                  blocks hot-first under it")
 
-let engine =
-  let kinds =
-    [ ("interp", Engine.Interp_tier); ("bytecode", Engine.Bytecode_tier);
-      ("tiered", Engine.Tiered) ]
-  in
-  Arg.(value & opt (enum kinds) Engine.Tiered
-       & info [ "engine" ] ~docv:"TIER"
-           ~doc:"execution tier: $(b,interp), $(b,bytecode) or $(b,tiered)")
-
 let cmd =
   Cmd.v
     (Cmd.info "lli" ~doc:"LLVM execution engine (interpreter or first-call bytecode)")
     Term.(const run $ input $ fuel $ profile $ emit_profile $ use_profile
-          $ engine)
+          $ Tool_common.engine)
 
 let () = exit (Cmd.eval cmd)

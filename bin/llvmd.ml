@@ -143,7 +143,7 @@ let pp_metrics (m : Protocol.metrics) : unit =
     m.Protocol.m_shard m.Protocol.m_pipeline_ms m.Protocol.m_bytes
 
 let level_arg =
-  Arg.(value & opt int 2 & info [ "O" ] ~docv:"LEVEL"
+  Arg.(value & opt Tool_common.opt_level 2 & info [ "O" ] ~docv:"LEVEL"
        ~doc:"standard pipeline level (0-3)")
 
 let passes_arg =
@@ -227,21 +227,12 @@ let run_cmd =
   let fuel =
     Arg.(value & opt int 50_000_000 & info [ "fuel" ] ~docv:"N")
   in
-  let engine =
-    let kinds =
-      [ ("interp", Llvm_exec.Engine.Interp_tier);
-        ("bytecode", Llvm_exec.Engine.Bytecode_tier);
-        ("tiered", Llvm_exec.Engine.Tiered) ]
-    in
-    Arg.(value & opt (enum kinds) Llvm_exec.Engine.Tiered
-         & info [ "engine" ] ~docv:"TIER")
-  in
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ]) in
   Cmd.v
     (Cmd.info "run" ~doc:"optimize and execute a module through the daemon")
     Term.(
       const run $ socket_arg $ input_arg $ level_arg $ passes_arg $ fuel
-      $ engine $ deadline_arg $ retries_arg $ quiet)
+      $ Tool_common.engine $ deadline_arg $ retries_arg $ quiet)
 
 (* -- lint / ping / stats / shutdown --------------------------------------------- *)
 

@@ -30,6 +30,19 @@ let opt_level : int Cmdliner.Arg.conv =
   in
   Cmdliner.Arg.conv (parse, Fmt.int)
 
+(* The --engine TIER argument of [lli] and [llvmd run]. *)
+let engine : Llvm_exec.Engine.kind Cmdliner.Term.t =
+  let kinds =
+    [ ("interp", Llvm_exec.Engine.Interp_tier);
+      ("bytecode", Llvm_exec.Engine.Bytecode_tier);
+      ("tiered", Llvm_exec.Engine.Tiered) ]
+  in
+  Cmdliner.Arg.(
+    value
+    & opt (enum kinds) Llvm_exec.Engine.Tiered
+    & info [ "engine" ] ~docv:"TIER"
+        ~doc:"execution tier: $(b,interp), $(b,bytecode) or $(b,tiered)")
+
 let verify_or_die (m : Llvm_ir.Ir.modul) : unit =
   match Llvm_ir.Verify.verify_module m with
   | [] -> ()

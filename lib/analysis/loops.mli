@@ -9,11 +9,11 @@ type loop = {
   latches : Llvm_ir.Ir.block list;  (** sources of back edges into the header *)
 }
 
-val back_edges : Dominance.t -> Llvm_ir.Ir.func -> (Llvm_ir.Ir.block * Llvm_ir.Ir.block) list
+val back_edges : Llvm_ir.Dominance.t -> Llvm_ir.Ir.func -> (Llvm_ir.Ir.block * Llvm_ir.Ir.block) list
 val natural_loop : Llvm_ir.Ir.block -> Llvm_ir.Ir.block -> Llvm_ir.Ir.block list
 
 (** All natural loops; loops sharing a header are merged. *)
-val find_loops : Dominance.t -> Llvm_ir.Ir.func -> loop list
+val find_loops : Llvm_ir.Dominance.t -> Llvm_ir.Ir.func -> loop list
 
 (** Loop nesting depth of each block (by block id). *)
 val depths : loop list -> (int, int) Hashtbl.t

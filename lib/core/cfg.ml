@@ -4,7 +4,6 @@
    names its successors, section 2.1); these helpers compute the derived
    orderings used by the dominator construction and the dataflow passes. *)
 
-open Llvm_ir
 open Ir
 
 (* Depth-first reverse postorder over reachable blocks, starting from

@@ -6,7 +6,6 @@
    Cytron et al. construction used by SSA-building (paper section 3.2:
    the stack promotion pass "inserts phi functions as necessary"). *)
 
-open Llvm_ir
 open Ir
 
 (* Blocks are numbered by their reverse-postorder position; the idom
@@ -129,25 +128,3 @@ let frontiers (t : t) (f : func) : (int, block list) Hashtbl.t =
 
 let frontier_of (df : (int, block list) Hashtbl.t) (b : block) : block list =
   match Hashtbl.find_opt df b.bid with Some l -> l | None -> []
-
-(* Does the definition point of [v] dominate instruction [user]?  Used by
-   the SSA checker.  Definitions in the same block must appear earlier. *)
-let value_dominates_use (t : t) (v : value) (user : instr) (user_block : block) :
-    bool =
-  match v with
-  | Vconst _ | Vglobal _ | Vfunc _ | Varg _ | Vblock _ -> true
-  | Vinstr def -> (
-    match def.iparent with
-    | None -> false
-    | Some def_block ->
-      if def_block == user_block then begin
-        (* def must come before user in the block *)
-        let rec scan = function
-          | [] -> false
-          | i :: _ when i == user -> false
-          | i :: _ when i == def -> true
-          | _ :: rest -> scan rest
-        in
-        scan def_block.instrs
-      end
-      else strictly_dominates t def_block user_block)

@@ -161,9 +161,11 @@ let field_type table t idx =
    divergence: once we assume [Named a = Named b] we do not re-expand.
    Physically equal types are equal without building the set; the
    bitcode decoder shares each type through its type table, so most of
-   the verifier's comparisons on a decoded module stop there. *)
+   the verifier's comparisons on a decoded module stop there.  So are
+   structurally identical ones, which [eq] would accept node by node:
+   the front end and the passes build [int] afresh at each use. *)
 let equal table a b =
-  a == b ||
+  a == b || a = b ||
   let assumed = Hashtbl.create 8 in
   let rec eq a b =
     match (a, b) with

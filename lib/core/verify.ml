@@ -1,26 +1,29 @@
-(* Structural verifier for the in-memory representation.
+(* The verifier: the one check of the verified-module contract.
 
-   Checks the invariants that every pass is allowed to assume:
+   Checks the invariants that every pass, and the engine, is allowed to
+   assume:
    - every basic block ends in exactly one terminator, and terminators
      appear nowhere else;
    - phi instructions cluster at the head of their block and have exactly
      one incoming value per CFG predecessor;
    - every instruction has the operand count its opcode takes, with a
-     basic block in each label slot (checked first: the checks below
-     index operand arrays and read label slots, so a function with a
-     malformed instruction reports that and skips them);
+     basic block of the same function in each label slot (checked first:
+     the checks below index operand arrays, read label slots and walk the
+     CFG, so a function with a malformed instruction reports that and
+     skips them);
    - operand types obey the instruction type rules (section 2.2), e.g.
      both operands of a binary op share the result type, stored values
      match the pointee type, comparisons yield bool;
    - every integer constant operand, bare or under a constant cast, has
      an integer type and holds that type's canonical value (what
      [Ir.cint] makes), so no value is wider than its type;
-   - use-lists are consistent with operand arrays;
+   - SSA dominance (section 2.1): in every block the entry reaches, each
+     instruction operand is defined in a block that strictly dominates
+     the use or earlier in the same block, and each phi's incoming value
+     dominates the end of its edge;
+   - every instruction's parent pointer is the block that lists it;
    - module-level names are unique;
-   - every named type that is resolved is defined.
-
-   SSA dominance ("each use dominated by its definition") requires a
-   dominator tree and is checked by [Llvm_analysis.Ssa_check]. *)
+   - every named type that is resolved is defined. *)
 
 open Ir
 
@@ -43,37 +46,44 @@ let fail_at errors fname part fmt =
    takes and which slots hold basic blocks.  Checked allocation-free,
    before anything indexes an operand array or reads a label slot. *)
 
-type shape_error = Arity of string | Label
+type shape_error = Arity of string | Label | Foreign_label
 
-let is_label = function Vblock _ -> true | _ -> false
+(* Does [v], in a label slot of function [f], hold a block of [f]? *)
+let label_error (f : func) (v : value) =
+  match v with
+  | Vblock b -> (
+    match b.bparent with Some g when g == f -> None | _ -> Some Foreign_label)
+  | _ -> Some Label
 
-(* Slots [k], [k + 2], ... hold basic blocks. *)
-let rec labels_from (ops : value array) k =
-  k >= Array.length ops || (is_label ops.(k) && labels_from ops (k + 2))
+let either a b = match a with None -> b | e -> e
+
+(* Slots [k], [k + 2], ... hold blocks of [f]. *)
+let rec labels_from f (ops : value array) k =
+  if k >= Array.length ops then None
+  else either (label_error f ops.(k)) (labels_from f ops (k + 2))
 
 let arity ok what = if ok then None else Some (Arity what)
-let labels ok = if ok then None else Some Label
 
-let shape_error (i : instr) : shape_error option =
+let shape_error (f : func) (i : instr) : shape_error option =
   let ops = i.operands in
   let n = Array.length ops in
   match i.iop with
   | Ret -> arity (n <= 1) "takes at most one operand"
   | Unwind -> arity (n = 0) "takes no operands"
   | Br ->
-    if n = 1 then labels (is_label ops.(0))
-    else if n = 3 then labels (is_label ops.(1) && is_label ops.(2))
+    if n = 1 then label_error f ops.(0)
+    else if n = 3 then either (label_error f ops.(1)) (label_error f ops.(2))
     else arity false "takes 1 or 3 operands"
   | Switch ->
     if n < 2 || n mod 2 <> 0 then
       arity false "needs a default and value/label case pairs"
-    else labels (labels_from ops 1)
+    else labels_from f ops 1
   | Invoke ->
     if n < 3 then arity false "needs a callee and two labels"
-    else labels (is_label ops.(1) && is_label ops.(2))
+    else either (label_error f ops.(1)) (label_error f ops.(2))
   | Phi ->
     if n mod 2 <> 0 then arity false "needs value/label pairs"
-    else labels (labels_from ops 1)
+    else labels_from f ops 1
   | Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr | SetEQ | SetNE
   | SetLT | SetGT | SetLE | SetGE | Store ->
     arity (n = 2) "takes 2 operands"
@@ -83,16 +93,24 @@ let shape_error (i : instr) : shape_error option =
   | Gep -> arity (n >= 1) "needs a pointer operand"
   | Call -> arity (n >= 1) "needs a callee"
 
-(* Report [i]'s shape error, if any; false when there was one. *)
-let check_shape errors (fname : string) (i : instr) : bool =
-  match shape_error i with
-  | None -> true
-  | Some e ->
-    let fail fmt = fail_at errors fname (fun () -> opcode_name i.iop) fmt in
-    (match e with
+(* Report [i]'s shape error, if any. *)
+let check_shape errors (f : func) (i : instr) =
+  match shape_error f i with
+  | None -> ()
+  | Some e -> (
+    let fail fmt = fail_at errors f.fname (fun () -> opcode_name i.iop) fmt in
+    match e with
     | Arity what -> fail "%s, has %d operands" what (Array.length i.operands)
-    | Label -> fail "label operand is not a basic block");
-    false
+    | Label -> fail "label operand is not a basic block"
+    | Foreign_label -> fail "label operand is a block of another function")
+
+(* Check the shape of each of [instrs]; [n] plus their number. *)
+let rec count_shaped errors f n (instrs : instr list) =
+  match instrs with
+  | [] -> n
+  | i :: rest ->
+    check_shape errors f i;
+    count_shaped errors f (n + 1) rest
 
 let check_types table errors (fname : string) (i : instr) =
   let fail fmt = fail_at errors fname (fun () -> opcode_name i.iop) fmt in
@@ -244,87 +262,159 @@ let rec check_consts table errors fname (i : instr) k =
     check_consts table errors fname i (k + 1)
   end
 
-(* Check the shape of each of [instrs]; false when any is malformed. *)
-let rec well_shaped errors fname ok (instrs : instr list) =
-  match instrs with
-  | [] -> ok
-  | i :: rest ->
-    well_shaped errors fname (check_shape errors fname i && ok) rest
+(* -- Block structure ------------------------------------------------------- *)
 
+(* The last instruction is a terminator and no other one is: reported as
+   the end of the block first, then the earlier terminators, latest
+   first. *)
+let rec check_terminators errors fname (b : block) (instrs : instr list) =
+  match instrs with
+  | [] -> ()
+  | [ last ] ->
+    if not (is_terminator last.iop) then
+      fail_at errors fname
+        (fun () -> b.bname)
+        "block does not end in a terminator"
+  | i :: rest ->
+    check_terminators errors fname b rest;
+    if is_terminator i.iop then
+      fail_at errors fname
+        (fun () -> b.bname)
+        "terminator %s in middle of block" (opcode_name i.iop)
+
+(* Phis first, then non-phis; true when [instrs] holds a phi. *)
+let rec check_phi_order errors fname (b : block) nonphi has_phi
+    (instrs : instr list) =
+  match instrs with
+  | [] -> has_phi
+  | i :: rest ->
+    if i.iop = Phi then begin
+      if nonphi then
+        fail_at errors fname (fun () -> b.bname) "phi after non-phi instruction";
+      check_phi_order errors fname b nonphi true rest
+    end
+    else check_phi_order errors fname b true has_phi rest
+
+(* Each phi covers exactly the predecessors. *)
+let check_phi_preds errors fname (b : block) =
+  let fail fmt = fail_at errors fname (fun () -> b.bname) fmt in
+  let preds = predecessors b in
+  List.iter
+    (fun i ->
+      if i.iop = Phi then begin
+        let incoming = List.map snd (phi_incoming i) in
+        if List.length incoming <> List.length preds then
+          fail "phi has %d entries for %d predecessors"
+            (List.length incoming) (List.length preds)
+        else
+          List.iter
+            (fun p ->
+              if not (List.exists (fun q -> q == p) incoming) then
+                fail "phi missing entry for predecessor %s" p.bname)
+            preds
+      end)
+    b.instrs
+
+(* Does the ret instruction [i] return [f]'s return type? *)
+let ret_matches table (f : func) (i : instr) =
+  match (Array.length i.operands, f.freturn) with
+  | 0, Ltype.Void -> true
+  | 1, t -> Ltype.equal table (Ir.type_of table i.operands.(0)) t
+  | _ -> false
+
+(* -- SSA dominance -----------------------------------------------------------
+
+   Checked on the blocks the entry reaches, over the function's dominator
+   tree and [seen], a position table of the instructions walked so far.
+   The walk goes block by block in list order, so a definition in the
+   user's own block precedes the use exactly when [seen] has it.
+   Allocation-free on uses that pass. *)
+
+(* Does [def] dominate a use in block [b] by the instruction the walk is
+   at? *)
+let dominates_use dom seen (def : instr) (b : block) =
+  match def.iparent with
+  | None -> false
+  | Some db ->
+    if db == b then Ids.Numbering.find seen def.iid >= 0
+    else Dominance.strictly_dominates dom db b
+
+let rec check_uses dom seen errors fname (b : block) (i : instr) k =
+  if k < Array.length i.operands then begin
+    (match i.operands.(k) with
+    | Vinstr def when not (dominates_use dom seen def b) ->
+      fail_at errors fname
+        (fun () -> b.bname)
+        "use of %%%s by %s is not dominated by its definition" def.iname
+        (opcode_name i.iop)
+    | _ -> ());
+    check_uses dom seen errors fname b i (k + 1)
+  end
+
+(* A phi's incoming value must dominate the end of its edge: the
+   predecessor block, when the entry reaches it. *)
+let dominates_edge dom (def : instr) (pred : block) =
+  (not (Dominance.is_reachable dom pred))
+  ||
+  match def.iparent with
+  | Some db -> Dominance.dominates dom db pred
+  | None -> false
+
+let rec check_incoming dom errors fname (b : block) (i : instr) k =
+  if k + 1 < Array.length i.operands then begin
+    (match (i.operands.(k), i.operands.(k + 1)) with
+    | Vinstr def, Vblock pred when not (dominates_edge dom def pred) ->
+      fail_at errors fname
+        (fun () -> b.bname)
+        "phi %%%s: incoming %%%s from %%%s is not dominated by its definition"
+        i.iname def.iname pred.bname
+    | _ -> ());
+    check_incoming dom errors fname b i (k + 2)
+  end
+
+(* One walk over [f]'s blocks after the shape check; a function with a
+   malformed instruction reports only that. *)
 let verify_func table errors (f : func) =
-  let push e = errors := e :: !errors in
   let fname = f.fname in
-  let shaped =
-    List.fold_left (fun ok b -> well_shaped errors fname ok b.instrs) true
-      f.fblocks
-  in
-  if is_declaration f || not shaped then ()
+  let before = !errors in
+  let n = List.fold_left (fun n b -> count_shaped errors f n b.instrs) 0 f.fblocks in
+  if is_declaration f || not (!errors == before) then ()
   else begin
+    let dom = Dominance.compute f in
+    let seen = Ids.Numbering.create n in
+    (* reported after the blocks, as they concern the whole function *)
+    let bad_rets = ref 0 in
     List.iter
       (fun b ->
-        let fail fmt = fail_at errors fname (fun () -> b.bname) fmt in
-        (match List.rev b.instrs with
-        | [] -> fail "empty basic block"
-        | last :: before ->
-          if not (is_terminator last.iop) then
-            fail "block does not end in a terminator";
-          List.iter
-            (fun i ->
-              if is_terminator i.iop then
-                fail "terminator %s in middle of block"
-                  (opcode_name i.iop))
-            before);
-        (* Phis first, then non-phis. *)
-        let seen_nonphi = ref false in
-        List.iter
-          (fun i ->
-            if i.iop = Phi then begin
-              if !seen_nonphi then fail "phi after non-phi instruction"
-            end
-            else seen_nonphi := true)
-          b.instrs;
-        (* Each phi covers exactly the predecessors. *)
-        let preds = predecessors b in
-        List.iter
-          (fun i ->
-            if i.iop = Phi then begin
-              let incoming = List.map snd (phi_incoming i) in
-              if List.length incoming <> List.length preds then
-                fail "phi has %d entries for %d predecessors"
-                  (List.length incoming) (List.length preds)
-              else
-                List.iter
-                  (fun p ->
-                    if not (List.exists (fun q -> q == p) incoming) then
-                      fail "phi missing entry for predecessor %s"
-                        p.bname)
-                  preds
-            end)
-          b.instrs;
-        (* Parent pointers and use-list sanity. *)
+        (match b.instrs with
+        | [] -> fail_at errors fname (fun () -> b.bname) "empty basic block"
+        | instrs -> check_terminators errors fname b instrs);
+        if check_phi_order errors fname b false false b.instrs then
+          check_phi_preds errors fname b;
+        let reachable = Dominance.is_reachable dom b in
         List.iter
           (fun i ->
             (match i.iparent with
             | Some p when p == b -> ()
-            | _ -> fail "instruction with stale parent pointer");
+            | _ ->
+              fail_at errors fname
+                (fun () -> b.bname)
+                "instruction with stale parent pointer");
             check_types table errors fname i;
-            check_consts table errors fname i 0)
+            check_consts table errors fname i 0;
+            (if reachable then
+               if i.iop = Phi then check_incoming dom errors fname b i 0
+               else check_uses dom seen errors fname b i 0);
+            ignore (Ids.Numbering.add seen i.iid);
+            if i.iop = Ret && not (ret_matches table f i) then incr bad_rets)
           b.instrs)
       f.fblocks;
-    (* Returns must match the function's return type. *)
-    iter_instrs
-      (fun i ->
-        if i.iop = Ret then
-          let ok =
-            match (Array.length i.operands, f.freturn) with
-            | 0, Ltype.Void -> true
-            | 1, t -> Ltype.equal table (Ir.type_of table i.operands.(0)) t
-            | _ -> false
-          in
-          if not ok then
-            push (err fname "ret does not match return type %s"
-                    (Ltype.to_string f.freturn)))
-      f
+    for _ = 1 to !bad_rets do
+      errors :=
+        err fname "ret does not match return type %s"
+          (Ltype.to_string f.freturn)
+        :: !errors
+    done
   end
 
 let verify_module (m : modul) : error list =

@@ -1,13 +1,15 @@
-(** Structural verifier for the in-memory representation.
+(** The verifier: the one check of the verified-module contract.
 
-    Checks the invariants every pass may assume: exactly one terminator
-    per block (at the end), phis clustered at block heads with one
-    incoming value per CFG predecessor, operand types obeying the
-    instruction type rules of paper section 2.2, and unique module-level
-    names.  Operand counts and label slots are checked first, so any
-    module, however malformed, yields a list of errors rather than an
-    exception.  SSA dominance is checked separately by
-    [Llvm_analysis.Ssa_check]. *)
+    Checks the invariants every pass and the engine may assume: exactly
+    one terminator per block (at the end), phis clustered at block heads
+    with one incoming value per CFG predecessor, operand types obeying
+    the instruction type rules of paper section 2.2, canonical integer
+    constants, SSA dominance on the blocks the entry reaches (paper
+    section 2.1: each use dominated by its definition, each phi's
+    incoming value by the end of its edge), and unique module-level
+    names.  Operand counts and label slots, which must hold blocks of
+    the same function, are checked first, so any module, however
+    malformed, yields a list of errors rather than an exception. *)
 
 type error = { where : string; what : string }
 

@@ -41,7 +41,7 @@
 open Llvm_ir
 open Ir
 open Interp
-module Ids = Llvm_analysis.Ids
+module Ids = Llvm_ir.Ids
 
 type operand =
   | Reg of int (* boxed register slot *)

@@ -14,7 +14,7 @@
 
 open Llvm_ir
 open Ir
-module Ids = Llvm_analysis.Ids
+module Ids = Llvm_ir.Ids
 
 exception Exit_program of int
 

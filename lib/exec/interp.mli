@@ -32,10 +32,10 @@ val rbool : bool -> rtval
 type machine = {
   modul : Llvm_ir.Ir.modul;
   mem : Memory.t;
-  globals : int64 Llvm_analysis.Ids.t;  (** gvar id -> address *)
-  func_addr : int64 Llvm_analysis.Ids.t;  (** func id -> code address *)
-  func_of_id : Llvm_ir.Ir.func Llvm_analysis.Ids.t;  (** allocation id -> func *)
-  frames : Llvm_analysis.Ids.Numbering.t Llvm_analysis.Ids.t;
+  globals : int64 Llvm_ir.Ids.t;  (** gvar id -> address *)
+  func_addr : int64 Llvm_ir.Ids.t;  (** func id -> code address *)
+  func_of_id : Llvm_ir.Ir.func Llvm_ir.Ids.t;  (** allocation id -> func *)
+  frames : Llvm_ir.Ids.Numbering.t Llvm_ir.Ids.t;
       (** func id -> the interpreter's frame layout for it: arguments,
           then instructions, numbered densely on its first run *)
   mutable fuel : int;  (** remaining instruction budget *)

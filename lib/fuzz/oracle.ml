@@ -117,10 +117,7 @@ let clone (m : modul) : modul =
 
 let verify_errors (m : modul) : string option =
   match Verify.verify_module m with
-  | [] -> (
-    match Llvm_analysis.Ssa_check.assert_ssa m with
-    | () -> None
-    | exception e -> Some (Printexc.to_string e))
+  | [] -> None
   | errs ->
     Some
       (String.concat "; "

@@ -44,7 +44,7 @@ let poke_input (mach : Llvm_exec.Interp.machine) (m : modul) (name : string)
   match find_gvar m name with
   | None -> ()
   | Some g -> (
-    match Llvm_analysis.Ids.find_opt mach.Llvm_exec.Interp.globals g.gid with
+    match Llvm_ir.Ids.find_opt mach.Llvm_exec.Interp.globals g.gid with
     | None -> ()
     | Some addr ->
       Llvm_exec.Interp.store_sized mach addr ~size:4

@@ -565,6 +565,13 @@ let stats_json ?(extra : (string * string) list = []) (t : t) : string =
     stats;
   j "    ]},\n";
   j "  \"index\": {\"entries\": %d, \"hits\": %d},\n" (index_entries t) t.index_hits;
+  (* the serving process's own heap, so its RSS can be explained *)
+  let gc = Gc.quick_stat () in
+  j
+    "  \"gc\": {\"heap_words\": %d, \"top_heap_words\": %d, \
+     \"minor_collections\": %d, \"major_collections\": %d},\n"
+    gc.Gc.heap_words gc.Gc.top_heap_words gc.Gc.minor_collections
+    gc.Gc.major_collections;
   j
     "  \"latency\": {\"count\": %d, \"p50_ms\": %.3f, \"p90_ms\": %.3f, \
      \"p99_ms\": %.3f, \"max_ms\": %.3f}%s\n"

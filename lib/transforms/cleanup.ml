@@ -2,7 +2,6 @@
 
 open Llvm_ir
 open Ir
-open Llvm_analysis
 
 (* Delete every block not reachable from the entry, fixing up the phis of
    reachable successors.  Returns true when anything was removed. *)

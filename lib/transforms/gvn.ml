@@ -8,7 +8,6 @@
 
 open Llvm_ir
 open Ir
-open Llvm_analysis
 
 let pure_op = function
   | Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr | SetEQ | SetNE

@@ -8,7 +8,6 @@
 
 open Llvm_ir
 open Ir
-open Llvm_analysis
 
 (* An alloca is promotable when it allocates a single first-class value
    and every use is a direct load or a store *to* it (its address never

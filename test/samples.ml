@@ -167,5 +167,49 @@ let ill_shaped_constant_module () =
 let ill_shaped_constant_error =
   "main/div: constant int 4294967303 is not a canonical integer of its type"
 
+(* A use its definition does not dominate: %x is defined on one arm of
+   a branch and used after the join.  The parser, the bitcode decoder
+   and the encoder all accept it; the verifier rejects it.  Unverified,
+   the tiers disagree on it (the interpreter traps on the unset %x, the
+   bytecode tier reads a slot no path wrote). *)
+let ssa_violation_ll =
+  {|int %main() {
+entry:
+  br bool false, label %a, label %b
+a:
+  %x = add int 5, 1
+  br label %c
+b:
+  br label %c
+c:
+  ret int %x
+}
+|}
+
+let ssa_violation_module () =
+  Llvm_asm.Parser.parse_module ~name:"ssa" ssa_violation_ll
+
+(* The verifier's message for [ssa_violation_module]. *)
+let ssa_violation_error =
+  "main/c: use of %x by ret is not dominated by its definition"
+
+(* [main] branches into a block of [other], which returns 7: a shape
+   only hand-built IR carries.  The verifier rejects it. *)
+let cross_function_branch_module () =
+  let m = mk_module "cross" in
+  let b = Builder.for_module m in
+  let other = Builder.start_function b m ~linkage:Internal "other" Ltype.int_ [] in
+  let target = Builder.append_new_block b other "target" in
+  ignore (Builder.build_br b target);
+  Builder.position_at_end b target;
+  ignore (Builder.build_ret b (Some (Vconst (cint Ltype.Int 7L))));
+  ignore (Builder.start_function b m ~linkage:External "main" Ltype.int_ []);
+  ignore (Builder.build_br b target);
+  m
+
+(* The verifier's message for [cross_function_branch_module]. *)
+let cross_function_branch_error =
+  "main/br: label operand is a block of another function"
+
 let all () =
   [ add1_module (); fact_module (); kitchen_sink_module (); exceptions_module () ]

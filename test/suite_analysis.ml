@@ -78,8 +78,9 @@ let test_callgraph () =
   check_bool "leaf before mid" true (pos "leaf" < pos "mid");
   check_bool "mid before main" true (pos "mid" < pos "main")
 
-let test_ssa_check_catches_violation () =
-  (* hand-build a function where a use precedes its definition *)
+let test_verify_catches_ssa_violation () =
+  (* hand-build a function where a use precedes its definition: the
+     verifier rejects it *)
   let m = mk_module "bad_ssa" in
   let b = Builder.for_module m in
   let f = Builder.start_function b m "f" Ltype.int_ [ ("x", Ltype.int_) ] in
@@ -91,7 +92,9 @@ let test_ssa_check_catches_violation () =
   ignore (Builder.build_ret b (Some (Vinstr v_instr)));
   Builder.position_at_end b second;
   ignore (Builder.build_ret b (Some x));
-  check_bool "violation found" true (Ssa_check.check_func f <> [])
+  Alcotest.(check (list string)) "violation found"
+    [ "f/entry: use of %v by ret is not dominated by its definition" ]
+    (List.map (Fmt.str "%a" Verify.pp_error) (Verify.verify_module m))
 
 (* -- DSA ------------------------------------------------------------------- *)
 
@@ -485,8 +488,8 @@ let tests =
       test_dominator_children_match_definition;
     Alcotest.test_case "natural loops" `Quick test_loops;
     Alcotest.test_case "call graph and SCCs" `Quick test_callgraph;
-    Alcotest.test_case "ssa checker catches violations" `Quick
-      test_ssa_check_catches_violation;
+    Alcotest.test_case "verifier catches ssa violations" `Quick
+      test_verify_catches_ssa_violation;
     Alcotest.test_case "dsa: disciplined code is typed" `Quick test_dsa_disciplined_code;
     Alcotest.test_case "dsa: void* round trips stay typed" `Quick test_dsa_void_star_ok;
     Alcotest.test_case "dsa: custom allocators degrade" `Quick

@@ -357,7 +357,7 @@ let run_input ?(profiling = false) ?(input = 0) (m : Ir.modul) =
   Option.iter
     (fun g ->
       Interp.store_sized mach
-        (Llvm_analysis.Ids.find mach.Interp.globals g.Ir.gid)
+        (Llvm_ir.Ids.find mach.Interp.globals g.Ir.gid)
         ~size:4
         (Interp.Rint (Ltype.Int, Int64.of_int input)))
     (Ir.find_gvar m "input");

@@ -23,7 +23,7 @@ let behaviour (m : Ir.modul) : string =
 
 let check_valid what (m : Ir.modul) =
   match Verify.verify_module m with
-  | [] -> Llvm_analysis.Ssa_check.assert_ssa m
+  | [] -> ()
   | errs ->
     Alcotest.failf "%s: invalid module: %s" what
       (Fmt.str "%a" Fmt.(list Verify.pp_error) errs)

@@ -245,6 +245,54 @@ let test_verifier_total_on_shape_errors () =
     [ "f/phi: label operand is not a basic block" ]
     (errors m)
 
+(* The verifier checks SSA dominance: a use its definition does not
+   dominate is rejected, in memory and again after a bitcode round trip
+   (the decoder accepts the image), so no consumer that verifies runs
+   it. *)
+let test_verifier_rejects_ssa_violation () =
+  let errors m =
+    List.map (Fmt.str "%a" Verify.pp_error) (Verify.verify_module m)
+  in
+  let m = Samples.ssa_violation_module () in
+  Alcotest.(check (list string)) "verifier rejects"
+    [ Samples.ssa_violation_error ] (errors m);
+  let image, _ = Llvm_bitcode.Encoder.encode m in
+  match Llvm_serve.Loader.of_bytes ~name:"ssa.bc" image with
+  | Error e -> Alcotest.failf "decoder refused the image: %s" e
+  | Ok m' ->
+    Alcotest.(check (list string)) "rejected after bitcode"
+      [ Samples.ssa_violation_error ] (errors m')
+
+(* A phi's incoming value must dominate the end of its edge: %x is
+   defined on the %a arm but flows in from %b. *)
+let test_verifier_rejects_phi_edge_violation () =
+  let m =
+    Llvm_asm.Parser.parse_module ~name:"phi"
+      {|int %main(bool %c) {
+entry:
+  br bool %c, label %a, label %b
+a:
+  %x = add int 5, 1
+  br label %j
+b:
+  br label %j
+j:
+  %p = phi int [ 0, %a ], [ %x, %b ]
+  ret int %p
+}
+|}
+  in
+  Alcotest.(check (list string)) "verifier rejects"
+    [ "main/j: phi %p: incoming %x from %b is not dominated by its definition" ]
+    (List.map (Fmt.str "%a" Verify.pp_error) (Verify.verify_module m))
+
+(* A label operand must be a block of the branch's own function. *)
+let test_verifier_rejects_cross_function_branch () =
+  Alcotest.(check (list string)) "verifier rejects"
+    [ Samples.cross_function_branch_error ]
+    (List.map (Fmt.str "%a" Verify.pp_error)
+       (Verify.verify_module (Samples.cross_function_branch_module ())))
+
 (* A named type that is never defined is a verifier error, not an
    escaping [Ltype.Unresolved] or a hang. *)
 let test_verifier_reports_undefined_type () =
@@ -444,6 +492,12 @@ let tests =
       test_verifier_total_on_shape_errors;
     Alcotest.test_case "verifier reports an undefined named type" `Quick
       test_verifier_reports_undefined_type;
+    Alcotest.test_case "verifier rejects an ssa violation" `Quick
+      test_verifier_rejects_ssa_violation;
+    Alcotest.test_case "verifier rejects a phi edge violation" `Quick
+      test_verifier_rejects_phi_edge_violation;
+    Alcotest.test_case "verifier rejects a cross-function branch" `Quick
+      test_verifier_rejects_cross_function_branch;
     Alcotest.test_case "phi helpers" `Quick test_phi_helpers;
     Alcotest.test_case "constant types" `Quick test_constant_types;
     Alcotest.test_case "constant folding: arithmetic" `Quick test_fold_arith;

@@ -387,6 +387,29 @@ let test_server_reports_verifier_message () =
       "compile request: verification failed: f: undefined type %T" e
   | _ -> Alcotest.fail "an unverifiable payload was not refused"
 
+(* A payload that violates SSA dominance is refused by the server's
+   verify step, for a compile and for a run, before any pipeline or
+   engine sees it. *)
+let test_server_rejects_ssa_violation () =
+  let server = Server.create () in
+  let payload = encode (Samples.ssa_violation_module ()) in
+  let run_req =
+    Protocol.req
+      (Protocol.Run
+         { r_payload = payload; r_pipeline = Protocol.Level 2;
+           r_fuel = 1_000_000; r_engine = Llvm_exec.Engine.Tiered })
+  in
+  List.iter
+    (fun (what, req) ->
+      match Server.handle server req with
+      | Protocol.Failed e ->
+        (* a run loads its payload as a compile does *)
+        Alcotest.(check string) (what ^ ": verifier message")
+          ("compile request: verification failed: " ^ Samples.ssa_violation_error)
+          e
+      | _ -> Alcotest.failf "%s: an SSA violation was not refused" what)
+    [ ("compile", compile_req payload); ("run", run_req) ]
+
 let test_server_compile_differential () =
   let server = Server.create () in
   let m = sample_module () in
@@ -568,7 +591,8 @@ int main() {
         true
         (Astring_contains.contains json sub))
     [ "\"requests\""; "\"cache\""; "\"index\""; "\"shards\""; "\"latency\"";
-      "\"run\": 1" ];
+      "\"run\": 1"; "\"gc\": {\"heap_words\": "; "\"top_heap_words\": ";
+      "\"minor_collections\": "; "\"major_collections\": " ];
   Alcotest.(check int) "request counter" 4 (Server.requests server)
 
 let test_server_run_trap_exit_code () =
@@ -1291,6 +1315,8 @@ let tests =
       test_protocol_oversize;
     Alcotest.test_case "server: verifier message for a bad payload" `Quick
       test_server_reports_verifier_message;
+    Alcotest.test_case "server: an ssa violation is refused" `Quick
+      test_server_rejects_ssa_violation;
     Alcotest.test_case "server: compile differential" `Quick
       test_server_compile_differential;
     Alcotest.test_case "server: every level matches a direct run" `Quick

@@ -169,6 +169,13 @@ let test_out_of_range_level_is_usage_error () =
     expect_usage_error "opt -O 7" (capture "%s %s -O 7" (bin "opt") (tmp "level.ll"));
     expect_usage_error "minicc -O -1"
       (capture "%s %s -O-1" (bin "minicc") (tmp "level.c"));
+    (* llvmd refuses it before connecting: no daemon listens here *)
+    List.iter
+      (fun sub ->
+        expect_usage_error ("llvmd " ^ sub ^ " -O 7")
+          (capture "%s %s %s -O 7 --socket %s" (bin "llvmd") sub
+             (tmp "level.ll") (tmp "no-daemon.sock")))
+      [ "compile"; "run" ];
     check_ok (sh "%s %s -O 0" (bin "opt") (tmp "level.ll"));
     check_ok (sh "%s %s -O3" (bin "minicc") (tmp "level.c"))
   end
@@ -194,7 +201,20 @@ let test_opt_rejects_hostile_bitcode () =
         Alcotest.(check string) "verifier message"
           (Samples.ill_shaped_constant_error ^ "\nmodule verification failed\n")
           err)
-      [ bin "opt" ^ " -O 2"; bin "lli" ]
+      [ bin "opt" ^ " -O 2"; bin "lli" ];
+    (* well-formed bitcode with a use its definition does not dominate:
+       rejected by every engine tier and by the optimizer *)
+    let path = tmp "ssa_violation.bc" in
+    write path (fst (Llvm_bitcode.Encoder.encode (Samples.ssa_violation_module ())));
+    List.iter
+      (fun cmd ->
+        let code, _, err = capture "%s %s" cmd path in
+        Alcotest.(check int) (cmd ^ " fails cleanly") 1 code;
+        Alcotest.(check string) "verifier message"
+          (Samples.ssa_violation_error ^ "\nmodule verification failed\n")
+          err)
+      [ bin "lli" ^ " --engine interp"; bin "lli" ^ " --engine bytecode";
+        bin "lli" ^ " --engine tiered"; bin "opt" ^ " -O 3" ]
   end
 
 (* A module that names an undefined type is reported by the verifier,
