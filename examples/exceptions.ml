@@ -55,7 +55,7 @@ void scope(int x) {
   aclass_destroy(obj);  // normal-path destruction
 }
 
-int main(int argc) {
+int run(int argc) {
   try {
     scope(argc);
     print_str("[no throw]");
@@ -65,6 +65,12 @@ int main(int argc) {
     print_str("]");
   }
   return 0;
+}
+
+// lli runs a parameterless main: both paths, as the runs below take them
+int main() {
+  run(1);
+  return run(5);
 }
 |}
 
@@ -88,12 +94,12 @@ let () =
   (* Execute both paths. *)
   let run argc =
     let mach = Llvm_exec.Interp.create m in
-    let main = Option.get (Llvm_ir.Ir.find_func m "main") in
+    let entry = Option.get (Llvm_ir.Ir.find_func m "run") in
     let r =
-      Llvm_exec.Interp.run_function mach main
+      Llvm_exec.Interp.run_function mach entry
         [ Llvm_exec.Interp.Rint (Llvm_ir.Ltype.Int, Int64.of_int argc) ]
     in
-    Fmt.pr "main(%d): %s@." argc r.Llvm_exec.Interp.output
+    Fmt.pr "run(%d): %s@." argc r.Llvm_exec.Interp.output
   in
   run 1; (* no throw: ctor, func ok, dtor, no throw *)
   run 5; (* throw: ctor, caught 42 — and the handler in scope() re-unwinds *)

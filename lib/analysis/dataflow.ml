@@ -1,4 +1,4 @@
-(* A generic iterative dataflow engine over the implicit CFG.
+(* A generic iterative dataflow engine over a function's CFG.
 
    The paper's "lifelong analysis" story rests on being able to run
    static analyses over the persistent IR at every stage of a program's
@@ -13,11 +13,14 @@
    facts re-walk a block's instructions from the block-level fact with
    the same instruction transfer they folded into the block transfer.
 
-   The worklist is seeded in reverse postorder (forward analyses) or
-   postorder (backward analyses), so acyclic regions converge in one
-   sweep and loops in a handful.  Unreachable blocks are never visited:
-   their facts stay at [bottom], which doubles as the "no information"
-   element clients use to skip them. *)
+   The solver runs over the function's {!Cfg.t}: facts and the worklist
+   are arrays by CFG position.  The worklist is seeded in reverse
+   postorder (forward analyses) or postorder (backward analyses), so
+   acyclic regions converge in one sweep and loops in a handful.
+   Unreachable blocks are never visited, in either direction: the CFG
+   holds only reachable predecessors, so their facts stay at [bottom],
+   which doubles as the "no information" element clients use to skip
+   them. *)
 
 open Llvm_ir
 open Ir
@@ -45,79 +48,68 @@ let fold_block_backward (tf : 'a -> instr -> 'a) (b : block) (fact : 'a) : 'a =
 
 module Make (L : LATTICE) = struct
   type result = {
-    before_tbl : (int, L.fact) Hashtbl.t; (* block id -> fact at block entry *)
-    after_tbl : (int, L.fact) Hashtbl.t; (* block id -> fact at block exit *)
+    cfg : Cfg.t;
+    before_fact : L.fact array; (* position -> fact at block entry *)
+    after_fact : L.fact array; (* position -> fact at block exit *)
   }
 
-  let before (r : result) (b : block) : L.fact =
-    match Hashtbl.find_opt r.before_tbl b.bid with
-    | Some x -> x
-    | None -> L.bottom
+  let fact (r : result) facts (b : block) : L.fact =
+    match Cfg.index r.cfg b with -1 -> L.bottom | k -> facts.(k)
 
-  let after (r : result) (b : block) : L.fact =
-    match Hashtbl.find_opt r.after_tbl b.bid with
-    | Some x -> x
-    | None -> L.bottom
+  let before (r : result) (b : block) = fact r r.before_fact b
+  let after (r : result) (b : block) = fact r r.after_fact b
 
   (* [boundary] is the fact entering the function (forward) or the fact
      at every exit block (backward).  [transfer b fact] maps the fact at
      one end of [b] to the fact at the other; it must be monotone for
      termination, and should map [bottom] to [bottom] when it wants
      unreached predecessors to stay silent. *)
-  let run ?(max_steps = 1_000_000) ~(direction : direction)
-      ~(boundary : L.fact) ~(transfer : block -> L.fact -> L.fact) (f : func)
-      : result =
-    let r = { before_tbl = Hashtbl.create 64; after_tbl = Hashtbl.create 64 } in
-    let order =
-      match direction with
-      | Forward -> Cfg.reverse_postorder f
-      | Backward -> Cfg.postorder f
-    in
-    let succs b =
-      match terminator b with Some t -> successors t | None -> []
-    in
-    let queue = Queue.create () in
-    let queued = Hashtbl.create 64 in
-    let enqueue b =
-      if not (Hashtbl.mem queued b.bid) then begin
-        Hashtbl.add queued b.bid ();
-        Queue.add b queue
+  let run ~(direction : direction) ~(boundary : L.fact)
+      ~(transfer : block -> L.fact -> L.fact) (cfg : Cfg.t) : result =
+    let n = Cfg.size cfg in
+    let r = { cfg; before_fact = Array.make n L.bottom; after_fact = Array.make n L.bottom } in
+    let queue = Queue.create () and queued = Array.make n false in
+    let enqueue k =
+      if not queued.(k) then begin
+        queued.(k) <- true;
+        Queue.add k queue
       end
     in
-    List.iter enqueue order;
-    let entry = match f.fblocks with b :: _ -> Some b | [] -> None in
-    let is_entry b = match entry with Some e -> e == b | None -> false in
+    for j = 0 to n - 1 do
+      enqueue (if direction = Forward then j else n - 1 - j)
+    done;
+    (* a bound on steps, against a transfer that is not monotone *)
     let steps = ref 0 in
-    while (not (Queue.is_empty queue)) && !steps < max_steps do
+    while (not (Queue.is_empty queue)) && !steps < 1_000_000 do
       incr steps;
-      let b = Queue.pop queue in
-      Hashtbl.remove queued b.bid;
+      let k = Queue.pop queue in
+      queued.(k) <- false;
+      let b = Cfg.block cfg k in
       match direction with
       | Forward ->
         let inp =
-          List.fold_left
-            (fun acc p -> L.join acc (after r p))
-            (if is_entry b then boundary else L.bottom)
-            (predecessors b)
+          Array.fold_left
+            (fun acc p -> L.join acc r.after_fact.(p))
+            (if k = 0 then boundary else L.bottom)
+            (Cfg.preds cfg k)
         in
-        Hashtbl.replace r.before_tbl b.bid inp;
+        r.before_fact.(k) <- inp;
         let out = transfer b inp in
-        if not (L.equal out (after r b)) then begin
-          Hashtbl.replace r.after_tbl b.bid out;
-          List.iter enqueue (succs b)
+        if not (L.equal out r.after_fact.(k)) then begin
+          r.after_fact.(k) <- out;
+          Array.iter enqueue (Cfg.succs cfg k)
         end
       | Backward ->
         let out =
-          match succs b with
-          | [] -> boundary
-          | ss ->
-            List.fold_left (fun acc s -> L.join acc (before r s)) L.bottom ss
+          match Cfg.succs cfg k with
+          | [||] -> boundary
+          | ss -> Array.fold_left (fun acc s -> L.join acc r.before_fact.(s)) L.bottom ss
         in
-        Hashtbl.replace r.after_tbl b.bid out;
+        r.after_fact.(k) <- out;
         let inp = transfer b out in
-        if not (L.equal inp (before r b)) then begin
-          Hashtbl.replace r.before_tbl b.bid inp;
-          List.iter enqueue (predecessors b)
+        if not (L.equal inp r.before_fact.(k)) then begin
+          r.before_fact.(k) <- inp;
+          Array.iter enqueue (Cfg.preds cfg k)
         end
     done;
     r

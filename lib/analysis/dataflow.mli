@@ -1,4 +1,4 @@
-(** A generic iterative dataflow engine over the implicit CFG: a
+(** A generic iterative dataflow engine over a function's {!Llvm_ir.Cfg.t}: a
     worklist solver parameterized over the lattice, the direction, and
     the per-block transfer function.  Shared infrastructure for the
     lint checkers and flow-sensitive passes (paper sections 3.2-3.3). *)
@@ -35,13 +35,12 @@ module Make (L : LATTICE) : sig
   (** Solve to a fixpoint.  [boundary] is the fact entering the
       function (forward) or at every exit block (backward); [transfer]
       must be monotone.  The worklist is seeded in reverse postorder
-      (forward) or postorder (backward); unreachable blocks keep
-      [L.bottom]. *)
+      (forward) or postorder (backward); unreachable blocks are never
+      visited and keep [L.bottom]. *)
   val run :
-    ?max_steps:int ->
     direction:direction ->
     boundary:L.fact ->
     transfer:(Llvm_ir.Ir.block -> L.fact -> L.fact) ->
-    Llvm_ir.Ir.func ->
+    Llvm_ir.Cfg.t ->
     result
 end

@@ -385,7 +385,7 @@ let init_transfer mr tracked (fact : init_state Imap.t) (i : instr) :
 (* Returns the diagnostics plus the iids of loads proven to read
    never-initialized memory (consumed by the bounds check eliminator:
    a check on an undef index guards undefined behaviour and may go). *)
-let check_uninit (mr : Modref.t) (f : func) : diag list * ISet.t =
+let check_uninit (mr : Modref.t) (cfg : Cfg.t) (f : func) : diag list * ISet.t =
   let tracked = directly_used_allocas f in
   if Hashtbl.length tracked = 0 then ([], ISet.empty)
   else begin
@@ -398,7 +398,7 @@ let check_uninit (mr : Modref.t) (f : func) : diag list * ISet.t =
     in
     let res =
       Init_flow.run ~direction:Dataflow.Forward
-        ~boundary:(Init_lattice.IFacts Imap.empty) ~transfer f
+        ~boundary:(Init_lattice.IFacts Imap.empty) ~transfer cfg
     in
     let diags = ref [] and undef = ref ISet.empty in
     List.iter
@@ -440,7 +440,7 @@ let check_uninit (mr : Modref.t) (f : func) : diag list * ISet.t =
 
 (* -- L002: null dereference ---------------------------------------------- *)
 
-let check_null (table : Ltype.table) (f : func) : diag list =
+let check_null (table : Ltype.table) (cfg : Cfg.t) (f : func) : diag list =
   let ev = evaluator table in
   let diags = ref [] in
   List.iter
@@ -471,7 +471,7 @@ let check_null (table : Ltype.table) (f : func) : diag list =
             | _ -> ())
           | None -> ())
         b.instrs)
-    (Cfg.postorder f);
+    (List.filter (fun b -> Cfg.index cfg b >= 0) f.fblocks);
   List.rev !diags
 
 (* -- L003/L004: use-after-free and double-free --------------------------- *)
@@ -516,7 +516,7 @@ let freed_transfer dsa (fact : ISet.t) (i : instr) : ISet.t =
     | None -> fact)
   | _ -> fact
 
-let check_free_state (dsa : Dsa.t) (f : func) : diag list =
+let check_free_state (dsa : Dsa.t) (cfg : Cfg.t) (f : func) : diag list =
   let transfer b fact =
     match fact with
     | Freed_lattice.FBot -> Freed_lattice.FBot
@@ -525,7 +525,7 @@ let check_free_state (dsa : Dsa.t) (f : func) : diag list =
   in
   let res =
     Freed_flow.run ~direction:Dataflow.Forward
-      ~boundary:(Freed_lattice.Freed ISet.empty) ~transfer f
+      ~boundary:(Freed_lattice.Freed ISet.empty) ~transfer cfg
   in
   let diags = ref [] in
   List.iter
@@ -686,7 +686,7 @@ let live_transfer tracked (fact : ISet.t) (i : instr) : ISet.t =
     | None -> fact)
   | _ -> fact
 
-let check_dead_stores (mr : Modref.t) (f : func) : diag list =
+let check_dead_stores (mr : Modref.t) (cfg : Cfg.t) (f : func) : diag list =
   let tracked = deadstore_tracked mr f in
   if Hashtbl.length tracked = 0 then []
   else begin
@@ -699,7 +699,7 @@ let check_dead_stores (mr : Modref.t) (f : func) : diag list =
     in
     let res =
       Live_flow.run ~direction:Dataflow.Backward
-        ~boundary:(Live_lattice.Live ISet.empty) ~transfer f
+        ~boundary:(Live_lattice.Live ISet.empty) ~transfer cfg
     in
     let diags = ref [] in
     List.iter
@@ -729,11 +729,11 @@ let check_dead_stores (mr : Modref.t) (f : func) : diag list =
 
 (* -- L007: unreachable blocks -------------------------------------------- *)
 
-let check_unreachable (f : func) : diag list =
+let check_unreachable (cfg : Cfg.t) (f : func) : diag list =
   List.map
     (fun b ->
       diag "L007" Warning f b "block %s is unreachable from the entry" b.bname)
-    (Cfg.unreachable_blocks f)
+    (Cfg.unreachable cfg)
 
 (* -- L008-L010: value-range checkers ------------------------------------- *)
 
@@ -842,15 +842,16 @@ let run ?only (m : modul) : diag list =
       (fun f ->
         if is_declaration f then []
         else
+          let cfg = Cfg.build f in
           List.concat
-            [ (if enabled "L001" then fst (check_uninit mr f) else []);
-              (if enabled "L002" then check_null m.mtypes f else []);
+            [ (if enabled "L001" then fst (check_uninit mr cfg f) else []);
+              (if enabled "L002" then check_null m.mtypes cfg f else []);
               (match dsa with
               | Some dsa when enabled "L003" || enabled "L004" ->
-                check_free_state dsa f
+                check_free_state dsa cfg f
               | _ -> []);
-              (if enabled "L006" then check_dead_stores mr f else []);
-              (if enabled "L007" then check_unreachable f else []);
+              (if enabled "L006" then check_dead_stores mr cfg f else []);
+              (if enabled "L007" then check_unreachable cfg f else []);
               (match rng with
               | Some rng -> check_value_ranges rng ~l8 ~l9 ~l10 m.mtypes f
               | None -> []) ])
@@ -871,7 +872,7 @@ let undef_loads (m : modul) : (int, unit) Hashtbl.t =
   List.iter
     (fun f ->
       if not (is_declaration f) then
-        ISet.iter (fun iid -> Hashtbl.replace t iid ()) (snd (check_uninit mr f)))
+        ISet.iter (fun iid -> Hashtbl.replace t iid ()) (snd (check_uninit mr (Cfg.build f) f)))
     m.mfuncs;
   t
 

@@ -3,7 +3,9 @@
    A back edge t->h is an edge whose target dominates its source; the
    natural loop of the edge is h plus every block that can reach t
    without passing through h.  The runtime profiler (paper section 3.5)
-   instruments exactly these loop regions. *)
+   instruments exactly these loop regions.  Both are computed over the
+   positions of the dominator tree's CFG, so only reachable blocks are
+   in a loop. *)
 
 open Llvm_ir
 open Ir
@@ -15,70 +17,40 @@ type loop = {
 }
 
 let back_edges (dom : Dominance.t) (f : func) : (block * block) list =
+  let cfg = Dominance.cfg dom in
   List.concat_map
     (fun b ->
-      match terminator b with
-      | None -> []
-      | Some t ->
-        List.filter_map
-          (fun s -> if Dominance.dominates dom s b then Some (b, s) else None)
-          (successors t))
+      match Cfg.index cfg b with
+      | -1 -> []
+      | k ->
+        Array.fold_right
+          (fun s acc ->
+            let h = Cfg.block cfg s in
+            if Dominance.dominates dom h b then (b, h) :: acc else acc)
+          (Cfg.succs cfg k) [])
     f.fblocks
 
-let natural_loop (header : block) (latch : block) : block list =
-  let in_loop = Hashtbl.create 16 in
-  Hashtbl.replace in_loop header.bid ();
-  let rec add b =
-    if not (Hashtbl.mem in_loop b.bid) then begin
-      Hashtbl.replace in_loop b.bid ();
-      List.iter add (predecessors b)
-    end
-  in
-  add latch;
-  (* Collect in a stable order from the function layout. *)
-  match header.bparent with
-  | Some f -> List.filter (fun b -> Hashtbl.mem in_loop b.bid) f.fblocks
-  | None -> [ header; latch ]
-
-(* All natural loops, merging loops that share a header. *)
+(* All natural loops, merging loops that share a header.  Each back edge
+   adds the blocks its natural loop brings, in layout order; a block
+   already in the loop brought its predecessors with it. *)
 let find_loops (dom : Dominance.t) (f : func) : loop list =
-  let by_header : (int, block * block list ref * block list ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  List.iter
-    (fun (latch, header) ->
-      let _, body, latches =
-        match Hashtbl.find_opt by_header header.bid with
-        | Some entry -> entry
-        | None ->
-          let entry = (header, ref [], ref []) in
-          Hashtbl.replace by_header header.bid entry;
-          entry
+  let cfg = Dominance.cfg dom in
+  let edges = back_edges dom f in
+  let loop header =
+    let latches = List.filter_map (fun (l, h) -> if h == header then Some l else None) edges in
+    (* position -> the back edge that first added it *)
+    let added = Array.make (Cfg.size cfg) (-1) in
+    added.(Cfg.index cfg header) <- 0;
+    let brought e latch =
+      let rec add k =
+        if added.(k) < 0 then begin
+          added.(k) <- e;
+          Array.iter add (Cfg.preds cfg k)
+        end
       in
-      latches := latch :: !latches;
-      List.iter
-        (fun b ->
-          if not (List.exists (fun x -> x == b) !body) then body := b :: !body)
-        (natural_loop header latch))
-    (back_edges dom f);
-  Hashtbl.fold
-    (fun _ (header, body, latches) acc ->
-      { header; body = List.rev !body; latches = List.rev !latches } :: acc)
-    by_header []
-  |> List.sort (fun a b -> compare a.header.bid b.header.bid)
-
-(* Loop nesting depth of each block: number of loops containing it. *)
-let depths (loops : loop list) : (int, int) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun l ->
-      List.iter
-        (fun b ->
-          let d = match Hashtbl.find_opt tbl b.bid with Some d -> d | None -> 0 in
-          Hashtbl.replace tbl b.bid (d + 1))
-        l.body)
-    loops;
-  tbl
-
-let depth_of (tbl : (int, int) Hashtbl.t) (b : block) =
-  match Hashtbl.find_opt tbl b.bid with Some d -> d | None -> 0
+      add (Cfg.index cfg latch);
+      List.filter (fun b -> Cfg.index cfg b >= 0 && added.(Cfg.index cfg b) = e) f.fblocks
+    in
+    { header; body = List.concat (List.mapi brought latches); latches }
+  in
+  List.map loop (List.sort_uniq (fun a b -> compare a.bid b.bid) (List.map snd edges))

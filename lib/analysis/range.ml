@@ -716,21 +716,18 @@ let build_function (t : t) ~tracked (f : func) : finfo =
     if node != Inert then iter_operands (add_deps t s) node;
     s
   in
-  Array.iter
-    (fun (b : block) ->
-      List.iter
-        (fun i ->
-          let s = build i in
-          if t.nodes.(s) != Inert then begin
-            rpo.(!n) <- s;
-            incr n
-          end)
-        b.instrs)
-    (Dominance.reverse_postorder dom);
-  List.iter
-    (fun b ->
-      if not (Dominance.is_reachable dom b) then List.iter (fun i -> ignore (build i)) b.instrs)
-    f.fblocks;
+  let cfg = Dominance.cfg dom in
+  for k = 0 to Cfg.size cfg - 1 do
+    List.iter
+      (fun i ->
+        let s = build i in
+        if t.nodes.(s) != Inert then begin
+          rpo.(!n) <- s;
+          incr n
+        end)
+      (Cfg.block cfg k).instrs
+  done;
+  List.iter (fun b -> List.iter (fun i -> ignore (build i)) b.instrs) (Cfg.unreachable cfg);
   {
     func = f;
     fslot = slot t f.fid;

@@ -1,10 +1,24 @@
-(** Control-flow-graph utilities: block orderings and reachability.
-    The CFG itself is implicit in the representation — every terminator
-    names its successors (paper section 2.1). *)
+(** The control-flow graph of one function, derived once (paper section
+    2.1: every terminator names its successors).  The blocks the entry
+    reaches are numbered by reverse-postorder position, the entry at 0. *)
 
-(** Depth-first postorder over reachable blocks. *)
-val postorder : Ir.func -> Ir.block list
+type t
 
-val reverse_postorder : Ir.func -> Ir.block list
-val reachable_set : Ir.func -> (int, unit) Hashtbl.t
-val unreachable_blocks : Ir.func -> Ir.block list
+(** One depth-first walk from the entry, successors in {!Ir.successors}
+    order; O(blocks + edges). *)
+val build : Ir.func -> t
+
+val size : t -> int
+val block : t -> int -> Ir.block
+
+(** A block's position, or -1 when the entry does not reach it. *)
+val index : t -> Ir.block -> int
+
+(** Successor positions, in {!Ir.successors} order (duplicates kept). *)
+val succs : t -> int -> int array
+
+(** Predecessor positions: {!Ir.predecessors} that are reachable, in order. *)
+val preds : t -> int -> int array
+
+(** The function's blocks the entry does not reach, in layout order. *)
+val unreachable : t -> Ir.block list

@@ -501,25 +501,21 @@ let record_latency (t : t) (seconds : float) : unit =
   if us > t.lat_max_us then t.lat_max_us <- us
 
 (* Quantile estimate from the log2 histogram: the upper bound of the
-   bucket where the cumulative count crosses q. *)
+   bucket where the cumulative count crosses q, clamped to the largest
+   latency recorded (the bound of that sample's bucket is above it). *)
 let latency_quantile_ms (t : t) (q : float) : float =
   if t.lat_count = 0 then 0.0
   else begin
-    let target =
-      int_of_float (Float.round (q *. float_of_int t.lat_count))
+    let target = max 1 (int_of_float (Float.round (q *. float_of_int t.lat_count))) in
+    let max_ms = float_of_int t.lat_max_us /. 1000.0 in
+    let rec cross b acc =
+      if b = lat_buckets then max_ms
+      else
+        let acc = acc + t.lat.(b) in
+        if acc >= target then Float.min max_ms (float_of_int (1 lsl (b + 1)) /. 1000.0)
+        else cross (b + 1) acc
     in
-    let target = max 1 target in
-    let acc = ref 0 and result = ref (float_of_int t.lat_max_us /. 1000.0) in
-    (try
-       for b = 0 to lat_buckets - 1 do
-         acc := !acc + t.lat.(b);
-         if !acc >= target then begin
-           result := float_of_int (1 lsl (b + 1)) /. 1000.0;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !result
+    cross 0 0
   end
 
 (* [extra] is raw JSON spliced in as additional top-level fields — the

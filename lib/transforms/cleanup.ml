@@ -8,10 +8,11 @@ open Ir
 let remove_unreachable_blocks (f : func) : bool =
   if is_declaration f then false
   else begin
-    let dead = Cfg.unreachable_blocks f in
+    let cfg = Cfg.build f in
+    let dead = Cfg.unreachable cfg in
     if dead = [] then false
     else begin
-      let is_dead b = List.exists (fun d -> d == b) dead in
+      let is_dead b = Cfg.index cfg b < 0 in
       (* Remove phi entries flowing in from dead predecessors. *)
       List.iter
         (fun b ->

@@ -39,7 +39,8 @@ let promote_function (f : func) : bool =
   if allocas = [] then removed
   else begin
     let dom = Dominance.compute f in
-    let df = Dominance.frontiers dom f in
+    let cfg = Dominance.cfg dom in
+    let df = Dominance.frontiers dom in
     let alloca_index = Hashtbl.create 16 in
     List.iteri (fun k a -> Hashtbl.replace alloca_index a.iid k) allocas;
     (* map phi id -> alloca it merges *)
@@ -72,7 +73,7 @@ let promote_function (f : func) : bool =
                   (* a phi is itself a definition *)
                   Queue.add j worklist
                 end)
-              (Dominance.frontier_of df b)
+              df.(Cfg.index cfg b)
         done)
       allocas;
     (* 2. rename along the dominator tree *)
@@ -108,25 +109,17 @@ let promote_function (f : func) : bool =
           | _ -> ())
         b.instrs;
       List.iter erase_instr !dead;
-      (* feed phis of CFG successors *)
-      (match terminator b with
-      | Some t ->
-        let seen = Hashtbl.create 4 in
-        List.iter
-          (fun s ->
-            if not (Hashtbl.mem seen s.bid) then begin
-              Hashtbl.add seen s.bid ();
-              List.iter
-                (fun i ->
-                  if i.iop = Phi then
-                    match Hashtbl.find_opt phi_alloca i.iid with
-                    | Some a ->
-                      phi_add_incoming i (Hashtbl.find current a.iid) b
-                    | None -> ())
-                s.instrs
-            end)
-          (successors t)
-      | None -> ());
+      (* feed phis of CFG successors, each successor once *)
+      List.iter
+        (fun s ->
+          List.iter
+            (fun i ->
+              if i.iop = Phi then
+                match Hashtbl.find_opt phi_alloca i.iid with
+                | Some a -> phi_add_incoming i (Hashtbl.find current a.iid) b
+                | None -> ())
+            (Cfg.block cfg s).instrs)
+        (List.sort_uniq compare (Array.to_list (Cfg.succs cfg (Cfg.index cfg b))));
       List.iter rename (Dominance.children dom b);
       List.iter (fun (id, v) -> Hashtbl.replace current id v) !undo
     in

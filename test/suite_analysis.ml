@@ -26,9 +26,9 @@ let test_dominators () =
   | Some d -> check_bool "idom(loop) = entry" true (d == entry)
   | None -> Alcotest.fail "loop has no idom");
   (* dominance frontier of body is loop (the back edge join) *)
-  let df = Dominance.frontiers dom f in
+  let df = Dominance.frontiers dom in
   check_bool "DF(body) = {loop}" true
-    (match Dominance.frontier_of df body with
+    (match df.(Cfg.index (Dominance.cfg dom) body) with
     | [ b ] -> b == loop
     | _ -> false)
 
@@ -41,9 +41,8 @@ let test_loops () =
   let l = List.hd loops in
   Alcotest.(check string) "header" "loop" l.Loops.header.bname;
   check_int "two blocks in loop" 2 (List.length l.Loops.body);
-  let depths = Loops.depths loops in
-  check_int "body depth 1" 1 (Loops.depth_of depths (List.nth f.fblocks 2));
-  check_int "entry depth 0" 0 (Loops.depth_of depths (List.nth f.fblocks 0))
+  check_bool "body block in the loop" true (List.memq (List.nth f.fblocks 2) l.Loops.body);
+  check_bool "entry not in the loop" false (List.memq (List.nth f.fblocks 0) l.Loops.body)
 
 let test_callgraph () =
   let src =
@@ -412,7 +411,7 @@ let test_dataflow_widening_loop_nest () =
     CounterFlow.run ~direction:Dataflow.Forward
       ~boundary:(CounterLattice.Cnt 1)
       ~transfer:(fun _ fact -> bump fact)
-      f
+      (Cfg.build f)
   in
   check_bool "outer header widened" true
     (CounterFlow.after res outer = CounterLattice.Inf);
@@ -438,7 +437,7 @@ let test_dataflow_widening_irreducible () =
     CounterFlow.run ~direction:Dataflow.Forward
       ~boundary:(CounterLattice.Cnt 1)
       ~transfer:(fun _ fact -> bump fact)
-      f
+      (Cfg.build f)
   in
   check_bool "first cycle block widened" true
     (CounterFlow.after res a = CounterLattice.Inf);
@@ -449,11 +448,12 @@ let test_dataflow_widening_irreducible () =
    return exactly what the definition gives: the reachable blocks whose
    immediate dominator is [b], in reverse postorder. *)
 let test_dominator_children_match_definition () =
-  let by_definition dom f b =
+  let by_definition dom b =
+    let cfg = Dominance.cfg dom in
     List.filter
       (fun c ->
         match Dominance.idom dom c with Some d -> d == b | None -> false)
-      (Cfg.reverse_postorder f)
+      (List.init (Cfg.size cfg) (Cfg.block cfg))
   in
   let functions = ref 0 and edges = ref 0 in
   let check_module label (m : modul) =
@@ -464,7 +464,7 @@ let test_dominator_children_match_definition () =
           let dom = Dominance.compute f in
           List.iter
             (fun b ->
-              let want = by_definition dom f b in
+              let want = by_definition dom b in
               let got = Dominance.children dom b in
               edges := !edges + List.length got;
               if not (List.equal ( == ) want got) then
@@ -482,8 +482,65 @@ let test_dominator_children_match_definition () =
   check_bool "functions checked" true (!functions > 100);
   check_bool "tree edges checked" true (!edges > 1000)
 
+(* [Cfg.build]'s dense form against the definitions it replaces: the
+   blocks a walk over [Ir.successors] reaches from the entry, and
+   [Ir.predecessors]. *)
+let test_cfg_invariants () =
+  let functions = ref 0 and edges = ref 0 in
+  let check_func label f =
+    let dom = Dominance.compute f in
+    let cfg = Dominance.cfg dom in
+    let fail what = Alcotest.failf "%s: %s: %s" label f.fname what in
+    let successors_of b = match terminator b with Some t -> successors t | None -> [] in
+    let rec visit seen b =
+      if List.memq b seen then seen else List.fold_left visit (b :: seen) (successors_of b)
+    in
+    let reachable = visit [] (entry_block f) in
+    let index_of bs = List.filter_map (fun b -> match Cfg.index cfg b with -1 -> None | k -> Some k) bs in
+    if Cfg.size cfg <> List.length reachable then fail "reachable count";
+    if not (Cfg.block cfg 0 == entry_block f) then fail "entry not at 0";
+    for k = 0 to Cfg.size cfg - 1 do
+      let b = Cfg.block cfg k in
+      if Cfg.index cfg b <> k then fail ("index of " ^ b.bname);
+      if not (List.memq b reachable) then fail (b.bname ^ " is not reachable");
+      if Array.to_list (Cfg.preds cfg k) <> index_of (predecessors b) then
+        fail ("preds of " ^ b.bname);
+      if Array.to_list (Cfg.succs cfg k) <> index_of (successors_of b) then
+        fail ("succs of " ^ b.bname);
+      Array.iter
+        (fun s ->
+          incr edges;
+          if not (k < s || Dominance.dominates dom (Cfg.block cfg s) b) then
+            fail (Printf.sprintf "edge %s -> %s goes backward to a non-dominator" b.bname
+                    (Cfg.block cfg s).bname))
+        (Cfg.succs cfg k)
+    done;
+    if
+      not
+        (List.equal ( == ) (Cfg.unreachable cfg)
+           (List.filter (fun b -> not (List.memq b reachable)) f.fblocks))
+    then fail "unreachable blocks"
+  in
+  let check_module label (m : modul) =
+    List.iter
+      (fun f ->
+        if not (is_declaration f) then begin
+          incr functions;
+          check_func label f
+        end)
+      m.mfuncs
+  in
+  List.iter (fun (label, m) -> check_module label m) (Suite_bitcode.golden_corpus ());
+  for seed = 1 to 40 do
+    check_module (Printf.sprintf "irgen %d" seed) (Llvm_fuzz.Irgen.gen_module seed)
+  done;
+  check_bool "functions checked" true (!functions > 100);
+  check_bool "edges checked" true (!edges > 1000)
+
 let tests =
   [ Alcotest.test_case "dominator tree and frontiers" `Quick test_dominators;
+    Alcotest.test_case "cfg: dense form matches the definitions" `Quick
+      test_cfg_invariants;
     Alcotest.test_case "dominator children match the idom definition" `Quick
       test_dominator_children_match_definition;
     Alcotest.test_case "natural loops" `Quick test_loops;

@@ -115,6 +115,24 @@ let unreachable_module () =
   ignore (Builder.build_ret b None);
   m
 
+(* A dead block between the entry and the exit stores twice to a slot:
+   L007 flags the block, and L006 stays quiet, as no path runs it. *)
+let dead_code_store_module () =
+  let m = mk_module "deadcode" in
+  let b = Builder.for_module m in
+  let f = Builder.start_function b m "f" Ltype.void [] in
+  let a = Builder.build_alloca b ~name:"a" Ltype.int_ in
+  let dead = Builder.append_new_block b f "dead" in
+  let exit_ = Builder.append_new_block b f "exit" in
+  ignore (Builder.build_br b exit_);
+  Builder.position_at_end b dead;
+  ignore (Builder.build_store b (Vconst (cint Ltype.Int 1L)) a);
+  ignore (Builder.build_store b (Vconst (cint Ltype.Int 2L)) a);
+  ignore (Builder.build_br b exit_);
+  Builder.position_at_end b exit_;
+  ignore (Builder.build_ret b None);
+  m
+
 (* Uses every construct the checkers watch, correctly. *)
 let clean_module () =
   let m = mk_module "clean" in
@@ -244,13 +262,18 @@ let test_dead_store () =
   let ds = lint (dead_store_module ()) in
   check "flags L006" true (has_code "L006" ds);
   check_int "exactly the first store" 1
-    (List.length (List.filter (fun d -> d.Lint.code = "L006") ds))
+    (List.length (List.filter (fun d -> d.Lint.code = "L006") ds));
+  check "no L006 in unreachable code" false
+    (has_code "L006" (lint (dead_code_store_module ())))
 
 let test_unreachable () =
   let ds = lint (unreachable_module ()) in
   check "flags L007" true (has_code "L007" ds);
   check "names the dead block" true
-    (List.exists (fun d -> d.Lint.block = "dead") ds)
+    (List.exists (fun d -> d.Lint.block = "dead") ds);
+  let ds = lint (dead_code_store_module ()) in
+  check "flags L007 between live blocks" true
+    (List.exists (fun d -> d.Lint.code = "L007" && d.Lint.block = "dead") ds)
 
 let test_clean () =
   check_int "clean module has zero findings" 0 (List.length (lint (clean_module ())))
@@ -418,7 +441,7 @@ let test_dataflow_engine () =
   let f = Option.get (find_func m "fact") in
   let transfer b fact = if fact < 0 then fact else fact + List.length b.instrs in
   let res =
-    Count_flow.run ~direction:Dataflow.Forward ~boundary:0 ~transfer f
+    Count_flow.run ~direction:Dataflow.Forward ~boundary:0 ~transfer (Cfg.build f)
   in
   let exit = List.nth f.fblocks 3 in
   check "exit reached with positive count" true (Count_flow.after res exit > 0);
@@ -426,7 +449,7 @@ let test_dataflow_engine () =
     (Count_flow.before res (entry_block f) = 0);
   (* backward over the same function *)
   let res_b =
-    Count_flow.run ~direction:Dataflow.Backward ~boundary:0 ~transfer f
+    Count_flow.run ~direction:Dataflow.Backward ~boundary:0 ~transfer (Cfg.build f)
   in
   check "entry sees a path to the exit" true
     (Count_flow.before res_b (entry_block f) > 0)
@@ -436,11 +459,21 @@ let test_dataflow_skips_unreachable () =
   let f = Option.get (find_func m "f") in
   let transfer _ fact = fact in
   let res =
-    Count_flow.run ~direction:Dataflow.Forward ~boundary:7 ~transfer f
+    Count_flow.run ~direction:Dataflow.Forward ~boundary:7 ~transfer (Cfg.build f)
   in
   let dead = List.nth f.fblocks 1 in
   check "unreachable block stays at bottom" true
-    (Count_flow.before res dead = Count_lattice.bottom)
+    (Count_flow.before res dead = Count_lattice.bottom);
+  (* backward, the dead block is a predecessor of a live one *)
+  let f = Option.get (find_func (dead_code_store_module ()) "f") in
+  let dead = List.nth f.fblocks 1 in
+  let res =
+    Count_flow.run ~direction:Dataflow.Backward ~boundary:7 ~transfer (Cfg.build f)
+  in
+  check "live exit reached backward" true (Count_flow.before res (List.nth f.fblocks 2) = 7);
+  check "unreachable predecessor stays at bottom backward" true
+    (Count_flow.after res dead = Count_lattice.bottom
+    && Count_flow.before res dead = Count_lattice.bottom)
 
 let tests =
   [ Alcotest.test_case "L001 uninitialized load" `Quick test_uninit;

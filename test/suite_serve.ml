@@ -593,6 +593,17 @@ int main() {
     [ "\"requests\""; "\"cache\""; "\"index\""; "\"shards\""; "\"latency\"";
       "\"run\": 1"; "\"gc\": {\"heap_words\": "; "\"top_heap_words\": ";
       "\"minor_collections\": "; "\"major_collections\": " ];
+  (* quantiles are estimates, but never above the largest latency *)
+  let ms key =
+    let pat = Printf.sprintf "\"%s\": " key in
+    let rec at i =
+      if String.sub json i (String.length pat) = pat then i + String.length pat else at (i + 1)
+    in
+    let k = at 0 in
+    Scanf.sscanf (String.sub json k (String.length json - k)) "%f" Fun.id
+  in
+  Alcotest.(check bool) "p50_ms <= p99_ms <= max_ms" true
+    (ms "p50_ms" <= ms "p99_ms" && ms "p99_ms" <= ms "max_ms");
   Alcotest.(check int) "request counter" 4 (Server.requests server)
 
 let test_server_run_trap_exit_code () =
